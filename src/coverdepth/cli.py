@@ -75,6 +75,8 @@ class RunConfig:
             raise _UsageError("--digits must be positive")
         if self.jobs < 1:
             raise _UsageError("--jobs must be positive")
+        if self.budget < 1:
+            raise _UsageError("--budget must be positive")
         if self.method == "mc" and self.trials < 1:
             raise _UsageError("--method mc requires --trials >= 1")
 
@@ -505,6 +507,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = _config_from_args(args)
         text = _COMMANDS[config.command](config)
+        if config.out is not None:
+            Path(config.out).write_text(text)
+        else:
+            sys.stdout.write(text)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -517,10 +523,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    if config.out is not None:
-        Path(config.out).write_text(text)
-    else:
-        sys.stdout.write(text)
     if config.command == "verify" and any(
         line.startswith("FAIL") for line in text.splitlines()
     ):

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -357,9 +357,21 @@ def _draw_counts(
     return [_simulate_scalar(F, cols, n, k, _trial_key(seed, t0 + j)) for j in range(count)]
 
 
-def _mc_chunk(args) -> Tuple[int, int, int, int]:
-    p, m, modulus, cols, n, k, seed, t0, count = args
-    F = FieldSpec(p, m, modulus)
+def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
+    """fn over tasks, results in task order.
+
+    Runs in-process when jobs == 1 or there is a single task, otherwise on
+    a pool of `jobs` worker processes. Tasks and results cross the process
+    boundary by pickle; a FieldSpec travels as (p, m, modulus).
+    """
+    if jobs == 1 or len(tasks) == 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _mc_chunk(task) -> Tuple[int, int, int, int]:
+    F, cols, n, k, seed, t0, count = task
     counts = _draw_counts(F, cols, n, k, seed, t0, count)
     total = sum(counts)
     total_sq = sum(c * c for c in counts)
@@ -398,14 +410,10 @@ def expectation_monte_carlo(C: LinearCode, trials: int, seed: int, jobs: int = 1
     F = C.field
     cols = tuple(columns_of(C.generator))
     tasks = [
-        (F.p, F.m, F.modulus, cols, C.n, C.k, seed, t0, min(_CHUNK, trials - t0))
+        (F, cols, C.n, C.k, seed, t0, min(_CHUNK, trials - t0))
         for t0 in range(0, trials, _CHUNK)
     ]
-    if jobs == 1 or len(tasks) == 1:
-        parts = [_mc_chunk(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_mc_chunk, tasks))
+    parts = _fan_out(_mc_chunk, tasks, jobs)
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     if trials > 1:

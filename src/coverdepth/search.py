@@ -9,23 +9,27 @@ P = (q^k-1)/(q-1) points. verify_reduction re-checks that argument against
 plain matrix enumeration at tiny sizes, including the fact that a zero
 column is never part of a strict optimum.
 
-Search work is partitioned by the first (smallest) point index; partitions
-are merged in index order with exact comparisons, so reports do not depend
-on worker count or schedule.
+Every projective search, at any jobs value, runs one path: the multisets
+are split by their first (smallest) point index, each partition is folded
+into a running minimum, argmins and runner-up, and the partition folds are
+merged in index order with exact comparisons. jobs only decides whether the
+partitions run in this process or in worker processes, so reports do not
+depend on worker count or schedule. Full mode exists for cross-checking,
+runs in-process and ignores jobs.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, _span_rank, linear_code, projective_points
-from .coverage import InvariantViolation, expectation_exact_auto, mds_bound
+from .coverage import InvariantViolation, _fan_out, expectation_exact_auto, mds_bound
 from .matrix import from_columns
 from .gf import FieldSpec
 
@@ -122,6 +126,17 @@ def _check_params(F: FieldSpec, k: int, n: int) -> None:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
 
 
+def _check_budget(raw: int, budget: int, unit: str) -> None:
+    if raw > budget:
+        raise BudgetExceededError(f"{raw} {unit} exceed budget {budget}")
+
+
+def _spans(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int], k: int) -> bool:
+    """Whether the points indexed by combo span GF(q)^k (the admissibility test)."""
+    distinct = dict.fromkeys(combo)
+    return len(distinct) >= k and _span_rank(F, (pts[i] for i in distinct), cap=k) == k
+
+
 def _projective_class(F: FieldSpec, col: Sequence[int]) -> Tuple[int, ...]:
     lead = next(i for i, c in enumerate(col) if c)
     inv = F.inv(col[lead])
@@ -143,19 +158,14 @@ def enumerate_candidates(
     _check_params(F, k, n)
     pts = projective_points(F, k)
     if mode == "projective":
-        raw = comb(len(pts) + n - 1, n)
-        if raw > budget:
-            raise BudgetExceededError(f"{raw} multisets exceed budget {budget}")
+        _check_budget(comb(len(pts) + n - 1, n), budget, "multisets")
         for combo in combinations_with_replacement(range(len(pts)), n):
-            distinct = dict.fromkeys(combo)
-            if len(distinct) >= k and _span_rank(F, (pts[i] for i in distinct), cap=k) == k:
+            if _spans(F, pts, combo, k):
                 yield CandidateMultiset(F, k, combo)
         return
     if mode == "full":
         nonzero = [v for v in product(range(F.q), repeat=k) if any(v)]
-        raw = len(nonzero) ** n
-        if raw > budget:
-            raise BudgetExceededError(f"{raw} matrices exceed budget {budget}")
+        _check_budget(len(nonzero) ** n, budget, "matrices")
         index = {p: i for i, p in enumerate(pts)}
         for cols in product(nonzero, repeat=n):
             if _span_rank(F, cols, cap=k) == k:
@@ -171,9 +181,15 @@ def _score(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int]) -
 
 
 class _Fold:
-    """Running minimum with argmins plus the smallest strictly larger value."""
+    """Running minimum with argmins plus the smallest strictly larger value.
+
+    Also carries the examined and admissible candidate counts, so that
+    partition folds merge into exactly the fold of the whole search.
+    """
 
     def __init__(self):
+        self.examined = 0
+        self.admissible = 0
         self.best: Optional[Fraction] = None
         self.argmins: List[Tuple[int, ...]] = []
         self.second: Optional[Fraction] = None
@@ -189,25 +205,33 @@ class _Fold:
         elif self.second is None or value < self.second:
             self.second = value
 
+    def merge(self, other: "_Fold") -> None:
+        """Fold in another partition's fold; argmins keep self-then-other order."""
+        self.examined += other.examined
+        self.admissible += other.admissible
+        values = [v for v in (self.best, self.second, other.best, other.second) if v is not None]
+        if not values:
+            return
+        best = min(values)
+        self.argmins = (self.argmins if self.best == best else []) + (
+            other.argmins if other.best == best else []
+        )
+        self.best = best
+        self.second = min((v for v in values if v > best), default=None)
 
-def _search_partition(args) -> Tuple[int, int, Optional[str], List[Tuple[int, ...]], Optional[str]]:
-    p, m, modulus, k, n, first = args
-    F = FieldSpec(p, m, modulus)
+
+def _search_partition(task) -> _Fold:
+    """Fold every multiset whose smallest point index is `first`."""
+    F, k, n, first = task
     pts = projective_points(F, k)
     fold = _Fold()
-    examined = 0
-    admissible = 0
     for tail in combinations_with_replacement(range(first, len(pts)), n - 1):
         combo = (first,) + tail
-        examined += 1
-        distinct = dict.fromkeys(combo)
-        if len(distinct) < k or _span_rank(F, (pts[i] for i in distinct), cap=k) < k:
-            continue
-        admissible += 1
-        fold.add(_score(F, pts, combo), combo)
-    best = _rational_str(fold.best) if fold.best is not None else None
-    second = _rational_str(fold.second) if fold.second is not None else None
-    return examined, admissible, best, fold.argmins, second
+        fold.examined += 1
+        if _spans(F, pts, combo, k):
+            fold.admissible += 1
+            fold.add(_score(F, pts, combo), combo)
+    return fold
 
 
 def optimal_coverage(
@@ -222,58 +246,38 @@ def optimal_coverage(
 
     Returns the exact minimum, every candidate attaining it (sorted, so the
     first entry is the canonical representative), and the smallest strictly
-    larger value seen. Full mode ignores jobs; it only exists for
-    cross-checking and repeats multisets, which the scoring memoizes away.
+    larger value seen. Projective mode folds one partition per first point,
+    in this process when jobs == 1 and on `jobs` worker processes otherwise.
+    Full mode ignores jobs; it only exists for cross-checking and repeats
+    multisets, each of which is scored once.
     """
     _check_params(F, k, n)
     if jobs < 1:
         raise ValueError("jobs must be positive")
     start = time.perf_counter()
-    pts = projective_points(F, k)
     fold = _Fold()
-    if mode == "projective" and jobs > 1:
-        raw = comb(len(pts) + n - 1, n)
-        if raw > budget:
-            raise BudgetExceededError(f"{raw} multisets exceed budget {budget}")
-        tasks = [(F.p, F.m, F.modulus, k, n, first) for first in range(len(pts))]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_search_partition, tasks))
-        examined = sum(p_[0] for p_ in parts)
-        admissible = sum(p_[1] for p_ in parts)
-        for _, _, best, argmins, second in parts:
-            if best is not None:
-                value = Fraction(best)
-                for points in argmins:
-                    fold.add(value, points)
-            if second is not None:
-                fold.add(Fraction(second), ())
-        # the () sentinel from second entries must never survive as an argmin
-        fold.argmins = [a for a in fold.argmins if a]
+    if mode == "projective":
+        point_count = len(projective_points(F, k))
+        _check_budget(comb(point_count + n - 1, n), budget, "multisets")
+        tasks = [(F, k, n, first) for first in range(point_count)]
+        for part in _fan_out(_search_partition, tasks, jobs):
+            fold.merge(part)
     else:
-        if mode == "projective":
-            examined = comb(len(pts) + n - 1, n)
-        else:
-            examined = (F.q**k - 1) ** n
-        admissible = 0
-        memo: Dict[Tuple[int, ...], Fraction] = {}
-        for cand in enumerate_candidates(F, k, n, mode, budget):
-            admissible += 1
-            value = memo.get(cand.points)
-            if value is None:
-                value = _score(F, pts, cand.points)
-                memo[cand.points] = value
-            fold.add(value, cand.points)
+        counts = Counter(cand.points for cand in enumerate_candidates(F, k, n, mode, budget))
+        fold.examined = (F.q**k - 1) ** n
+        fold.admissible = sum(counts.values())
+        pts = projective_points(F, k)
+        for points in counts:
+            fold.add(_score(F, pts, points), points)
     elapsed = time.perf_counter() - start
-    optimal = tuple(
-        CandidateMultiset(F, k, points) for points in sorted(set(fold.argmins))
-    )
+    optimal = tuple(CandidateMultiset(F, k, points) for points in sorted(fold.argmins))
     return SearchReport(
         n=n,
         k=k,
         q=F.q,
         mode=mode,
-        candidates_examined=examined,
-        candidates_admissible=admissible,
+        candidates_examined=fold.examined,
+        candidates_admissible=fold.admissible,
         minimum=fold.best,
         optimal_candidates=optimal,
         runner_up=fold.second,
@@ -302,9 +306,10 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
             nonzero_values.add(value)
         elif zero_col_best is None or value < zero_col_best:
             zero_col_best = value
-    projective_values = set()
-    for cand in enumerate_candidates(F, k, n, "projective"):
-        projective_values.add(_score(F, projective_points(F, k), cand.points))
+    pts = projective_points(F, k)
+    projective_values = {
+        _score(F, pts, cand.points) for cand in enumerate_candidates(F, k, n, "projective")
+    }
     if nonzero_values != projective_values:
         return False
     if min(nonzero_values) != min(projective_values):

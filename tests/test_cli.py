@@ -208,6 +208,23 @@ def test_out_writes_file(tmp_path):
     assert target.read_text().startswith("319/60")
 
 
+def test_out_to_missing_directory_is_an_error(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    proc = run_cli("bound", "--n", "7", "--k", "4", "--out", str(target))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_nonpositive_budget_is_a_usage_error():
+    for budget in ("-5", "0"):
+        proc = run_cli("search", "--field", "2", "--k", "2", "--n", "3", "--budget", budget)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: ")
+        assert proc.stdout == ""
+
+
 def test_usage_errors_exit_one():
     assert run_cli("expect", "--field", "2").returncode == 1  # no --code
     assert run_cli("expect", "--field", "6", "--code", "simplex", "--k", "3").returncode == 1

@@ -284,6 +284,28 @@ def test_monte_carlo_is_job_count_invariant():
     assert isinstance(a, McEstimate)
 
 
+def test_monte_carlo_extension_field_is_job_count_invariant():
+    # Two chunks over GF(16): the worker processes must rebuild the same
+    # field, modulus included, from the pickled FieldSpec.
+    C = reed_solomon(field_from_order(16), 16, 8)
+    a = expectation_monte_carlo(C, trials=33000, seed=9, jobs=1)
+    b = expectation_monte_carlo(C, trials=33000, seed=9, jobs=2)
+    assert a == b
+    assert a.min_draws >= C.k
+
+
+def test_monte_carlo_scalar_path_above_table_limit():
+    # GF(1024) is past the 512-element operation tables, so every trial runs
+    # the scalar engine.
+    C = reed_solomon(field_from_order(1024), 12, 4)
+    cols = columns_of(C.generator)
+    counts = _draw_counts(C.field, cols, C.n, C.k, seed=4, t0=0, count=12)
+    assert counts == [simulate_trial(C, seed=4, trial=t) for t in range(12)]
+    est = expectation_monte_carlo(C, trials=12, seed=4)
+    assert est.mean == sum(counts) / 12
+    assert (est.min_draws, est.max_draws) == (min(counts), max(counts))
+
+
 def test_monte_carlo_tracks_exact_value():
     C = simplex_code(field_from_order(2), 3)
     est = expectation_monte_carlo(C, trials=40000, seed=7)

@@ -5,11 +5,13 @@ import pytest
 
 from coverdepth.coverage import InvariantViolation, expectation_exact, mds_bound
 from coverdepth.gf import field_from_order
+from coverdepth.codes import projective_points
 from coverdepth.search import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     CandidateMultiset,
     SearchReport,
+    _Fold,
     enumerate_candidates,
     optimal_coverage,
     verify_reduction,
@@ -108,6 +110,91 @@ def test_search_parallel_matches_sequential():
     seq = optimal_coverage(F2, 3, 7, jobs=1)
     par = optimal_coverage(F2, 3, 7, jobs=2)
     assert seq.to_json_dict() == par.to_json_dict()
+
+
+def _reference_search(F, k, n):
+    # Independent of the partition fold: score every admissible multiset with
+    # the primal route and take minimum, argmins and runner-up over the list.
+    scored = [
+        (expectation_exact(cand.as_code()), list(cand.points))
+        for cand in enumerate_candidates(F, k, n)
+    ]
+    values = sorted({value for value, _ in scored})
+    point_count = len(projective_points(F, k))
+    return {
+        "n": n,
+        "k": k,
+        "q": F.q,
+        "mode": "projective",
+        "candidates_examined": comb(point_count + n - 1, n),
+        "candidates_admissible": len(scored),
+        "minimum": f"{values[0].numerator}/{values[0].denominator}",
+        "optimal_candidates": sorted(points for value, points in scored if value == values[0]),
+        "runner_up": (
+            f"{values[1].numerator}/{values[1].denominator}" if len(values) > 1 else None
+        ),
+    }
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 2, 4), (2, 3, 6), (3, 2, 4)])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_search_matches_reference_fold(q, k, n, jobs):
+    F = field_from_order(q)
+    assert optimal_coverage(F, k, n, jobs=jobs).to_json_dict() == _reference_search(F, k, n)
+
+
+def _fold_of(items):
+    fold = _Fold()
+    for value, points in items:
+        fold.examined += 1
+        fold.admissible += 1
+        fold.add(Fraction(value), points)
+    return fold
+
+
+def _merged(*parts):
+    fold = _Fold()
+    for part in parts:
+        fold.merge(_fold_of(part))
+    return fold
+
+
+def _state(fold):
+    return fold.examined, fold.admissible, fold.best, fold.argmins, fold.second
+
+
+def test_fold_merge_empty_partitions():
+    empty = _merged([], [])
+    assert _state(empty) == (0, 0, None, [], None)
+    items = [(3, (0,)), (2, (1,)), (5, (2,))]
+    assert _state(_merged([], items, [])) == _state(_fold_of(items))
+    assert _state(_merged(items[:1], [])) == (1, 1, Fraction(3), [(0,)], None)
+
+
+def test_fold_merge_tie_across_partitions():
+    fold = _merged([(2, (0, 1)), (4, (0, 2))], [(3, (1, 1))], [(2, (2, 2)), (2, (2, 3))])
+    assert fold.best == 2
+    assert fold.argmins == [(0, 1), (2, 2), (2, 3)]
+    assert fold.second == 3
+    assert (fold.examined, fold.admissible) == (5, 5)
+
+
+def test_fold_merge_runner_up_held_by_another_partition():
+    # The first partition holds only copies of the minimum, so the runner-up
+    # exists only in the second partition, behind that partition's own best.
+    fold = _merged([(1, (0,)), (1, (1,))], [(7, (2,)), (9, (3,))])
+    assert (fold.best, fold.argmins, fold.second) == (1, [(0,), (1,)], 7)
+    fold = _merged([(7, (0,))], [(1, (1,)), (1, (2,))])
+    assert (fold.best, fold.argmins, fold.second) == (1, [(1,), (2,)], 7)
+
+
+def test_fold_merge_is_independent_of_the_split():
+    items = [(5, (0,)), (2, (1,)), (7, (2,)), (2, (3,)), (3, (4,)), (3, (5,)), (2, (6,))]
+    whole = _state(_fold_of(items))
+    for cuts in [(1, 4), (2, 2), (0, 7), (3, 6), (6, 7)]:
+        a, b = cuts
+        assert _state(_merged(items[:a], items[a:b], items[b:])) == whole
+    assert _state(_merged(*[[item] for item in items])) == whole
 
 
 def test_search_full_mode_agrees_with_projective():
