@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -30,6 +29,7 @@ from .coverage import (
     expectation_simplex,
     mds_bound,
     _draw_counts,
+    _rational_str,
 )
 from .gf import FieldSpec, field_from_order, is_prime_power, parse_field_spec
 from .matrix import columns_of, parse_matrix
@@ -49,211 +49,141 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    field: Optional[str] = None
-    code: Optional[str] = None
-    method: str = "exact"
-    trials: int = 100_000
-    seed: int = 0
-    fmt: Optional[str] = None
-    out: Optional[str] = None
-    digits: int = 30
-    jobs: int = 1
-    budget: int = DEFAULT_BUDGET
-    k: Optional[int] = None
-    r: Optional[int] = None
-    n: Optional[int] = None
-    mode: str = "projective"
-    family: Optional[str] = None
-    q_grid: Optional[str] = None
-    r_grid: Optional[str] = None
-
-    def __post_init__(self):
-        if self.digits < 1:
-            raise _UsageError("--digits must be positive")
-        if self.jobs < 1:
-            raise _UsageError("--jobs must be positive")
-        if self.budget < 1:
-            raise _UsageError("--budget must be positive")
-        if self.method == "mc" and self.trials < 1:
-            raise _UsageError("--method mc requires --trials >= 1")
-
-    def field_spec(self) -> FieldSpec:
-        if self.field is None:
-            raise _UsageError("--field is required for this command")
-        return parse_field_spec(self.field)
+def _positive(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
-def _rat(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+def _num_den_decimal(value: Fraction, digits: int) -> str:
+    return f"{_rational_str(value)} ({decimal_str(value, digits)})"
 
 
-def _needs(config: RunConfig, **params) -> List[int]:
-    out = []
-    for name, value in params.items():
-        if value is None:
-            raise _UsageError(f"--{name} is required for code {config.code!r}")
-        out.append(value)
-    return out
+def _need(args: argparse.Namespace, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise _UsageError(f"--{name} is required for code {args.code!r}")
+    return value
 
 
-def _build_code(config: RunConfig, spec: Optional[str] = None) -> cd.LinearCode:
-    spec = config.code if spec is None else spec
-    if spec is None:
-        raise _UsageError("--code is required")
+def _build_code(args: argparse.Namespace, spec: Optional[str] = None) -> cd.LinearCode:
+    spec = args.code if spec is None else spec
     if spec.startswith("dual-of:"):
-        return cd.dual(_build_code(config, spec[len("dual-of:"):]))
+        return cd.dual(_build_code(args, spec[len("dual-of:"):]))
     if spec.startswith("file:"):
         text = Path(spec[len("file:"):]).read_text()
         return cd.linear_code(parse_matrix(text))
-    F = config.field_spec()
+    F = parse_field_spec(_need(args, "field"))
     if spec == "simplex":
-        (k,) = _needs(config, k=config.k)
-        return cd.simplex_code(F, k)
+        return cd.simplex_code(F, _need(args, "k"))
     if spec == "hamming":
-        (r,) = _needs(config, r=config.r)
-        return cd.hamming_code(F, r)
+        return cd.hamming_code(F, _need(args, "r"))
     if spec == "rs":
-        n, k = _needs(config, n=config.n, k=config.k)
-        return cd.reed_solomon(F, n, k)
+        return cd.reed_solomon(F, _need(args, "n"), _need(args, "k"))
     raise _UsageError(f"unknown code spec {spec!r}")
 
 
-def _formula_value(config: RunConfig, C: cd.LinearCode) -> Fraction:
-    if config.code == "simplex":
-        return expectation_simplex(C.field.q, C.k)
-    if config.code == "hamming":
-        return expectation_hamming(C.field.q, config.r)
-    raise ValueError("--method formula applies to --code simplex or hamming only")
-
-
-def cmd_expect(config: RunConfig) -> str:
-    C = _build_code(config)
-    bound = mds_bound(C.n, C.k)
-    digits = config.digits
-    doc = {
-        "code": config.code,
-        "n": C.n,
-        "k": C.k,
-        "q": C.field.q,
-        "method": config.method,
-    }
-    if config.method == "mc":
-        est = expectation_monte_carlo(C, config.trials, config.seed, config.jobs)
-        doc.update(
-            value_rational=None,
-            value_decimal=None,
-            trials=est.trials,
-            seed=est.seed,
-            mean=est.mean,
-            std_error=est.std_error,
-            min_draws=est.min_draws,
-            max_draws=est.max_draws,
-            bound_rational=_rat(bound),
-            bound_decimal=decimal_str(bound, digits),
-            gap_rational=None,
-            meets_mds_bound=None,
-        )
-        if config.fmt == "json":
-            return json.dumps(doc, indent=2) + "\n"
-        return (
-            f"mean {est.mean:.6f} +- {est.std_error:.6f}\n"
-            f"trials {est.trials} seed {est.seed} min {est.min_draws} max {est.max_draws}\n"
-            f"bound {_rat(bound)} ({decimal_str(bound, digits)})\n"
-        )
-    if config.method == "exact":
-        value = expectation_exact_auto(C)
-    elif config.method == "dual":
-        value = expectation_exact_dual(C)
-    elif config.method == "formula":
-        value = _formula_value(config, C)
-    else:
-        raise _UsageError(f"unknown method {config.method!r}")
-    gap = value - bound
-    doc.update(
-        value_rational=_rat(value),
-        value_decimal=decimal_str(value, digits),
-        bound_rational=_rat(bound),
-        bound_decimal=decimal_str(bound, digits),
-        gap_rational=_rat(gap),
-        meets_mds_bound=gap == 0,
-    )
-    if config.fmt == "json":
-        return json.dumps(doc, indent=2) + "\n"
+def _monte_carlo(args: argparse.Namespace, C: cd.LinearCode) -> Tuple[dict, List[str]]:
+    """Run the simulation; return its JSON fields and its plain lines."""
+    est = expectation_monte_carlo(C, args.trials, args.seed, args.jobs)
+    keys = ("trials", "seed", "mean", "std_error", "min_draws", "max_draws")
+    fields = {key: getattr(est, key) for key in keys}
     lines = [
-        f"value {_rat(value)} ({decimal_str(value, digits)})",
-        f"bound {_rat(bound)} ({decimal_str(bound, digits)})",
-        f"gap {_rat(gap)} ({decimal_str(gap, digits)})",
+        f"mean {est.mean:.6f} +- {est.std_error:.6f}",
+        f"trials {est.trials} seed {est.seed} min {est.min_draws} max {est.max_draws}",
     ]
+    return fields, lines
+
+
+def cmd_expect(args: argparse.Namespace) -> str:
+    C = _build_code(args)
+    bound = mds_bound(C.n, C.k)
+    digits = args.digits
+    value = gap = None
+    fields = {}
+    if args.method == "mc":
+        fields, lines = _monte_carlo(args, C)
+    else:
+        if args.method == "exact":
+            value = expectation_exact_auto(C)
+        elif args.method == "dual":
+            value = expectation_exact_dual(C)
+        elif args.code == "simplex":
+            value = expectation_simplex(C.field.q, C.k)
+        elif args.code == "hamming":
+            value = expectation_hamming(C.field.q, args.r)
+        else:
+            raise ValueError("--method formula applies to --code simplex or hamming only")
+        gap = value - bound
+        lines = [f"value {_num_den_decimal(value, digits)}"]
+    lines.append(f"bound {_num_den_decimal(bound, digits)}")
+    if gap is not None:
+        lines.append(f"gap {_num_den_decimal(gap, digits)}")
     if gap == 0:
         lines.append("meets MDS bound")
+    if args.fmt == "json":
+        doc = {
+            "code": args.code,
+            "n": C.n,
+            "k": C.k,
+            "q": C.field.q,
+            "method": args.method,
+            "value_rational": None if value is None else _rational_str(value),
+            "value_decimal": None if value is None else decimal_str(value, digits),
+            **fields,
+            "bound_rational": _rational_str(bound),
+            "bound_decimal": decimal_str(bound, digits),
+            "gap_rational": None if gap is None else _rational_str(gap),
+            "meets_mds_bound": None if gap is None else gap == 0,
+        }
+        return json.dumps(doc, indent=2) + "\n"
     return "\n".join(lines) + "\n"
 
 
-def cmd_bound(config: RunConfig) -> str:
-    if config.n is None or config.k is None:
-        raise _UsageError("bound requires --n and --k")
-    value = mds_bound(config.n, config.k)
-    if config.fmt == "json":
+def cmd_bound(args: argparse.Namespace) -> str:
+    value = mds_bound(args.n, args.k)
+    if args.fmt == "json":
         doc = {
-            "n": config.n,
-            "k": config.k,
-            "bound_rational": _rat(value),
-            "bound_decimal": decimal_str(value, config.digits),
+            "n": args.n,
+            "k": args.k,
+            "bound_rational": _rational_str(value),
+            "bound_decimal": decimal_str(value, args.digits),
         }
         return json.dumps(doc, indent=2) + "\n"
-    return f"{_rat(value)} ({decimal_str(value, config.digits)})\n"
+    return _num_den_decimal(value, args.digits) + "\n"
 
 
-def cmd_search(config: RunConfig) -> str:
-    if config.k is None or config.n is None:
-        raise _UsageError("search requires --k and --n")
-    F = config.field_spec()
+def cmd_search(args: argparse.Namespace) -> str:
+    F = parse_field_spec(args.field)
     report = optimal_coverage(
-        F, config.k, config.n, mode=config.mode, jobs=config.jobs, budget=config.budget
+        F, args.k, args.n, mode=args.mode, jobs=args.jobs, budget=args.budget
     )
-    if config.fmt == "json":
+    if args.fmt == "json":
         return json.dumps(report.to_json_dict(), indent=2) + "\n"
-    digits = config.digits
     lines = [
         f"search n={report.n} k={report.k} q={report.q} mode={report.mode}",
         f"examined {report.candidates_examined} admissible {report.candidates_admissible}",
-        f"minimum {_rat(report.minimum)} ({decimal_str(report.minimum, digits)})",
+        f"minimum {_num_den_decimal(report.minimum, args.digits)}",
     ]
     for cand in report.optimal_candidates:
         lines.append(f"optimal {list(cand.points)}")
     if report.runner_up is not None:
-        lines.append(
-            f"runner_up {_rat(report.runner_up)} ({decimal_str(report.runner_up, digits)})"
-        )
+        lines.append(f"runner_up {_num_den_decimal(report.runner_up, args.digits)}")
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(config: RunConfig) -> str:
-    C = _build_code(config)
-    if config.trials < 1:
-        raise _UsageError("--trials must be >= 1")
-    est = expectation_monte_carlo(C, config.trials, config.seed, config.jobs)
-    if config.fmt == "json":
-        doc = {
-            "code": config.code,
-            "n": C.n,
-            "k": C.k,
-            "q": C.field.q,
-            "trials": est.trials,
-            "seed": est.seed,
-            "mean": est.mean,
-            "std_error": est.std_error,
-            "min_draws": est.min_draws,
-            "max_draws": est.max_draws,
-        }
+def cmd_simulate(args: argparse.Namespace) -> str:
+    C = _build_code(args)
+    fields, lines = _monte_carlo(args, C)
+    if args.fmt == "json":
+        doc = {"code": args.code, "n": C.n, "k": C.k, "q": C.field.q, **fields}
         return json.dumps(doc, indent=2) + "\n"
-    return (
-        f"mean {est.mean:.6f} +- {est.std_error:.6f}\n"
-        f"trials {est.trials} seed {est.seed} min {est.min_draws} max {est.max_draws}\n"
-    )
+    return "\n".join(lines) + "\n"
 
 
 def _parse_grid(text: str, kind: str) -> List[int]:
@@ -277,31 +207,25 @@ def _parse_grid(text: str, kind: str) -> List[int]:
     return values
 
 
-def cmd_asymptotics(config: RunConfig) -> str:
-    family = config.family
-    if family is None:
-        raise _UsageError("asymptotics requires --family")
-    if family in ("simplex", "hamming"):
-        if config.q_grid is None:
-            raise _UsageError(f"family {family} requires --q-grid")
-        values = _parse_grid(config.q_grid, "q")
-        reports = gap_grid(family, values, k=config.k, r=config.r)
-    elif family == "binary-hamming":
-        if config.r_grid is None:
+def cmd_asymptotics(args: argparse.Namespace) -> str:
+    if args.family == "binary-hamming":
+        if args.r_grid is None:
             raise _UsageError("family binary-hamming requires --r-grid")
-        reports = gap_grid(family, _parse_grid(config.r_grid, "r"))
+        reports = gap_grid(args.family, _parse_grid(args.r_grid, "r"))
     else:
-        raise _UsageError(f"unknown family {family!r}")
-    if config.fmt == "json":
+        if args.q_grid is None:
+            raise _UsageError(f"family {args.family} requires --q-grid")
+        reports = gap_grid(args.family, _parse_grid(args.q_grid, "q"), k=args.k, r=args.r)
+    if args.fmt == "json":
         rows = []
         for rep in reports:
             rows.append({
                 "q": rep.q,
                 "k_or_r": rep.k_or_r,
                 "n": rep.n,
-                "exact": _rat(rep.exact_expectation),
-                "bound": _rat(rep.bound),
-                "gap": _rat(rep.gap),
+                "exact": _rational_str(rep.exact_expectation),
+                "bound": _rational_str(rep.bound),
+                "gap": _rational_str(rep.gap),
                 "ratio": format(rep.ratio, "f"),
                 "predicted_term": (
                     format(rep.predicted_leading_term, "f")
@@ -310,11 +234,11 @@ def cmd_asymptotics(config: RunConfig) -> str:
                 ),
             })
         return json.dumps(rows, indent=2) + "\n"
-    return grid_csv(reports, config.digits)
+    return grid_csv(reports, args.digits)
 
 
-def cmd_figure1(config: RunConfig) -> str:
-    digits = max(config.digits, 20)
+def cmd_figure1(args: argparse.Namespace) -> str:
+    digits = max(args.digits, 20)
     lines = ["k,q,simplex_value,bound_value"]
     for k in FIG_K:
         for q in FIG_Q:
@@ -328,15 +252,15 @@ def cmd_figure1(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _verify_checks() -> List[Tuple[str, bool, str]]:
-    results = []
+def cmd_verify(args: argparse.Namespace) -> str:
+    lines = []
 
     def check(name, fn):
         try:
             fn()
-            results.append((name, True, ""))
+            lines.append(f"ok {name}")
         except Exception as exc:
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
+            lines.append(f"FAIL {name}: {type(exc).__name__}: {exc}")
 
     def simplex_routes():
         F = FieldSpec(2)
@@ -398,117 +322,78 @@ def _verify_checks() -> List[Tuple[str, bool, str]]:
     check("projective reduction (2,2,3) (2,2,4) (3,2,3)", reduction)
     check("simulation path agreement [7,3] GF(2)", simulation_paths)
     check("gap nonnegativity simplex k=3", gap_sign)
-    return results
-
-
-def cmd_verify(config: RunConfig) -> str:
-    lines = []
-    for name, ok, detail in _verify_checks():
-        if ok:
-            lines.append(f"ok {name}")
-        else:
-            lines.append(f"FAIL {name}: {detail}")
     return "\n".join(lines) + "\n"
 
 
-_DEFAULT_FORMATS = {
-    "expect": "plain",
-    "bound": "plain",
-    "search": "json",
-    "simulate": "json",
-    "asymptotics": "csv",
-    "figure1": "csv",
-    "verify": "plain",
-}
-
-_COMMANDS = {
-    "expect": cmd_expect,
-    "bound": cmd_bound,
-    "search": cmd_search,
-    "simulate": cmd_simulate,
-    "asymptotics": cmd_asymptotics,
-    "figure1": cmd_figure1,
-    "verify": cmd_verify,
+# Flags that several subcommands take, each declared once.
+_SHARED_FLAGS = {
+    "--field": dict(help="field order: 8, 2^3, or q=8"),
+    "--code": dict(help="simplex | hamming | rs | dual-of:SPEC | file:PATH"),
+    "--k": dict(type=int),
+    "--r": dict(type=int),
+    "--n": dict(type=int),
+    "--out": dict(help="write output to this path instead of stdout"),
+    "--digits": dict(type=_positive, default=30),
+    "--jobs": dict(type=_positive, default=1),
+    "--trials": dict(type=_positive, default=100_000),
+    "--seed": dict(type=int, default=0),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--field", help="field order: 8, 2^3, or q=8")
-    sub.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"))
-    sub.add_argument("--out", help="write output to this path instead of stdout")
-    sub.add_argument("--digits", type=int, default=30)
-    sub.add_argument("--jobs", type=int, default=1)
-    sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+def _add_command(subs, name: str, handler, summary: str, flags: Tuple[str, ...],
+                 required: Tuple[str, ...] = (), fmt: Optional[str] = None):
+    """Add a subcommand that runs handler and takes the named shared flags.
+
+    fmt is the default of its --format flag; commands without one take none.
+    """
+    p = subs.add_parser(name, help=summary)
+    p.set_defaults(handler=handler)
+    if fmt is not None:
+        p.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"), default=fmt)
+    for flag in flags:
+        p.add_argument(flag, required=flag in required, **_SHARED_FLAGS[flag])
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="coverdepth", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
+    code_flags = ("--field", "--code", "--k", "--r", "--n", "--out", "--jobs", "--trials", "--seed")
 
-    p = subs.add_parser("expect", help="expected draw count of a code")
-    _add_common(p)
-    p.add_argument("--code", required=True, help="simplex | hamming | rs | dual-of:SPEC | file:PATH")
+    p = _add_command(subs, "expect", cmd_expect, "expected draw count of a code",
+                     code_flags + ("--digits",), required=("--code",), fmt="plain")
     p.add_argument("--method", choices=("exact", "dual", "formula", "mc"), default="exact")
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
 
-    p = subs.add_parser("bound", help="MDS lower bound n(H(n) - H(n-k))")
-    _add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _add_command(subs, "bound", cmd_bound, "MDS lower bound n(H(n) - H(n-k))",
+                 ("--n", "--k", "--out", "--digits"), required=("--n", "--k"), fmt="plain")
 
-    p = subs.add_parser("search", help="exhaustive optimum over [n,k] codes")
-    _add_common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = _add_command(subs, "search", cmd_search, "exhaustive optimum over [n,k] codes",
+                     ("--field", "--k", "--n", "--out", "--digits", "--jobs"),
+                     required=("--field", "--k", "--n"), fmt="json")
     p.add_argument("--mode", choices=("projective", "full"), default="projective")
+    p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
 
-    p = subs.add_parser("simulate", help="Monte Carlo estimate of the draw count")
-    _add_common(p)
-    p.add_argument("--code", required=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    _add_command(subs, "simulate", cmd_simulate, "Monte Carlo estimate of the draw count",
+                 code_flags, required=("--code",), fmt="json")
 
-    p = subs.add_parser("asymptotics", help="gap grids against the known limits")
-    _add_common(p)
-    p.add_argument("--family", choices=("simplex", "hamming", "binary-hamming"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--r", type=int)
+    p = _add_command(subs, "asymptotics", cmd_asymptotics, "gap grids against the known limits",
+                     ("--k", "--r", "--out", "--digits"), fmt="csv")
+    p.add_argument("--family", required=True, choices=("simplex", "hamming", "binary-hamming"))
     p.add_argument("--q-grid", dest="q_grid")
     p.add_argument("--r-grid", dest="r_grid")
 
-    p = subs.add_parser("figure1", help="simplex vs bound grid, CSV")
-    _add_common(p)
-
-    p = subs.add_parser("verify", help="run the built-in invariant checks")
-    _add_common(p)
-
+    _add_command(subs, "figure1", cmd_figure1, "simplex vs bound grid, CSV", ("--out", "--digits"))
+    _add_command(subs, "verify", cmd_verify, "run the built-in invariant checks", ("--out",))
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    present = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    config = RunConfig(**present)
-    if config.fmt is None:
-        config.fmt = _DEFAULT_FORMATS[config.command]
-    return config
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        text = _COMMANDS[config.command](config)
-        if config.out is not None:
-            Path(config.out).write_text(text)
+        text = args.handler(args)
+        if args.out is not None:
+            Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
     except _UsageError as exc:
@@ -523,7 +408,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    if config.command == "verify" and any(
+    if args.command == "verify" and any(
         line.startswith("FAIL") for line in text.splitlines()
     ):
         return 3

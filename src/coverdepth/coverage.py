@@ -64,6 +64,10 @@ def decimal_str(value: Rational, digits: int = 30) -> str:
     return format(to_decimal(value, digits), "f")
 
 
+def _rational_str(value: Fraction) -> str:
+    return f"{value.numerator}/{value.denominator}"
+
+
 _CACHE_LIMIT = 8192
 _harmonic_cache: List[Fraction] = [Fraction(0)]
 
@@ -99,8 +103,8 @@ def mds_bound(n: int, k: int) -> Fraction:
     """n*(H(n) - H(n-k)): the smallest expectation any [n, k] code can have.
 
     Attained exactly by the codes in which every k positions form an
-    information set. For n beyond the harmonic cache the k-term form
-    sum n/(n-i) is used instead, so large-n small-k queries stay cheap.
+    information set. For n beyond the harmonic cache only the k reciprocals
+    1/(n-k+1) + ... + 1/n are summed, so large-n small-k queries stay cheap.
     """
     if n < 1:
         raise ValueError("length must be positive")
@@ -108,10 +112,7 @@ def mds_bound(n: int, k: int) -> Fraction:
         raise ValueError(f"dimension {k} not in 0..{n}")
     if n <= _CACHE_LIMIT:
         return n * (harmonic(n) - harmonic(n - k))
-    total = Fraction(0)
-    for i in range(k):
-        total += Fraction(n, n - i)
-    return total
+    return n * _range_recip_sum(n - k + 1, n)
 
 
 def expectation_exact(C: LinearCode) -> Fraction:

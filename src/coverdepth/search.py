@@ -29,7 +29,7 @@ from math import comb
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, _span_rank, linear_code, projective_points
-from .coverage import InvariantViolation, _fan_out, expectation_exact_auto, mds_bound
+from .coverage import InvariantViolation, _fan_out, _rational_str, expectation_exact_auto, mds_bound
 from .matrix import from_columns
 from .gf import FieldSpec
 
@@ -61,7 +61,7 @@ class CandidateMultiset:
             raise ValueError("zero_columns must be nonnegative")
         if not self.points:
             raise ValueError("need at least one point")
-        point_count = (self.field.q**self.k - 1) // (self.field.q - 1)
+        point_count = _point_count(self.field, self.k)
         if any(not 0 <= i < point_count for i in self.points):
             raise ValueError("point index out of range")
         if any(a > b for a, b in zip(self.points, self.points[1:])):
@@ -76,10 +76,6 @@ class CandidateMultiset:
         cols = [pts[i] for i in self.points]
         cols.extend([(0,) * self.k] * self.zero_columns)
         return linear_code(from_columns(self.field, cols))
-
-
-def _rational_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
 
 
 @dataclass(frozen=True)
@@ -126,6 +122,11 @@ def _check_params(F: FieldSpec, k: int, n: int) -> None:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
 
 
+def _point_count(F: FieldSpec, k: int) -> int:
+    """P = (q^k - 1)/(q - 1), the length of projective_points(F, k), without building it."""
+    return (F.q**k - 1) // (F.q - 1)
+
+
 def _check_budget(raw: int, budget: int, unit: str) -> None:
     if raw > budget:
         raise BudgetExceededError(f"{raw} {unit} exceed budget {budget}")
@@ -156,17 +157,17 @@ def enumerate_candidates(
     be cross-checked, not for real searches.
     """
     _check_params(F, k, n)
-    pts = projective_points(F, k)
     if mode == "projective":
-        _check_budget(comb(len(pts) + n - 1, n), budget, "multisets")
+        _check_budget(comb(_point_count(F, k) + n - 1, n), budget, "multisets")
+        pts = projective_points(F, k)
         for combo in combinations_with_replacement(range(len(pts)), n):
             if _spans(F, pts, combo, k):
                 yield CandidateMultiset(F, k, combo)
         return
     if mode == "full":
+        _check_budget((F.q**k - 1) ** n, budget, "matrices")
         nonzero = [v for v in product(range(F.q), repeat=k) if any(v)]
-        _check_budget(len(nonzero) ** n, budget, "matrices")
-        index = {p: i for i, p in enumerate(pts)}
+        index = {p: i for i, p in enumerate(projective_points(F, k))}
         for cols in product(nonzero, repeat=n):
             if _span_rank(F, cols, cap=k) == k:
                 classes = sorted(index[_projective_class(F, c)] for c in cols)
@@ -257,7 +258,7 @@ def optimal_coverage(
     start = time.perf_counter()
     fold = _Fold()
     if mode == "projective":
-        point_count = len(projective_points(F, k))
+        point_count = _point_count(F, k)
         _check_budget(comb(point_count + n - 1, n), budget, "multisets")
         tasks = [(F, k, n, first) for first in range(point_count)]
         for part in _fan_out(_search_partition, tasks, jobs):

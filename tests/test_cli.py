@@ -1,13 +1,23 @@
 import json
+import os
+import resource
 import subprocess
 import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, **kwargs):
+    """Run this checkout's CLI (src/ first on PYTHONPATH) in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "coverdepth", *args],
         capture_output=True,
         text=True,
+        env=env,
+        **kwargs,
     )
 
 
@@ -69,6 +79,20 @@ def test_expect_monte_carlo_json():
     assert doc["trials"] == 2000 and doc["seed"] == 3
     assert doc["min_draws"] >= 3
     assert abs(doc["mean"] - 47 / 12) < 0.2
+
+
+def test_expect_monte_carlo_plain():
+    simplex = ("--field", "2", "--code", "simplex", "--k", "3", "--trials", "2000", "--seed", "3")
+    proc = run_cli("expect", *simplex, "--method", "mc")
+    assert proc.returncode == 0
+    mean, trials, bound = proc.stdout.splitlines()
+    assert mean.startswith("mean ") and " +- " in mean
+    assert abs(float(mean.split()[1]) - 47 / 12) < 0.2
+    assert trials.startswith("trials 2000 seed 3 min ")
+    assert bound == "bound 107/30 (3.56666666666666666666666666667)"
+    # simulate prints the same Monte Carlo lines, without the bound.
+    sim = run_cli("simulate", *simplex, "--format", "plain")
+    assert sim.stdout == f"{mean}\n{trials}\n"
 
 
 def test_expect_dual_of_simplex_is_hamming():
@@ -133,6 +157,23 @@ def test_search_plain_format():
 def test_search_budget_exit_code():
     proc = run_cli("search", "--field", "2", "--k", "3", "--n", "7", "--budget", "100")
     assert proc.returncode == 2
+
+
+def test_search_budget_is_checked_before_enumerating():
+    # Enumerating before the check would need terabytes at k = 40; the
+    # address-space cap makes such a regression fail instead of swapping.
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    for mode in ("projective", "full"):
+        proc = run_cli(
+            "search", "--field", "2", "--k", "40", "--n", "40", "--mode", mode,
+            timeout=60, preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("budget exceeded: ")
 
 
 def test_simulate_is_deterministic_across_runs_and_jobs():
@@ -225,12 +266,39 @@ def test_nonpositive_budget_is_a_usage_error():
         assert proc.stdout == ""
 
 
+def test_nonpositive_counts_are_usage_errors():
+    simplex = ("--field", "2", "--code", "simplex", "--k", "3")
+    for argv in (
+        ("expect", *simplex, "--trials", "0"),
+        ("expect", *simplex, "--method", "mc", "--trials", "0"),
+        ("simulate", *simplex, "--trials", "0"),
+        ("search", "--field", "2", "--k", "2", "--n", "3", "--jobs", "0"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("usage error: ")
+        assert proc.stdout == ""
+
+
+def test_flags_a_command_does_not_read_are_usage_errors():
+    for argv in (
+        ("bound", "--n", "7", "--k", "4", "--jobs", "2"),
+        ("figure1", "--field", "7"),
+        ("verify", "--budget", "5"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert proc.stderr.startswith("usage error: ")
+        assert proc.stdout == ""
+
+
 def test_usage_errors_exit_one():
     assert run_cli("expect", "--field", "2").returncode == 1  # no --code
     assert run_cli("expect", "--field", "6", "--code", "simplex", "--k", "3").returncode == 1
     assert run_cli("nonsense").returncode == 1
     assert run_cli("bound", "--n", "7", "--k", "4", "--digits", "0").returncode == 1
     assert run_cli("expect", "--field", "2", "--code", "simplex").returncode == 1  # no --k
+    assert run_cli("search", "--k", "2", "--n", "3").returncode == 1  # no --field
 
 
 def test_verify_command_passes():

@@ -66,6 +66,8 @@ def test_mds_bound_beyond_cache_uses_term_form():
     n = 8200
     expected = Fraction(n, n) + Fraction(n, n - 1) + Fraction(n, n - 2)
     assert mds_bound(n, 3) == expected
+    n, k = 20000, 300
+    assert mds_bound(n, k) == sum((Fraction(n, n - i) for i in range(k)), Fraction(0))
 
 
 def test_mds_bound_errors():

@@ -6,6 +6,7 @@ import pytest
 from coverdepth.coverage import InvariantViolation, expectation_exact, mds_bound
 from coverdepth.gf import field_from_order
 from coverdepth.codes import projective_points
+from coverdepth import search
 from coverdepth.search import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -49,6 +50,21 @@ def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_candidates(F2, 2, 3, mode="full", budget=5))
     assert DEFAULT_BUDGET == 5_000_000
+
+
+def test_budget_is_checked_before_anything_is_built(monkeypatch):
+    # At k = 40 the 2^40 - 1 points (and, in full mode, nonzero columns)
+    # would exhaust memory, so neither may be built before the budget check.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("enumeration started before the budget check")
+
+    monkeypatch.setattr(search, "projective_points", forbidden)
+    monkeypatch.setattr(search, "product", forbidden)
+    for mode in ("projective", "full"):
+        with pytest.raises(BudgetExceededError):
+            next(enumerate_candidates(F2, 40, 40, mode))
+        with pytest.raises(BudgetExceededError):
+            optimal_coverage(F2, 40, 40, mode=mode)
 
 
 def test_enumerate_errors():
