@@ -29,7 +29,8 @@ from math import comb
 from typing import Iterable, List, Sequence, Tuple
 
 from .gf import FieldSpec
-from .matrix import MatrixGF, columns_of, from_columns, kernel_basis, rank
+from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis, rank,
+                     span_basis)
 
 
 @dataclass
@@ -123,25 +124,7 @@ def _columns(C: LinearCode) -> List[Tuple[int, ...]]:
 
 def _span_rank(field: FieldSpec, vectors: Iterable[Sequence[int]], cap: int = -1) -> int:
     """Rank of a set of column vectors, stopping early once cap is reached."""
-    basis: List[Tuple[int, List[int]]] = []
-    rnk = 0
-    for col in vectors:
-        v = list(col)
-        for piv, w in basis:
-            c = v[piv]
-            if c:
-                v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, w)]
-        piv = next((t for t, x in enumerate(v) if x), None)
-        if piv is None:
-            continue
-        inv = field.inv(v[piv])
-        if inv != 1:
-            v = [field.mul(inv, x) for x in v]
-        basis.append((piv, v))
-        rnk += 1
-        if rnk == cap:
-            break
-    return rnk
+    return len(span_basis(field, vectors, cap))
 
 
 def shortened_subcode_dim(C: LinearCode, support: Iterable[int]) -> int:
@@ -238,7 +221,7 @@ def information_set_profile(C: LinearCode) -> List[int]:
     F, k, n = C.field, C.k, C.n
     cols = _columns(C)
     counts = [0] * (n + 1)
-    basis: List[Tuple[int, List[int]]] = []
+    basis: Basis = []
 
     def walk(i: int, taken: int, rnk: int) -> None:
         if rnk == k:
@@ -249,19 +232,11 @@ def information_set_profile(C: LinearCode) -> List[int]:
         if rnk + (n - i) < k:
             return
         walk(i + 1, taken, rnk)
-        v = list(cols[i])
-        for piv, w in basis:
-            c = v[piv]
-            if c:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, w)]
-        piv = next((t for t, x in enumerate(v) if x), None)
-        if piv is None:
+        reduced = eliminate(F, basis, cols[i])
+        if reduced is None:
             walk(i + 1, taken + 1, rnk)
         else:
-            inv = F.inv(v[piv])
-            if inv != 1:
-                v = [F.mul(inv, x) for x in v]
-            basis.append((piv, v))
+            basis.append(reduced)
             walk(i + 1, taken + 1, rnk + 1)
             basis.pop()
 
@@ -279,23 +254,15 @@ def independent_subset_profile(M: MatrixGF) -> List[int]:
     cols = columns_of(M)
     counts = [0] * (n + 1)
     counts[0] = 1
-    basis: List[Tuple[int, List[int]]] = []
+    basis: Basis = []
 
     def walk(start: int, size: int) -> None:
         for j in range(start, n):
-            v = list(cols[j])
-            for piv, w in basis:
-                c = v[piv]
-                if c:
-                    v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, w)]
-            piv = next((t for t, x in enumerate(v) if x), None)
-            if piv is None:
+            reduced = eliminate(F, basis, cols[j])
+            if reduced is None:
                 continue
-            inv = F.inv(v[piv])
-            if inv != 1:
-                v = [F.mul(inv, x) for x in v]
             counts[size + 1] += 1
-            basis.append((piv, v))
+            basis.append(reduced)
             walk(j + 1, size + 1)
             basis.pop()
 

@@ -4,15 +4,14 @@ The random process draws columns of a generator matrix uniformly with
 repetition and stops once the drawn set has full rank k. Everything here
 computes the expectation of that stopping time:
 
-  * exactly, through the identity
-        E = n*H(n) - sum_{s=k}^{n-1} a(s) / C(n-1, s)
-    where H is the harmonic number and a(s) counts size-s full-rank
-    position subsets (information_set_profile);
-  * exactly through the dual code, which is cheaper for high-rate codes:
-    a(s) equals the number of independent (n-s)-subsets of the dual
-    generator's columns, so the sum can be driven by
-    independent_subset_profile on a small matrix;
-  * in closed form for the simplex and Hamming families;
+  * exactly, through one defect sum (_defect_sum)
+        E = n*H(n) - sum_t I(t) / C(n-1, t-1)
+    where H is the harmonic number and I(t) counts the spanning position
+    subsets of size n-t, the complements of the independent t-subsets of
+    the dual generator's columns. expectation_exact reads I(t) from the
+    primal profile, expectation_exact_dual from the dual columns (cheaper
+    for high-rate codes) and expectation_hamming from r closed-form counts;
+  * in closed form for the simplex family;
   * by Monte Carlo simulation with a counter-based generator whose output
     depends only on (seed, trial index), so estimates are reproducible
     bit for bit under any process count.
@@ -28,13 +27,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from math import comb
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .codes import LinearCode, independent_subset_profile, information_set_profile
-from .matrix import columns_of, kernel_basis
+from .matrix import Basis, columns_of, eliminate, kernel_basis
 from .gf import FieldSpec, is_prime_power
 
 Rational = Union[int, Fraction]
@@ -65,7 +64,9 @@ def decimal_str(value: Rational, digits: int = 30) -> str:
 
 
 def _rational_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    # Decimal renders integers of any length; str() stops at Python's
+    # int-to-str digit limit (4300 digits by default).
+    return f"{Decimal(value.numerator):f}/{Decimal(value.denominator):f}"
 
 
 _CACHE_LIMIT = 8192
@@ -115,29 +116,35 @@ def mds_bound(n: int, k: int) -> Fraction:
     return n * _range_recip_sum(n - k + 1, n)
 
 
+def _defect_sum(n: int, terms: Iterable[Tuple[int, int]]) -> Fraction:
+    """n*H(n) - sum count / C(n-1, t-1) over the (t, count) pairs given.
+
+    count is the number of spanning (n-t)-subsets of the columns, equal to
+    the number of independent t-subsets of the dual columns. Pairs with
+    count 0 may be left out; the cost is one term per pair, whatever n is.
+    """
+    total = n * harmonic(n)
+    for t, count in terms:
+        total -= Fraction(count, comb(n - 1, t - 1))
+    return total
+
+
 def expectation_exact(C: LinearCode) -> Fraction:
     """Exact expectation via the full-rank subset profile of the generator."""
     counts = information_set_profile(C)
     n = C.n
-    total = n * harmonic(n)
-    for s in range(C.k, n):
-        total -= Fraction(counts[s], comb(n - 1, s))
-    return total
+    return _defect_sum(n, ((n - s, counts[s]) for s in range(C.k, n)))
 
 
 def expectation_exact_dual(C: LinearCode) -> Fraction:
     """Exact expectation driven by the dual generator's independent subsets.
 
     Size-s full-rank subsets of C correspond to independent (n-s)-subsets
-    of the dual columns, which rewrites the defect sum over s = k..n-1 as
-    a sum over t = n-s = 1..n-k. Preferable when n - k < k.
+    of the dual columns, so the defect sum runs over t = n-s = 1..n-k.
+    Preferable when n - k < k.
     """
     counts = independent_subset_profile(kernel_basis(C.generator))
-    n = C.n
-    total = n * harmonic(n)
-    for t in range(1, n - C.k + 1):
-        total -= Fraction(counts[t], comb(n - 1, t - 1))
-    return total
+    return _defect_sum(C.n, ((t, counts[t]) for t in range(1, C.n - C.k + 1)))
 
 
 def expectation_exact_auto(C: LinearCode) -> Fraction:
@@ -174,13 +181,13 @@ def expectation_hamming(q: int, r: int) -> Fraction:
     if r < 2:
         raise ValueError("redundancy must be at least 2")
     n = (q**r - 1) // (q - 1)
-    total = n * harmonic(n)
+    # Each prefix product is itself a subset count, so every floor division is exact.
+    terms = []
+    count = 1
     for t in range(1, r + 1):
-        prod = Fraction(1)
-        for i in range(t):
-            prod *= Fraction(q**r - q**i, q - 1)
-        total -= prod / (factorial(t) * comb(n - 1, t - 1))
-    return total
+        count = count * (q**r - q ** (t - 1)) // ((q - 1) * t)
+        terms.append((t, count))
+    return _defect_sum(n, terms)
 
 
 # Counter-based randomness built on the splitmix64 finalizer. A draw is a
@@ -227,19 +234,17 @@ def _simulate_scalar(
 ) -> int:
     """Draw columns under the given per-trial key until rank k; count draws.
 
-    Maintains a basis in pivot slots: the vector in slot r has its first
-    nonzero coordinate at r. Uniformity over column indices comes from
-    64-bit rejection sampling, with the attempt number folded into the
-    counter so retries stay deterministic.
+    Grows an echelon basis of the drawn columns; only whether each draw is
+    independent matters, so the count is the same whatever basis form is
+    kept. Uniformity over column indices comes from 64-bit rejection
+    sampling, with the attempt number folded into the counter so retries
+    stay deterministic.
     """
-    if k == 0:
-        return 0
     rem = (1 << 64) % n
     thresh = (1 << 64) - rem
-    basis: List[Optional[List[int]]] = [None] * k
-    rnk = 0
+    basis: Basis = []
     draws = 0
-    while rnk < k:
+    while len(basis) < k:
         attempt = 0
         val = _mix64((key + (draws << 20)) & _MASK64)
         while rem and val >= thresh:
@@ -249,21 +254,9 @@ def _simulate_scalar(
         draws += 1
         if trace is not None:
             trace.append(j)
-        v = list(cols[j])
-        for r in range(k):
-            c = v[r]
-            if not c:
-                continue
-            w = basis[r]
-            if w is not None:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, w)]
-            else:
-                cinv = F.inv(c)
-                if cinv != 1:
-                    v = [F.mul(cinv, x) for x in v]
-                basis[r] = v
-                rnk += 1
-                break
+        reduced = eliminate(F, basis, cols[j])
+        if reduced is not None:
+            basis.append(reduced)
     return draws
 
 

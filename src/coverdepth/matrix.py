@@ -2,7 +2,10 @@
 
 Every matrix in this project is small (n stays under a few hundred), so the
 implementation favours clarity over micro-optimization: plain Gaussian
-elimination on lists of ints, one field operation at a time. Row and column
+elimination on lists of ints, one field operation at a time. One step,
+eliminate, reduces a vector against an echelon basis; rank, in_span, the
+subset-profile walks, scalar simulation and search's projective classes all
+run on it, and only rref keeps its own row operations. Row and column
 indices are 0-based throughout the API; anything user-facing that prints
 coordinates converts to 1-based at the rendering step.
 
@@ -14,7 +17,7 @@ the gf module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .gf import FieldSpec, field_from_order
 
@@ -91,31 +94,47 @@ def mat_mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     return MatrixGF(F, A.rows, B.cols, out)
 
 
-def rank(M: MatrixGF) -> int:
-    """Rank over GF(q) by forward elimination; 0 for an empty matrix."""
-    F = M.field
-    work = [row[:] for row in M.entries]
-    r = 0
-    for c in range(M.cols):
-        pivot = None
-        for i in range(r, M.rows):
-            if work[i][c]:
-                pivot = i
+Pivot = Tuple[int, List[int]]
+Basis = List[Pivot]
+
+
+def eliminate(field: FieldSpec, basis: Basis, vector: Sequence[int]) -> Optional[Pivot]:
+    """Reduce a vector against an echelon basis; None if it lies in the span.
+
+    Otherwise returns (pivot, residual scaled so residual[pivot] == 1),
+    ready to append. basis holds (pivot, w) pairs in insertion order, each
+    w zero at the pivots of the pairs before it, which is what appending
+    the non-None results of this function builds.
+    """
+    v = list(vector)
+    for piv, w in basis:
+        c = v[piv]
+        if c:
+            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, w)]
+    piv = next((t for t, x in enumerate(v) if x), None)
+    if piv is None:
+        return None
+    inv = field.inv(v[piv])
+    if inv != 1:
+        v = [field.mul(inv, x) for x in v]
+    return piv, v
+
+
+def span_basis(field: FieldSpec, vectors: Iterable[Sequence[int]], cap: int = -1) -> Basis:
+    """An echelon basis of the span of the vectors, stopping once cap vectors are in it."""
+    basis: Basis = []
+    for vector in vectors:
+        reduced = eliminate(field, basis, vector)
+        if reduced is not None:
+            basis.append(reduced)
+            if len(basis) == cap:
                 break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        prow = work[r]
-        pinv = F.inv(prow[c])
-        for i in range(r + 1, M.rows):
-            f = work[i][c]
-            if f:
-                f = F.mul(f, pinv)
-                work[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(work[i], prow)]
-        r += 1
-        if r == M.rows:
-            break
-    return r
+    return basis
+
+
+def rank(M: MatrixGF) -> int:
+    """Rank over GF(q), as the size of an echelon basis of the rows; 0 for an empty matrix."""
+    return len(span_basis(M.field, M.entries))
 
 
 def rref(M: MatrixGF) -> Tuple[MatrixGF, List[int]]:
@@ -170,15 +189,9 @@ def kernel_basis(M: MatrixGF) -> MatrixGF:
 
 def in_span(field: FieldSpec, vectors: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
     """True iff v lies in the GF(q)-span of the given vectors."""
-    vecs = [list(w) for w in vectors]
-    target = list(v)
-    if any(len(w) != len(target) for w in vecs):
+    if any(len(w) != len(v) for w in vectors):
         raise ValueError("dimension mismatch")
-    if not any(target):
-        return True
-    base = matrix(field, vecs) if vecs else zeros(field, 0, len(target))
-    extended = MatrixGF(field, base.rows + 1, base.cols, [r[:] for r in base.entries] + [target])
-    return rank(base) == rank(extended)
+    return eliminate(field, span_basis(field, vectors), v) is None
 
 
 def row_space_canonical(M: MatrixGF) -> MatrixGF:

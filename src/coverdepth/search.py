@@ -24,13 +24,12 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import comb
-from typing import Iterator, List, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement, product, repeat
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, _span_rank, linear_code, projective_points
 from .coverage import InvariantViolation, _fan_out, _rational_str, expectation_exact_auto, mds_bound
-from .matrix import from_columns
+from .matrix import eliminate, from_columns
 from .gf import FieldSpec
 
 DEFAULT_BUDGET = 5_000_000
@@ -127,23 +126,31 @@ def _point_count(F: FieldSpec, k: int) -> int:
     return (F.q**k - 1) // (F.q - 1)
 
 
-def _check_budget(raw: int, budget: int, unit: str) -> None:
-    if raw > budget:
-        raise BudgetExceededError(f"{raw} {unit} exceed budget {budget}")
+def _check_budget(factors: Iterable[Tuple[int, int]], budget: int, unit: str) -> None:
+    """Raise BudgetExceededError if the product of the a/b factors exceeds budget.
+
+    Each prefix product is an integer no smaller than the last, so the
+    count stops growing as soon as it passes the budget: a count with
+    millions of digits costs no more than one just over it.
+    """
+    count = 1
+    for a, b in factors:
+        count = count * a // b
+        if count > budget:
+            raise BudgetExceededError(f"more than {budget} {unit}")
+
+
+def _multisets(points: int, n: int) -> Iterable[Tuple[int, int]]:
+    """Factors of C(points + n - 1, n), min(n, points - 1) of them, each at least 2."""
+    m = min(n, points - 1)
+    top = points + n - 1 - m
+    return ((top + i, i) for i in range(1, m + 1))
 
 
 def _spans(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int], k: int) -> bool:
     """Whether the points indexed by combo span GF(q)^k (the admissibility test)."""
     distinct = dict.fromkeys(combo)
     return len(distinct) >= k and _span_rank(F, (pts[i] for i in distinct), cap=k) == k
-
-
-def _projective_class(F: FieldSpec, col: Sequence[int]) -> Tuple[int, ...]:
-    lead = next(i for i, c in enumerate(col) if c)
-    inv = F.inv(col[lead])
-    if inv == 1:
-        return tuple(col)
-    return tuple(F.mul(inv, c) for c in col)
 
 
 def enumerate_candidates(
@@ -158,19 +165,20 @@ def enumerate_candidates(
     """
     _check_params(F, k, n)
     if mode == "projective":
-        _check_budget(comb(_point_count(F, k) + n - 1, n), budget, "multisets")
+        _check_budget(_multisets(_point_count(F, k), n), budget, "multisets")
         pts = projective_points(F, k)
         for combo in combinations_with_replacement(range(len(pts)), n):
             if _spans(F, pts, combo, k):
                 yield CandidateMultiset(F, k, combo)
         return
     if mode == "full":
-        _check_budget((F.q**k - 1) ** n, budget, "matrices")
+        _check_budget(repeat((F.q**k - 1, 1), n), budget, "matrices")
         nonzero = [v for v in product(range(F.q), repeat=k) if any(v)]
         index = {p: i for i, p in enumerate(projective_points(F, k))}
         for cols in product(nonzero, repeat=n):
             if _span_rank(F, cols, cap=k) == k:
-                classes = sorted(index[_projective_class(F, c)] for c in cols)
+                # Against an empty basis, eliminate just scales c to its projective class.
+                classes = sorted(index[tuple(eliminate(F, [], c)[1])] for c in cols)
                 yield CandidateMultiset(F, k, tuple(classes))
         return
     raise ValueError(f"unknown mode {mode!r}")
@@ -259,7 +267,7 @@ def optimal_coverage(
     fold = _Fold()
     if mode == "projective":
         point_count = _point_count(F, k)
-        _check_budget(comb(point_count + n - 1, n), budget, "multisets")
+        _check_budget(_multisets(point_count, n), budget, "multisets")
         tasks = [(F, k, n, first) for first in range(point_count)]
         for part in _fan_out(_search_partition, tasks, jobs):
             fold.merge(part)
@@ -295,8 +303,7 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     scores strictly worse than the nonzero minimum.
     """
     _check_params(F, k, n)
-    if F.q ** (k * n) > guard:
-        raise BudgetExceededError(f"{F.q ** (k * n)} matrices exceed guard {guard}")
+    _check_budget(repeat((F.q, 1), k * n), guard, "matrices")
     nonzero_values = set()
     zero_col_best: Optional[Fraction] = None
     for cols in product(product(range(F.q), repeat=k), repeat=n):

@@ -3,7 +3,10 @@ import os
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
+
+from coverdepth.coverage import mds_bound
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -133,6 +136,17 @@ def test_bound_command():
     assert doc["bound_rational"] == "319/60"
 
 
+def test_bound_prints_values_past_the_int_str_digit_limit():
+    # The denominator has about 6,800 digits, past Python's default 4300-digit
+    # int-to-str limit; Decimal compares the printed digits without that limit.
+    proc = run_cli("bound", "--n", "20000", "--k", "6000", "--digits", "5")
+    assert proc.returncode == 0, proc.stderr
+    num, den = proc.stdout.split()[0].split("/")
+    value = mds_bound(20000, 6000)
+    assert len(den) > 4300
+    assert (Decimal(num), Decimal(den)) == (Decimal(value.numerator), Decimal(value.denominator))
+
+
 def test_search_json_default_and_job_stability():
     args = ("search", "--field", "2", "--k", "2", "--n", "5")
     a = run_cli(*args)
@@ -162,18 +176,21 @@ def test_search_budget_exit_code():
 def test_search_budget_is_checked_before_enumerating():
     # Enumerating before the check would need terabytes at k = 40; the
     # address-space cap makes such a regression fail instead of swapping.
+    # At n = 10^6 the counts themselves have millions of digits, so the
+    # check must stop as soon as it passes the budget and never print them.
     cap = 1 << 30
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     for mode in ("projective", "full"):
-        proc = run_cli(
-            "search", "--field", "2", "--k", "40", "--n", "40", "--mode", mode,
-            timeout=60, preexec_fn=limit_memory,
-        )
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("budget exceeded: ")
+        for n in ("40", "1000000"):
+            proc = run_cli(
+                "search", "--field", "2", "--k", "40", "--n", n, "--mode", mode,
+                timeout=60, preexec_fn=limit_memory,
+            )
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("budget exceeded: ")
 
 
 def test_simulate_is_deterministic_across_runs_and_jobs():

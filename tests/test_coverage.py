@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_invertible
 from coverdepth.codes import (
@@ -33,7 +35,15 @@ from coverdepth.coverage import (
     to_decimal,
 )
 from coverdepth.gf import field_from_order
-from coverdepth.matrix import columns_of, from_columns, identity, mat_mul, matrix, zeros
+from coverdepth.matrix import (
+    columns_of,
+    from_columns,
+    identity,
+    mat_mul,
+    matrix,
+    row_space_canonical,
+    zeros,
+)
 
 
 def test_harmonic_basics():
@@ -329,3 +339,58 @@ def test_trial_key_avalanche():
     assert len(set(keys)) == 100
     diffs = [bin(a ^ b).count("1") for a, b in zip(keys, keys[1:])]
     assert min(diffs) > 10
+
+
+# Property tests over small random generators. A generator is drawn column
+# by column (random, zero, or a copy of an earlier column) and reduced to a
+# basis of its row space, so any column matroid of rank at most 4 on up to 8
+# columns over GF(2), GF(3), GF(4), GF(8) and GF(9) can occur, rank 0 included.
+
+_FIELDS = {q: field_from_order(q) for q in (2, 3, 4, 8, 9)}
+_PROPERTY = settings(deadline=None, max_examples=60, database=None)
+
+
+@st.composite
+def _codes(draw):
+    F = _FIELDS[draw(st.sampled_from(sorted(_FIELDS)))]
+    k = draw(st.integers(1, 4))
+    cols = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("random", "zero", "repeat")))
+        if kind == "zero":
+            cols.append((0,) * k)
+        elif kind == "repeat" and cols:
+            cols.append(draw(st.sampled_from(cols)))
+        else:
+            cols.append(tuple(draw(st.lists(st.integers(0, F.q - 1), min_size=k, max_size=k))))
+    return linear_code(row_space_canonical(from_columns(F, cols)))
+
+
+@_PROPERTY
+@given(_codes())
+def test_property_exact_routes_agree(C):
+    primal = expectation_exact(C)
+    assert expectation_exact_dual(C) == primal
+    assert expectation_exact_auto(C) == primal
+
+
+@_PROPERTY
+@given(_codes(), st.data())
+def test_property_expectation_is_invariant(C, data):
+    F = C.field
+    order = data.draw(st.permutations(range(C.n)))
+    scales = data.draw(st.lists(st.integers(1, F.q - 1), min_size=C.n, max_size=C.n))
+    A = random_invertible(data.draw(st.randoms(use_true_random=False)), F, C.k)
+    cols = columns_of(C.generator)
+    moved = [[F.mul(c, x) for x in cols[j]] for j, c in zip(order, scales)]
+    G = mat_mul(A, from_columns(F, moved))
+    assert expectation_exact_auto(linear_code(G)) == expectation_exact_auto(C)
+
+
+@_PROPERTY
+@given(_codes(), st.integers(0, 2**64 - 1), st.integers(0, 10**6))
+def test_property_scalar_and_vector_draws_agree(C, seed, t0):
+    cols = columns_of(C.generator)
+    fast = _draw_counts(C.field, cols, C.n, C.k, seed, t0, 25)
+    slow = _draw_counts(C.field, cols, C.n, C.k, seed, t0, 25, force_scalar=True)
+    assert fast == slow

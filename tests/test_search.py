@@ -284,3 +284,6 @@ def test_verify_reduction_small_cases():
 def test_verify_reduction_guard():
     with pytest.raises(BudgetExceededError):
         verify_reduction(F2, 3, 7, guard=100)
+    # 2^(40 * 10^6) matrices: the check must stop long before building that count.
+    with pytest.raises(BudgetExceededError):
+        verify_reduction(F2, 40, 10**6, guard=100)
