@@ -4,13 +4,21 @@ The random process draws columns of a generator matrix uniformly with
 repetition and stops once the drawn set has full rank k. Everything here
 computes the expectation of that stopping time:
 
-  * exactly, through one defect sum (_defect_sum)
-        E = n*H(n) - sum_t I(t) / C(n-1, t-1)
-    where H is the harmonic number and I(t) counts the spanning position
-    subsets of size n-t, the complements of the independent t-subsets of
-    the dual generator's columns. expectation_exact reads I(t) from the
-    primal profile, expectation_exact_dual from the dual columns (cheaper
-    for high-rate codes) and expectation_hamming from r closed-form counts;
+  * exactly, from one subspace histogram (subspace_histogram): h[(d, n_U)]
+    counts the d-dimensional subspaces U of GF(q)^m by the number n_U of
+    given columns inside them. Moebius inversion over the subspace lattice,
+    mu(U, W) = (-1)^c q^(c(c-1)/2) with c = dim W - dim U, gives two readers:
+      - primal (m = k, generator columns): P(T > t) = -sum_{U < V} mu(U, V)
+        (n_U/n)^t, so E = -sum_{d<k} h * mu * n/(n - n_U);
+      - dual (m = n - k, parity-check columns): the independent t-subsets
+        number I(t) = sum_{d<=t} h * C(n_U, t) * mu * [m-d, t-d]_q, and E is
+        the defect sum E = n*H(n) - sum_t I(t) / C(n-1, t-1) (_defect_sum).
+    expectation_exact reads the primal side, expectation_exact_dual the dual
+    side and expectation_exact_auto the side of smaller dimension m. A side
+    uses the lattice when GF(q) has dense operation tables and the lattice
+    size sum_d [m, d]_q is at most the walk's subset bound sum_{t<=m} C(n, t);
+    otherwise it runs the subset walk of the codes module on the same side.
+    expectation_hamming fills the defect sum from r closed-form counts;
   * in closed form for the simplex family;
   * by Monte Carlo simulation with a counter-based generator whose output
     depends only on (seed, trial index), so estimates are reproducible
@@ -23,18 +31,22 @@ asks for digits.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 from math import comb
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .codes import LinearCode, independent_subset_profile, information_set_profile
 from .matrix import Basis, columns_of, eliminate, kernel_basis
-from .gf import FieldSpec, is_prime_power
+from .gf import _TABLE_LIMIT, FieldSpec, is_prime_power
 
 Rational = Union[int, Fraction]
 
@@ -74,17 +86,22 @@ _harmonic_cache: List[Fraction] = [Fraction(0)]
 
 
 def _range_recip_sum(lo: int, hi: int) -> Fraction:
-    # Balanced splits keep the intermediate denominators comparable, which
-    # is far cheaper than folding 1/i into one ever-growing fraction.
-    if hi < lo:
-        return Fraction(0)
-    if hi - lo < 32:
-        total = Fraction(0)
-        for i in range(lo, hi + 1):
-            total += Fraction(1, i)
-        return total
-    mid = (lo + hi) // 2
-    return _range_recip_sum(lo, mid) + _range_recip_sum(mid + 1, hi)
+    """1/lo + ... + 1/hi, exactly; 0 when hi < lo.
+
+    Binary splitting: the halves are added as plain numerator/denominator
+    pairs and the total is reduced once, which is far cheaper than folding
+    1/i into one ever-growing, ever-reduced fraction.
+    """
+
+    def split(a: int, b: int) -> Tuple[int, int]:
+        if a == b:
+            return 1, a
+        mid = (a + b) // 2
+        p1, q1 = split(a, mid)
+        p2, q2 = split(mid + 1, b)
+        return p1 * q2 + p2 * q1, q1 * q2
+
+    return Fraction(*split(lo, hi)) if lo <= hi else Fraction(0)
 
 
 def harmonic(n: int) -> Fraction:
@@ -104,15 +121,13 @@ def mds_bound(n: int, k: int) -> Fraction:
     """n*(H(n) - H(n-k)): the smallest expectation any [n, k] code can have.
 
     Attained exactly by the codes in which every k positions form an
-    information set. For n beyond the harmonic cache only the k reciprocals
-    1/(n-k+1) + ... + 1/n are summed, so large-n small-k queries stay cheap.
+    information set. Only the k reciprocals 1/(n-k+1) + ... + 1/n are
+    summed, so the cost follows k and no harmonic number is cached.
     """
     if n < 1:
         raise ValueError("length must be positive")
     if not 0 <= k <= n:
         raise ValueError(f"dimension {k} not in 0..{n}")
-    if n <= _CACHE_LIMIT:
-        return n * (harmonic(n) - harmonic(n - k))
     return n * _range_recip_sum(n - k + 1, n)
 
 
@@ -129,22 +144,193 @@ def _defect_sum(n: int, terms: Iterable[Tuple[int, int]]) -> Fraction:
     return total
 
 
+def _gaussian(m: int, d: int, q: int) -> int:
+    """[m, d]_q: the number of d-dimensional subspaces of GF(q)^m."""
+    if not 0 <= d <= m:
+        return 0
+    num = den = 1
+    for i in range(d):
+        num *= q ** (m - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+def _mobius(c: int, q: int) -> int:
+    """mu(U, W) of the subspace lattice when dim W - dim U = c."""
+    return (-1) ** c * q ** (c * (c - 1) // 2)
+
+
+def _lattice_size(q: int, m: int, cap: int, members: bool = False) -> int:
+    """sum_d [m, d]_q, or some value above cap as soon as the sum passes it.
+
+    With members, each d-dimensional subspace counts its q^d vectors.
+    """
+    size = 0
+    count = 1  # [m, d]_q, advanced in place
+    for d in range(m + 1):
+        size += count * q**d if members else count
+        if size > cap:
+            break
+        count = count * (q ** (m - d) - 1) // (q ** (d + 1) - 1)
+    return size
+
+
+def _lattice_fits(q: int, m: int, n: int) -> bool:
+    """Whether the lattice of GF(q)^m is worth building for n columns.
+
+    True when GF(q) has dense operation tables and the lattice has at most
+    sum_{t<=m} C(n, t) subspaces, the subset bound of the walk it replaces.
+    The bound is at most 2^n, so the lattice is summed no further than that,
+    and the bound no further than the lattice.
+    """
+    if q > _TABLE_LIMIT:
+        return False
+    size = _lattice_size(q, m, 1 << n)
+    bound = 0
+    count = 1  # C(n, t), advanced in place
+    for t in range(m + 1):
+        bound += count
+        if bound >= size:
+            return True
+        count = count * (n - t) // (t + 1)
+    return False
+
+
+# Membership is computed at most this many field cells at a time. A lattice
+# is kept, with the subspaces holding each vector, only while all its
+# subspaces together have at most _CACHED_MEMBERS vectors (8 lattices at most).
+_BLOCK_CELLS = 1 << 18
+_CACHED_MEMBERS = 1 << 16
+
+
+def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "np.ndarray"]]:
+    """Which rows of X lie in each subspace of GF(q)^m, block by block.
+
+    A d-dimensional subspace is taken by its reduced echelon basis: a pivot
+    set P and free entries in row i at the non-pivot columns after P[i].
+    A vector v lies in it iff v equals sum_i v[P[i]] * row_i, which only
+    needs checking at the non-pivot columns. Each block yields (d, member)
+    with member[u, j] True iff X[j] lies in the block's u-th subspace; the
+    blocks together list every subspace exactly once.
+    """
+    add_t, _, mul_t, _ = F.op_tables()
+    q, s = F.q, len(X)
+    for d in range(m + 1):
+        for pivots in combinations(range(m), d):
+            rest = [j for j in range(m) if j not in pivots]
+            free = [(i, a) for i, p in enumerate(pivots) for a, j in enumerate(rest) if j > p]
+            target = X[:, rest]
+            total = q ** len(free)
+            step = max(1, _BLOCK_CELLS // max(1, s * len(rest)))
+            for start in range(0, total, step):
+                fill = np.arange(start, min(total, start + step), dtype=np.int64)
+                rows = np.zeros((len(fill), d, len(rest)), dtype=np.uint16)
+                for f, (i, a) in enumerate(free):
+                    rows[:, i, a] = fill // q**f % q
+                span = np.zeros((len(fill), s, len(rest)), dtype=np.uint16)
+                for i, p in enumerate(pivots):
+                    span = add_t[span, mul_t[X[None, :, p, None], rows[:, i, None, :]]]
+                yield d, (span == target).all(axis=2)
+
+
+@lru_cache(maxsize=8)
+def _small_lattice(F: FieldSpec, m: int) -> Optional[Tuple[Tuple[int, ...], Tuple[array, ...]]]:
+    """(dims, holders) of a small lattice, or None when it is too large to keep.
+
+    dims[u] is the dimension of subspace u and holders[c] lists the
+    subspaces holding the vector with code c = sum_j v[j] q^j. Search scores
+    thousands of codes on one lattice, so a histogram then costs one pass
+    over the columns' holders.
+    """
+    q = F.q
+    if _lattice_size(q, m, _CACHED_MEMBERS, members=True) > _CACHED_MEMBERS:
+        return None
+    codes = np.arange(q**m, dtype=np.int64)
+    vectors = (codes[:, None] // q ** np.arange(m, dtype=np.int64) % q).astype(np.uint16)
+    blocks = list(_membership(F, m, vectors))
+    dims = tuple(d for d, member in blocks for _ in range(len(member)))
+    incidence = np.concatenate([member for _, member in blocks])
+    return dims, tuple(array("H", np.flatnonzero(held).tolist()) for held in incidence.T)
+
+
+def subspace_histogram(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> Dict[Tuple[int, int], int]:
+    """h[(d, n_U)]: how many d-dimensional subspaces U of GF(q)^m hold n_U of the columns.
+
+    Every subspace is counted, from {0} to GF(q)^m itself; zero columns lie
+    in every U. Needs q <= 512 (the field's dense operation tables).
+    """
+    lattice = _small_lattice(F, m)
+    if lattice is not None:
+        dims, holders = lattice
+        powers = [F.q**j for j in range(m)]
+        inside = [0] * len(dims)
+        for col in columns:
+            for u in holders[sum(x * p for x, p in zip(col, powers))]:
+                inside[u] += 1
+        return dict(Counter(zip(dims, inside)))
+    distinct = Counter(tuple(c) for c in columns)
+    X = np.array(list(distinct), dtype=np.uint16).reshape(len(distinct), m)
+    weights = np.array(list(distinct.values()), dtype=np.int64)
+    hist: Counter = Counter()
+    for d, member in _membership(F, m, X):
+        for inside, count in enumerate(np.bincount(member @ weights).tolist()):
+            if count:
+                hist[d, inside] += count
+    return dict(hist)
+
+
+def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> Fraction:
+    """E = -sum_{d<k} h[(d, n_U)] * mu * n/(n - n_U), with c = k - d, from the m = k histogram."""
+    by_den: Dict[int, int] = Counter()
+    for (d, inside), count in hist.items():
+        if d < k:
+            by_den[n - inside] -= count * _mobius(k - d, q) * n
+    return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
+
+
+def _dual_reader(hist: Dict[Tuple[int, int], int], m: int, q: int) -> List[Tuple[int, int]]:
+    """(t, I(t)) for t = 1..m: the independent t-subsets of the histogram's columns.
+
+    Moebius inversion of "t-subsets inside U": I(t) = sum_{d<=t} h[(d, n_U)]
+    * C(n_U, t) * mu * [m-d, t-d]_q, with c = t - d.
+    """
+    return [
+        (t, sum(count * comb(inside, t) * _mobius(t - d, q) * _gaussian(m - d, t - d, q)
+                for (d, inside), count in hist.items() if d <= t <= inside))
+        for t in range(1, m + 1)
+    ]
+
+
 def expectation_exact(C: LinearCode) -> Fraction:
-    """Exact expectation via the full-rank subset profile of the generator."""
+    """Exact expectation from the generator's side (m = k).
+
+    The primal reader of the generator columns' histogram, or the full-rank
+    subset walk when the lattice does not fit (_lattice_fits).
+    """
+    n, k, q = C.n, C.k, C.field.q
+    if _lattice_fits(q, k, n):
+        return _primal_reader(subspace_histogram(C.field, columns_of(C.generator), k), n, k, q)
     counts = information_set_profile(C)
-    n = C.n
-    return _defect_sum(n, ((n - s, counts[s]) for s in range(C.k, n)))
+    return _defect_sum(n, ((n - s, counts[s]) for s in range(k, n)))
 
 
 def expectation_exact_dual(C: LinearCode) -> Fraction:
-    """Exact expectation driven by the dual generator's independent subsets.
+    """Exact expectation from the dual side (m = n - k).
 
     Size-s full-rank subsets of C correspond to independent (n-s)-subsets
-    of the dual columns, so the defect sum runs over t = n-s = 1..n-k.
+    of the dual columns, so the defect sum runs over t = n-s = 1..n-k. The
+    counts come from the dual reader of the dual columns' histogram, or the
+    independent-subset walk when the lattice does not fit.
     Preferable when n - k < k.
     """
-    counts = independent_subset_profile(kernel_basis(C.generator))
-    return _defect_sum(C.n, ((t, counts[t]) for t in range(1, C.n - C.k + 1)))
+    m, q = C.n - C.k, C.field.q
+    H = kernel_basis(C.generator)
+    if _lattice_fits(q, m, C.n):
+        terms = _dual_reader(subspace_histogram(C.field, columns_of(H), m), m, q)
+    else:
+        counts = independent_subset_profile(H)
+        terms = [(t, counts[t]) for t in range(1, m + 1)]
+    return _defect_sum(C.n, terms)
 
 
 def expectation_exact_auto(C: LinearCode) -> Fraction:

@@ -24,7 +24,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product, repeat
+from itertools import chain, combinations_with_replacement, product, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, _span_rank, linear_code, projective_points
@@ -147,6 +147,22 @@ def _multisets(points: int, n: int) -> Iterable[Tuple[int, int]]:
     return ((top + i, i) for i in range(1, m + 1))
 
 
+def _check_search_budget(F: FieldSpec, k: int, n: int, mode: str, budget: int) -> None:
+    """Raise BudgetExceededError if n times the number of candidates exceeds budget.
+
+    Every candidate holds n columns, so n x candidates is the number of
+    column entries the enumeration builds. n is the first factor, so a
+    huge n fails at once, before the candidate count is even started.
+    """
+    if mode == "projective":
+        factors, unit = _multisets(_point_count(F, k), n), "multiset columns"
+    elif mode == "full":
+        factors, unit = repeat((F.q**k - 1, 1), n), "matrix columns"
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    _check_budget(chain([(n, 1)], factors), budget, unit)
+
+
 def _spans(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int], k: int) -> bool:
     """Whether the points indexed by combo span GF(q)^k (the admissibility test)."""
     distinct = dict.fromkeys(combo)
@@ -164,24 +180,20 @@ def enumerate_candidates(
     be cross-checked, not for real searches.
     """
     _check_params(F, k, n)
+    _check_search_budget(F, k, n, mode, budget)
     if mode == "projective":
-        _check_budget(_multisets(_point_count(F, k), n), budget, "multisets")
         pts = projective_points(F, k)
         for combo in combinations_with_replacement(range(len(pts)), n):
             if _spans(F, pts, combo, k):
                 yield CandidateMultiset(F, k, combo)
         return
-    if mode == "full":
-        _check_budget(repeat((F.q**k - 1, 1), n), budget, "matrices")
-        nonzero = [v for v in product(range(F.q), repeat=k) if any(v)]
-        index = {p: i for i, p in enumerate(projective_points(F, k))}
-        for cols in product(nonzero, repeat=n):
-            if _span_rank(F, cols, cap=k) == k:
-                # Against an empty basis, eliminate just scales c to its projective class.
-                classes = sorted(index[tuple(eliminate(F, [], c)[1])] for c in cols)
-                yield CandidateMultiset(F, k, tuple(classes))
-        return
-    raise ValueError(f"unknown mode {mode!r}")
+    nonzero = [v for v in product(range(F.q), repeat=k) if any(v)]
+    index = {p: i for i, p in enumerate(projective_points(F, k))}
+    for cols in product(nonzero, repeat=n):
+        if _span_rank(F, cols, cap=k) == k:
+            # Against an empty basis, eliminate just scales c to its projective class.
+            classes = sorted(index[tuple(eliminate(F, [], c)[1])] for c in cols)
+            yield CandidateMultiset(F, k, tuple(classes))
 
 
 def _score(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int]) -> Fraction:
@@ -266,8 +278,8 @@ def optimal_coverage(
     start = time.perf_counter()
     fold = _Fold()
     if mode == "projective":
+        _check_search_budget(F, k, n, mode, budget)
         point_count = _point_count(F, k)
-        _check_budget(_multisets(point_count, n), budget, "multisets")
         tasks = [(F, k, n, first) for first in range(point_count)]
         for part in _fan_out(_search_partition, tasks, jobs):
             fold.merge(part)

@@ -6,7 +6,7 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from coverdepth.coverage import mds_bound
+from coverdepth.coverage import expectation_hamming, mds_bound
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -183,14 +183,24 @@ def test_search_budget_is_checked_before_enumerating():
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
+    # At k = 1 there is a single candidate, but it has 10^8 columns: the
+    # budget bounds n x candidates, so it is refused before it is built.
     for mode in ("projective", "full"):
-        for n in ("40", "1000000"):
+        for k, n in (("40", "40"), ("40", "1000000"), ("1", "100000000")):
             proc = run_cli(
-                "search", "--field", "2", "--k", "40", "--n", n, "--mode", mode,
+                "search", "--field", "2", "--k", k, "--n", n, "--mode", mode,
                 timeout=60, preexec_fn=limit_memory,
             )
             assert proc.returncode == 2
             assert proc.stderr.startswith("budget exceeded: ")
+
+
+def test_expect_hamming_r6_is_bounded():
+    # The walk over its 63 columns ran without end; the subspace lattice of
+    # GF(2)^6 has 2,825 members.
+    proc = run_cli("expect", "--field", "2", "--code", "hamming", "--r", "6", timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(f"value {expectation_hamming(2, 6)} ")
 
 
 def test_simulate_is_deterministic_across_runs_and_jobs():

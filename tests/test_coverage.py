@@ -5,21 +5,30 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
+from coverdepth import coverage
+from coverdepth.cli import main
 from coverdepth.codes import (
     LinearCode,
     hamming_code,
+    independent_subset_profile,
+    information_set_profile,
     linear_code,
+    projective_points,
     reed_solomon,
     simplex_code,
 )
 from coverdepth.coverage import (
     McEstimate,
+    _defect_sum,
     _draw_counts,
+    _dual_reader,
+    _lattice_fits,
     _mix64,
+    _primal_reader,
     _range_recip_sum,
     _trial_key,
     decimal_str,
@@ -32,6 +41,7 @@ from coverdepth.coverage import (
     harmonic,
     mds_bound,
     simulate_trial,
+    subspace_histogram,
     to_decimal,
 )
 from coverdepth.gf import field_from_order
@@ -39,6 +49,7 @@ from coverdepth.matrix import (
     columns_of,
     from_columns,
     identity,
+    kernel_basis,
     mat_mul,
     matrix,
     row_space_canonical,
@@ -80,6 +91,12 @@ def test_mds_bound_beyond_cache_uses_term_form():
     assert mds_bound(n, k) == sum((Fraction(n, n - i) for i in range(k)), Fraction(0))
 
 
+def test_mds_bound_is_the_harmonic_difference_across_the_cache_limit():
+    for n in (8191, 8192, 8193):
+        for k in (0, 1, 7, n):
+            assert mds_bound(n, k) == n * (harmonic(n) - harmonic(n - k)), (n, k)
+
+
 def test_mds_bound_errors():
     with pytest.raises(ValueError):
         mds_bound(0, 0)
@@ -89,7 +106,7 @@ def test_mds_bound_errors():
         mds_bound(5, -1)
 
 
-SIMPLEX_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)]
+SIMPLEX_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2)]
 
 
 @pytest.mark.parametrize("q,k", SIMPLEX_GRID)
@@ -98,7 +115,7 @@ def test_simplex_closed_form_matches_exact(q, k):
     assert expectation_simplex(q, k) == expectation_exact(C)
 
 
-HAMMING_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]
+HAMMING_GRID = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
 
 
 @pytest.mark.parametrize("q,r", HAMMING_GRID)
@@ -106,8 +123,57 @@ def test_hamming_closed_form_matches_exact(q, r):
     C = hamming_code(field_from_order(q), r)
     value = expectation_hamming(q, r)
     assert value == expectation_exact_dual(C)
-    if C.n <= 13:
-        assert value == expectation_exact(C)
+    assert value == expectation_exact(C)
+
+
+# [m, d]_q for d = 0..m, written out: the number of d-dimensional subspaces.
+_GAUSSIAN_ROWS = {
+    (2, 0): (1,),
+    (2, 1): (1, 1),
+    (2, 4): (1, 15, 35, 15, 1),
+    (3, 3): (1, 13, 13, 1),
+    (4, 2): (1, 5, 1),
+    (5, 3): (1, 31, 31, 1),
+}
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+@pytest.mark.parametrize("q,m", sorted(_GAUSSIAN_ROWS))
+def test_subspace_histogram_of_all_points(q, m, streamed, monkeypatch):
+    # With every projective point as a column, a d-dimensional subspace
+    # holds exactly its (q^d - 1)/(q - 1) points, so the histogram lists the
+    # subspace counts by dimension. streamed skips the kept lattice.
+    F = field_from_order(q)
+    columns = projective_points(F, m) if m else []
+    if streamed:
+        monkeypatch.setattr(coverage, "_CACHED_MEMBERS", 0)
+    coverage._small_lattice.cache_clear()
+    try:
+        hist = subspace_histogram(F, columns, m)
+    finally:
+        coverage._small_lattice.cache_clear()
+    assert hist == {(d, (q**d - 1) // (q - 1)): count for d, count in enumerate(_GAUSSIAN_ROWS[q, m])}
+
+
+def test_codes_past_the_lattice_bound_run_the_walk(monkeypatch, capsys):
+    def no_lattice(*args):
+        raise AssertionError("lattice built past its size bound")
+
+    monkeypatch.setattr(coverage, "subspace_histogram", no_lattice)
+    for q, n, k in ((16, 16, 8), (9, 10, 5)):
+        argv = ["expect", "--field", str(q), "--code", "rs", "--n", str(n), "--k", str(k)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith(f"value {mds_bound(n, k)} ")
+
+
+def test_hamming_r5_never_walks(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked a code the lattice covers")
+
+    monkeypatch.setattr(coverage, "information_set_profile", no_walk)
+    monkeypatch.setattr(coverage, "independent_subset_profile", no_walk)
+    C = hamming_code(field_from_order(2), 5)
+    assert expectation_exact_auto(C) == expectation_hamming(2, 5)
 
 
 def test_frozen_expectations():
@@ -394,3 +460,24 @@ def test_property_scalar_and_vector_draws_agree(C, seed, t0):
     fast = _draw_counts(C.field, cols, C.n, C.k, seed, t0, 25)
     slow = _draw_counts(C.field, cols, C.n, C.k, seed, t0, 25, force_scalar=True)
     assert fast == slow
+
+
+@_PROPERTY
+@given(_codes())
+@example(linear_code(identity(_FIELDS[3], 3)))
+@example(linear_code(identity(_FIELDS[8], 1)))
+def test_property_lattice_readers_match_the_walks(C):
+    # Both readers against the subset walks they replace, k = n included,
+    # on every side whose lattice the engine would build: at n <= 8 over
+    # GF(9) the lattice of GF(9)^8 alone would have about 10^15 members.
+    F, n, k, q = C.field, C.n, C.k, C.field.q
+    counts = information_set_profile(C)
+    walk = _defect_sum(n, ((n - s, counts[s]) for s in range(k, n)))
+    if _lattice_fits(q, k, n):
+        assert _primal_reader(subspace_histogram(F, columns_of(C.generator), k), n, k, q) == walk
+    if _lattice_fits(q, n - k, n):
+        H = kernel_basis(C.generator)
+        counts = independent_subset_profile(H)
+        terms = _dual_reader(subspace_histogram(F, columns_of(H), n - k), n - k, q)
+        assert terms == [(t, counts[t]) for t in range(1, n - k + 1)]
+        assert _defect_sum(n, terms) == walk
