@@ -160,15 +160,12 @@ def _mobius(c: int, q: int) -> int:
     return (-1) ** c * q ** (c * (c - 1) // 2)
 
 
-def _lattice_size(q: int, m: int, cap: int, members: bool = False) -> int:
-    """sum_d [m, d]_q, or some value above cap as soon as the sum passes it.
-
-    With members, each d-dimensional subspace counts its q^d vectors.
-    """
+def _lattice_size(q: int, m: int, cap: int) -> int:
+    """sum_d [m, d]_q, or some value above cap as soon as the sum passes it."""
     size = 0
     count = 1  # [m, d]_q, advanced in place
     for d in range(m + 1):
-        size += count * q**d if members else count
+        size += count
         if size > cap:
             break
         count = count * (q ** (m - d) - 1) // (q ** (d + 1) - 1)
@@ -243,7 +240,10 @@ def _small_lattice(F: FieldSpec, m: int) -> Optional[Tuple[Tuple[int, ...], Tupl
     over the columns' holders.
     """
     q = F.q
-    if _lattice_size(q, m, _CACHED_MEMBERS, members=True) > _CACHED_MEMBERS:
+    # GF(q)^m alone has q^m members, so the sum below only runs for small q^m.
+    if q**m > _CACHED_MEMBERS:
+        return None
+    if sum(_gaussian(m, d, q) * q**d for d in range(m + 1)) > _CACHED_MEMBERS:
         return None
     codes = np.arange(q**m, dtype=np.int64)
     vectors = (codes[:, None] // q ** np.arange(m, dtype=np.int64) % q).astype(np.uint16)
@@ -253,7 +253,9 @@ def _small_lattice(F: FieldSpec, m: int) -> Optional[Tuple[Tuple[int, ...], Tupl
     return dims, tuple(array("H", np.flatnonzero(held).tolist()) for held in incidence.T)
 
 
-def subspace_histogram(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> Dict[Tuple[int, int], int]:
+def subspace_histogram(
+    F: FieldSpec, columns: Sequence[Sequence[int]], m: int
+) -> Dict[Tuple[int, int], int]:
     """h[(d, n_U)]: how many d-dimensional subspaces U of GF(q)^m hold n_U of the columns.
 
     Every subspace is counted, from {0} to GF(q)^m itself; zero columns lie

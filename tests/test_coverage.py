@@ -152,7 +152,8 @@ def test_subspace_histogram_of_all_points(q, m, streamed, monkeypatch):
         hist = subspace_histogram(F, columns, m)
     finally:
         coverage._small_lattice.cache_clear()
-    assert hist == {(d, (q**d - 1) // (q - 1)): count for d, count in enumerate(_GAUSSIAN_ROWS[q, m])}
+    rows = enumerate(_GAUSSIAN_ROWS[q, m])
+    assert hist == {(d, (q**d - 1) // (q - 1)): count for d, count in rows}
 
 
 def test_codes_past_the_lattice_bound_run_the_walk(monkeypatch, capsys):
