@@ -15,9 +15,11 @@ computes the expectation of that stopping time:
         the defect sum E = n*H(n) - sum_t I(t) / C(n-1, t-1) (_defect_sum).
     expectation_exact reads the primal side, expectation_exact_dual the dual
     side and expectation_exact_auto the side of smaller dimension m. A side
-    uses the lattice when GF(q) has dense operation tables and the lattice
-    size sum_d [m, d]_q is at most the walk's subset bound sum_{t<=m} C(n, t);
-    otherwise it runs the subset walk of the codes module on the same side.
+    uses the lattice when GF(q) has dense operation tables, the lattice is
+    small enough to keep (at most 2^16 member vectors over all subspaces)
+    and its size sum_d [m, d]_q is at most the walk's subset bound
+    sum_{t<=m} C(n, t); otherwise it runs the subset walk of the codes
+    module on the same side.
     expectation_hamming fills the defect sum from r closed-form counts;
   * in closed form for the simplex family;
   * by Monte Carlo simulation with a counter-based generator whose output
@@ -160,44 +162,33 @@ def _mobius(c: int, q: int) -> int:
     return (-1) ** c * q ** (c * (c - 1) // 2)
 
 
-def _lattice_size(q: int, m: int, cap: int) -> int:
-    """sum_d [m, d]_q, or some value above cap as soon as the sum passes it."""
-    size = 0
-    count = 1  # [m, d]_q, advanced in place
-    for d in range(m + 1):
-        size += count
-        if size > cap:
-            break
-        count = count * (q ** (m - d) - 1) // (q ** (d + 1) - 1)
-    return size
+# A lattice is built once per (field, m) and kept, with the subspaces
+# holding each vector, so only lattices whose subspaces together have at
+# most _KEPT_MEMBERS vectors are built (8 lattices kept at most).
+# Membership is computed at most _BLOCK_CELLS field cells at a time.
+_KEPT_MEMBERS = 1 << 16
+_BLOCK_CELLS = 1 << 18
+
+
+def _lattice_kept(q: int, m: int) -> bool:
+    """Whether the lattice of GF(q)^m is small enough to build and keep."""
+    # GF(q)^m alone has q^m members, so the sum below only runs for small q^m.
+    if q > _TABLE_LIMIT or q**m > _KEPT_MEMBERS:
+        return False
+    return sum(_gaussian(m, d, q) * q**d for d in range(m + 1)) <= _KEPT_MEMBERS
 
 
 def _lattice_fits(q: int, m: int, n: int) -> bool:
-    """Whether the lattice of GF(q)^m is worth building for n columns.
+    """Whether the histogram of GF(q)^m is read from its lattice for n columns.
 
-    True when GF(q) has dense operation tables and the lattice has at most
-    sum_{t<=m} C(n, t) subspaces, the subset bound of the walk it replaces.
-    The bound is at most 2^n, so the lattice is summed no further than that,
-    and the bound no further than the lattice.
+    True when the lattice is kept (_lattice_kept: GF(q) has dense operation
+    tables and the lattice is small) and it has at most sum_{t<=m} C(n, t)
+    subspaces, the subset bound of the walk it replaces.
     """
-    if q > _TABLE_LIMIT:
+    if not _lattice_kept(q, m):
         return False
-    size = _lattice_size(q, m, 1 << n)
-    bound = 0
-    count = 1  # C(n, t), advanced in place
-    for t in range(m + 1):
-        bound += count
-        if bound >= size:
-            return True
-        count = count * (n - t) // (t + 1)
-    return False
-
-
-# Membership is computed at most this many field cells at a time. A lattice
-# is kept, with the subspaces holding each vector, only while all its
-# subspaces together have at most _CACHED_MEMBERS vectors (8 lattices at most).
-_BLOCK_CELLS = 1 << 18
-_CACHED_MEMBERS = 1 << 16
+    size = sum(_gaussian(m, d, q) for d in range(m + 1))
+    return sum(comb(n, t) for t in range(m + 1)) >= size
 
 
 def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "np.ndarray"]]:
@@ -231,8 +222,8 @@ def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "n
 
 
 @lru_cache(maxsize=8)
-def _small_lattice(F: FieldSpec, m: int) -> Optional[Tuple[Tuple[int, ...], Tuple[array, ...]]]:
-    """(dims, holders) of a small lattice, or None when it is too large to keep.
+def _small_lattice(F: FieldSpec, m: int) -> Tuple[Tuple[int, ...], Tuple[array, ...]]:
+    """(dims, holders) of the lattice of GF(q)^m.
 
     dims[u] is the dimension of subspace u and holders[c] lists the
     subspaces holding the vector with code c = sum_j v[j] q^j. Search scores
@@ -240,11 +231,8 @@ def _small_lattice(F: FieldSpec, m: int) -> Optional[Tuple[Tuple[int, ...], Tupl
     over the columns' holders.
     """
     q = F.q
-    # GF(q)^m alone has q^m members, so the sum below only runs for small q^m.
-    if q**m > _CACHED_MEMBERS:
-        return None
-    if sum(_gaussian(m, d, q) * q**d for d in range(m + 1)) > _CACHED_MEMBERS:
-        return None
+    if not _lattice_kept(q, m):
+        raise ValueError(f"the subspace lattice of GF({q})^{m} is too large to keep")
     codes = np.arange(q**m, dtype=np.int64)
     vectors = (codes[:, None] // q ** np.arange(m, dtype=np.int64) % q).astype(np.uint16)
     blocks = list(_membership(F, m, vectors))
@@ -259,26 +247,16 @@ def subspace_histogram(
     """h[(d, n_U)]: how many d-dimensional subspaces U of GF(q)^m hold n_U of the columns.
 
     Every subspace is counted, from {0} to GF(q)^m itself; zero columns lie
-    in every U. Needs q <= 512 (the field's dense operation tables).
+    in every U. Each column has m entries in 0..q-1. Only for lattices
+    small enough to keep (_lattice_kept); ValueError otherwise.
     """
-    lattice = _small_lattice(F, m)
-    if lattice is not None:
-        dims, holders = lattice
-        powers = [F.q**j for j in range(m)]
-        inside = [0] * len(dims)
-        for col in columns:
-            for u in holders[sum(x * p for x, p in zip(col, powers))]:
-                inside[u] += 1
-        return dict(Counter(zip(dims, inside)))
-    distinct = Counter(tuple(c) for c in columns)
-    X = np.array(list(distinct), dtype=np.uint16).reshape(len(distinct), m)
-    weights = np.array(list(distinct.values()), dtype=np.int64)
-    hist: Counter = Counter()
-    for d, member in _membership(F, m, X):
-        for inside, count in enumerate(np.bincount(member @ weights).tolist()):
-            if count:
-                hist[d, inside] += count
-    return dict(hist)
+    dims, holders = _small_lattice(F, m)
+    powers = [F.q**j for j in range(m)]
+    inside = [0] * len(dims)
+    for col in columns:
+        for u in holders[sum(x * p for x, p in zip(col, powers))]:
+            inside[u] += 1
+    return dict(Counter(zip(dims, inside)))
 
 
 def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> Fraction:

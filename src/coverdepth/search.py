@@ -24,7 +24,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement, product, repeat
+from itertools import combinations_with_replacement, product, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, _span_rank, linear_code, projective_points
@@ -148,19 +148,18 @@ def _multisets(points: int, n: int) -> Iterable[Tuple[int, int]]:
 
 
 def _check_search_budget(F: FieldSpec, k: int, n: int, mode: str, budget: int) -> None:
-    """Raise BudgetExceededError if n times the number of candidates exceeds budget.
+    """Raise BudgetExceededError if n or the number of candidates exceeds budget.
 
-    Every candidate holds n columns, so n x candidates is the number of
-    column entries the enumeration builds. n is the first factor, so a
-    huge n fails at once, before the candidate count is even started.
+    n is checked first and on its own: a candidate of n columns is built
+    whole, so a huge n fails at once, even when it makes a single candidate.
     """
+    _check_budget([(n, 1)], budget, "columns per candidate")
     if mode == "projective":
-        factors, unit = _multisets(_point_count(F, k), n), "multiset columns"
+        _check_budget(_multisets(_point_count(F, k), n), budget, "multisets")
     elif mode == "full":
-        factors, unit = repeat((F.q**k - 1, 1), n), "matrix columns"
+        _check_budget(repeat((F.q**k - 1, 1), n), budget, "matrices")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    _check_budget(chain([(n, 1)], factors), budget, unit)
 
 
 def _spans(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int], k: int) -> bool:

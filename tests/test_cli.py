@@ -184,7 +184,7 @@ def test_search_budget_is_checked_before_enumerating():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     # At k = 1 there is a single candidate, but it has 10^8 columns: the
-    # budget bounds n x candidates, so it is refused before it is built.
+    # budget also bounds n, so it is refused before it is built.
     for mode in ("projective", "full"):
         for k, n in (("40", "40"), ("40", "1000000"), ("1", "100000000")):
             proc = run_cli(

@@ -137,16 +137,13 @@ _GAUSSIAN_ROWS = {
 }
 
 
-@pytest.mark.parametrize("streamed", [False, True])
 @pytest.mark.parametrize("q,m", sorted(_GAUSSIAN_ROWS))
-def test_subspace_histogram_of_all_points(q, m, streamed, monkeypatch):
+def test_subspace_histogram_of_all_points(q, m):
     # With every projective point as a column, a d-dimensional subspace
     # holds exactly its (q^d - 1)/(q - 1) points, so the histogram lists the
-    # subspace counts by dimension. streamed skips the kept lattice.
+    # subspace counts by dimension.
     F = field_from_order(q)
     columns = projective_points(F, m) if m else []
-    if streamed:
-        monkeypatch.setattr(coverage, "_CACHED_MEMBERS", 0)
     coverage._small_lattice.cache_clear()
     try:
         hist = subspace_histogram(F, columns, m)
@@ -154,6 +151,17 @@ def test_subspace_histogram_of_all_points(q, m, streamed, monkeypatch):
         coverage._small_lattice.cache_clear()
     rows = enumerate(_GAUSSIAN_ROWS[q, m])
     assert hist == {(d, (q**d - 1) // (q - 1)): count for d, count in rows}
+
+
+def test_lattices_past_the_keep_limit_are_never_built():
+    # The 29,212 subspaces of GF(2)^7 hold 387,987 member vectors, more
+    # than are kept, so such a side walks even where the lattice is far
+    # smaller than the walk's subset bound (about 4.4e8 at n = 60).
+    F = field_from_order(2)
+    assert coverage._lattice_kept(2, 6) and not coverage._lattice_kept(2, 7)
+    assert not _lattice_fits(2, 7, 60)
+    with pytest.raises(ValueError, match="too large to keep"):
+        subspace_histogram(F, projective_points(F, 7), 7)
 
 
 def test_codes_past_the_lattice_bound_run_the_walk(monkeypatch, capsys):

@@ -67,6 +67,18 @@ def test_budget_is_checked_before_anything_is_built(monkeypatch):
             optimal_coverage(F2, 40, 40, mode=mode)
 
 
+def test_budget_bounds_n_and_the_candidate_count_apart():
+    # n is held to the budget on its own, not multiplied into the count,
+    # so every search the candidate count admits is still admitted:
+    # C(23, 9) = 817,190 and C(24, 10) = 1,961,256 multisets at k = 4.
+    for n in (9, 10):
+        search._check_search_budget(F2, 4, n, "projective", DEFAULT_BUDGET)
+    search._check_search_budget(F2, 1, DEFAULT_BUDGET, "projective", DEFAULT_BUDGET)
+    for mode in ("projective", "full"):
+        with pytest.raises(BudgetExceededError, match="columns per candidate"):
+            search._check_search_budget(F2, 1, DEFAULT_BUDGET + 1, mode, DEFAULT_BUDGET)
+
+
 def test_enumerate_errors():
     with pytest.raises(ValueError):
         list(enumerate_candidates(F2, 0, 3))
