@@ -8,8 +8,9 @@ The counters at the bottom answer questions of the form "how many size-s
 subsets of the column positions have a prescribed rank". The exact engine
 in coverage.py reads these counts from a subspace histogram; it runs the
 two profile walks here only as its fallback, when the subspace lattice
-would be larger than the walk's subset bound, and the tests hold the
-lattice readers to them. Two observations keep everything in one place:
+is too large to keep or larger than the walk's subset bound, and the
+tests hold the lattice readers to them. Two observations keep everything
+in one place:
 
   * the subcode supported inside a coordinate set T has dimension
     k - rank(columns outside T), by rank-nullity applied to the projection
