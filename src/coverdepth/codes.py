@@ -7,10 +7,9 @@ defined for any generator, useless columns just cost extra draws.
 The counters at the bottom answer questions of the form "how many size-s
 subsets of the column positions have a prescribed rank". The exact engine
 in coverage.py reads these counts from a subspace histogram; it runs the
-two profile walks here only as its fallback, when the subspace lattice
-is too large to keep or larger than the walk's subset bound, and the
-tests hold the lattice readers to them. Two observations keep everything
-in one place:
+two profile walks here (the full-rank one on bare columns) only on sides
+whose lattice is not kept (2^15 member vectors), and the tests hold the
+lattice readers to them. Two observations keep everything in one place:
 
   * the subcode supported inside a coordinate set T has dimension
     k - rank(columns outside T), by rank-nullity applied to the projection
@@ -121,10 +120,6 @@ def dual(C: LinearCode) -> LinearCode:
     return LinearCode(C.field, C.n, C.n - C.k, gen)
 
 
-def _columns(C: LinearCode) -> List[Tuple[int, ...]]:
-    return columns_of(C.generator)
-
-
 def _span_rank(field: FieldSpec, vectors: Iterable[Sequence[int]], cap: int = -1) -> int:
     """Rank of a set of column vectors, stopping early once cap is reached."""
     return len(span_basis(field, vectors, cap))
@@ -140,7 +135,7 @@ def shortened_subcode_dim(C: LinearCode, support: Iterable[int]) -> int:
     for i in s:
         if not 0 <= i < C.n:
             raise ValueError(f"coordinate {i} out of range 0..{C.n - 1}")
-    cols = _columns(C)
+    cols = columns_of(C.generator)
     outside = [cols[j] for j in range(C.n) if j not in s]
     return C.k - _span_rank(C.field, outside, cap=C.k)
 
@@ -166,7 +161,7 @@ def information_set_count(C: LinearCode, s: int) -> SubsetCounter:
         raise ValueError(f"subset size {s} not in 0..{C.n}")
     count = 0
     if s >= C.k:
-        cols = _columns(C)
+        cols = columns_of(C.generator)
         F = C.field
         k = C.k
         for sub in combinations(range(C.n), s):
@@ -188,7 +183,7 @@ def shortened_dim_count(C: LinearCode, dimension: int, s: int) -> SubsetCounter:
     if not 0 <= dimension <= C.k:
         return SubsetCounter(C, s, 0)
     target = C.k - dimension
-    cols = _columns(C)
+    cols = columns_of(C.generator)
     F = C.field
     count = 0
     for sub in combinations(range(C.n), s):
@@ -221,8 +216,12 @@ def information_set_profile(C: LinearCode) -> List[int]:
     to reach rank k, the branch dies. Validated against
     information_set_count in the tests.
     """
-    F, k, n = C.field, C.k, C.n
-    cols = _columns(C)
+    return _full_rank_profile(C.field, columns_of(C.generator), C.k)
+
+
+def _full_rank_profile(F: FieldSpec, cols: Sequence[Sequence[int]], k: int) -> List[int]:
+    """information_set_profile of bare columns that span GF(q)^k."""
+    n = len(cols)
     counts = [0] * (n + 1)
     basis: Basis = []
 

@@ -15,11 +15,10 @@ computes the expectation of that stopping time:
         the defect sum E = n*H(n) - sum_t I(t) / C(n-1, t-1) (_defect_sum).
     expectation_exact reads the primal side, expectation_exact_dual the dual
     side and expectation_exact_auto the side of smaller dimension m. A side
-    uses the lattice when GF(q) has dense operation tables, the lattice is
-    small enough to keep (at most 2^16 member vectors over all subspaces)
-    and its size sum_d [m, d]_q is at most the walk's subset bound
-    sum_{t<=m} C(n, t); otherwise it runs the subset walk of the codes
-    module on the same side.
+    reads its lattice iff it is kept (_lattice_kept: at most 2^15 member
+    vectors), else it runs the codes module's subset walk on that side.
+    The primal side takes bare columns and also decides whether they span
+    (_exact_from_columns), so search scores a candidate without a code.
     expectation_hamming fills the defect sum from r closed-form counts;
   * in closed form for the simplex family;
   * by Monte Carlo simulation with a counter-based generator whose output
@@ -46,8 +45,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .codes import LinearCode, independent_subset_profile, information_set_profile
-from .matrix import Basis, columns_of, eliminate, kernel_basis
+from .codes import LinearCode, _full_rank_profile, independent_subset_profile
+from .matrix import Basis, columns_of, eliminate, kernel_basis, span_basis
 from .gf import _TABLE_LIMIT, FieldSpec, is_prime_power
 
 Rational = Union[int, Fraction]
@@ -164,9 +163,10 @@ def _mobius(c: int, q: int) -> int:
 
 # A lattice is built once per (field, m) and kept, with the subspaces
 # holding each vector, so only lattices whose subspaces together have at
-# most _KEPT_MEMBERS vectors are built (8 lattices kept at most).
-# Membership is computed at most _BLOCK_CELLS field cells at a time.
-_KEPT_MEMBERS = 1 << 16
+# most _KEPT_MEMBERS vectors are built (8 lattices kept at most). 2^15 keeps
+# GF(2)^6 (26,387) but not GF(5)^4 (41,056), which costs more time and memory
+# to build than its short codes take to walk. Membership: _BLOCK_CELLS cells.
+_KEPT_MEMBERS = 1 << 15
 _BLOCK_CELLS = 1 << 18
 
 
@@ -176,19 +176,6 @@ def _lattice_kept(q: int, m: int) -> bool:
     if q > _TABLE_LIMIT or q**m > _KEPT_MEMBERS:
         return False
     return sum(_gaussian(m, d, q) * q**d for d in range(m + 1)) <= _KEPT_MEMBERS
-
-
-def _lattice_fits(q: int, m: int, n: int) -> bool:
-    """Whether the histogram of GF(q)^m is read from its lattice for n columns.
-
-    True when the lattice is kept (_lattice_kept: GF(q) has dense operation
-    tables and the lattice is small) and it has at most sum_{t<=m} C(n, t)
-    subspaces, the subset bound of the walk it replaces.
-    """
-    if not _lattice_kept(q, m):
-        return False
-    size = sum(_gaussian(m, d, q) for d in range(m + 1))
-    return sum(comb(n, t) for t in range(m + 1)) >= size
 
 
 def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "np.ndarray"]]:
@@ -259,12 +246,14 @@ def subspace_histogram(
     return dict(Counter(zip(dims, inside)))
 
 
-def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> Fraction:
+def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> Optional[Fraction]:
     """E = -sum_{d<k} h[(d, n_U)] * mu * n/(n - n_U), with c = k - d, from the m = k histogram."""
     by_den: Dict[int, int] = Counter()
     for (d, inside), count in hist.items():
         if d < k:
             by_den[n - inside] -= count * _mobius(k - d, q) * n
+    if 0 in by_den:  # a proper subspace holds all n columns: they do not span
+        return None
     return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
 
 
@@ -281,17 +270,24 @@ def _dual_reader(hist: Dict[Tuple[int, int], int], m: int, q: int) -> List[Tuple
     ]
 
 
-def expectation_exact(C: LinearCode) -> Fraction:
-    """Exact expectation from the generator's side (m = k).
+def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) -> Optional[Fraction]:
+    """Exact expectation of the code the columns generate; None unless they span GF(q)^k.
 
-    The primal reader of the generator columns' histogram, or the full-rank
-    subset walk when the lattice does not fit (_lattice_fits).
+    The primal reader decides both from one histogram when the lattice of
+    GF(q)^k is kept; otherwise a rank check precedes the full-rank walk.
     """
-    n, k, q = C.n, C.k, C.field.q
-    if _lattice_fits(q, k, n):
-        return _primal_reader(subspace_histogram(C.field, columns_of(C.generator), k), n, k, q)
-    counts = information_set_profile(C)
+    n, q = len(columns), F.q
+    if _lattice_kept(q, k):
+        return _primal_reader(subspace_histogram(F, columns, k), n, k, q)
+    if len(span_basis(F, columns, k)) < k:
+        return None
+    counts = _full_rank_profile(F, columns, k)
     return _defect_sum(n, ((n - s, counts[s]) for s in range(k, n)))
+
+
+def expectation_exact(C: LinearCode) -> Fraction:
+    """Exact expectation from the generator's side (m = k): see _exact_from_columns."""
+    return _exact_from_columns(C.field, columns_of(C.generator), C.k)
 
 
 def expectation_exact_dual(C: LinearCode) -> Fraction:
@@ -300,12 +296,12 @@ def expectation_exact_dual(C: LinearCode) -> Fraction:
     Size-s full-rank subsets of C correspond to independent (n-s)-subsets
     of the dual columns, so the defect sum runs over t = n-s = 1..n-k. The
     counts come from the dual reader of the dual columns' histogram, or the
-    independent-subset walk when the lattice does not fit.
+    independent-subset walk when that lattice is not kept.
     Preferable when n - k < k.
     """
     m, q = C.n - C.k, C.field.q
     H = kernel_basis(C.generator)
-    if _lattice_fits(q, m, C.n):
+    if _lattice_kept(q, m):
         terms = _dual_reader(subspace_histogram(C.field, columns_of(H), m), m, q)
     else:
         counts = independent_subset_profile(H)

@@ -9,6 +9,9 @@ P = (q^k-1)/(q-1) points. verify_reduction re-checks that argument against
 plain matrix enumeration at tiny sizes, including the fact that a zero
 column is never part of a strict optimum.
 
+A candidate is scored from its columns (coverage._exact_from_columns), which
+also rejects it if they do not span; no candidate builds a code or a kernel.
+
 Every projective search, at any jobs value, runs one path: the multisets
 are split by their first (smallest) point index, each partition is folded
 into a running minimum, argmins and runner-up, and the partition folds are
@@ -28,7 +31,7 @@ from itertools import combinations_with_replacement, product, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, _span_rank, linear_code, projective_points
-from .coverage import InvariantViolation, _fan_out, _rational_str, expectation_exact_auto, mds_bound
+from .coverage import InvariantViolation, _exact_from_columns, _fan_out, _rational_str, mds_bound
 from .matrix import eliminate, from_columns
 from .gf import FieldSpec
 
@@ -163,7 +166,7 @@ def _check_search_budget(F: FieldSpec, k: int, n: int, mode: str, budget: int) -
 
 
 def _spans(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int], k: int) -> bool:
-    """Whether the points indexed by combo span GF(q)^k (the admissibility test)."""
+    """Whether the points indexed by combo span GF(q)^k (enumerate_candidates' test)."""
     distinct = dict.fromkeys(combo)
     return len(distinct) >= k and _span_rank(F, (pts[i] for i in distinct), cap=k) == k
 
@@ -195,9 +198,9 @@ def enumerate_candidates(
             yield CandidateMultiset(F, k, tuple(classes))
 
 
-def _score(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int]) -> Fraction:
-    code = linear_code(from_columns(F, [pts[i] for i in combo]))
-    return expectation_exact_auto(code)
+def _score(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int]) -> Optional[Fraction]:
+    """Exact expectation of the candidate, or None when its points do not span."""
+    return _exact_from_columns(F, [pts[i] for i in combo], len(pts[0]))
 
 
 class _Fold:
@@ -248,9 +251,10 @@ def _search_partition(task) -> _Fold:
     for tail in combinations_with_replacement(range(first, len(pts)), n - 1):
         combo = (first,) + tail
         fold.examined += 1
-        if _spans(F, pts, combo, k):
+        value = _score(F, pts, combo)
+        if value is not None:
             fold.admissible += 1
-            fold.add(_score(F, pts, combo), combo)
+            fold.add(value, combo)
     return fold
 
 
@@ -318,9 +322,9 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     nonzero_values = set()
     zero_col_best: Optional[Fraction] = None
     for cols in product(product(range(F.q), repeat=k), repeat=n):
-        if _span_rank(F, cols, cap=k) < k:
+        value = _exact_from_columns(F, cols, k)
+        if value is None:
             continue
-        value = expectation_exact_auto(linear_code(from_columns(F, cols)))
         if all(any(c) for c in cols):
             nonzero_values.add(value)
         elif zero_col_best is None or value < zero_col_best:

@@ -26,7 +26,7 @@ from coverdepth.coverage import (
     _defect_sum,
     _draw_counts,
     _dual_reader,
-    _lattice_fits,
+    _lattice_kept,
     _mix64,
     _primal_reader,
     _range_recip_sum,
@@ -154,12 +154,12 @@ def test_subspace_histogram_of_all_points(q, m):
 
 
 def test_lattices_past_the_keep_limit_are_never_built():
-    # The 29,212 subspaces of GF(2)^7 hold 387,987 member vectors, more
-    # than are kept, so such a side walks even where the lattice is far
-    # smaller than the walk's subset bound (about 4.4e8 at n = 60).
+    # The subspaces of GF(2)^6 hold 26,387 member vectors, those of
+    # GF(5)^4 41,056 and those of GF(2)^7 387,987: only the first is kept,
+    # and the other two sides walk.
     F = field_from_order(2)
-    assert coverage._lattice_kept(2, 6) and not coverage._lattice_kept(2, 7)
-    assert not _lattice_fits(2, 7, 60)
+    assert _lattice_kept(2, 6)
+    assert not _lattice_kept(5, 4) and not _lattice_kept(2, 7)
     with pytest.raises(ValueError, match="too large to keep"):
         subspace_histogram(F, projective_points(F, 7), 7)
 
@@ -179,7 +179,7 @@ def test_hamming_r5_never_walks(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked a code the lattice covers")
 
-    monkeypatch.setattr(coverage, "information_set_profile", no_walk)
+    monkeypatch.setattr(coverage, "_full_rank_profile", no_walk)
     monkeypatch.setattr(coverage, "independent_subset_profile", no_walk)
     C = hamming_code(field_from_order(2), 5)
     assert expectation_exact_auto(C) == expectation_hamming(2, 5)
@@ -477,14 +477,14 @@ def test_property_scalar_and_vector_draws_agree(C, seed, t0):
 @example(linear_code(identity(_FIELDS[8], 1)))
 def test_property_lattice_readers_match_the_walks(C):
     # Both readers against the subset walks they replace, k = n included,
-    # on every side whose lattice the engine would build: at n <= 8 over
-    # GF(9) the lattice of GF(9)^8 alone would have about 10^15 members.
+    # on every side whose lattice is kept: at n <= 8 over GF(9) the lattice
+    # of GF(9)^8 alone would have about 10^15 members.
     F, n, k, q = C.field, C.n, C.k, C.field.q
     counts = information_set_profile(C)
     walk = _defect_sum(n, ((n - s, counts[s]) for s in range(k, n)))
-    if _lattice_fits(q, k, n):
+    if _lattice_kept(q, k):
         assert _primal_reader(subspace_histogram(F, columns_of(C.generator), k), n, k, q) == walk
-    if _lattice_fits(q, n - k, n):
+    if _lattice_kept(q, n - k):
         H = kernel_basis(C.generator)
         counts = independent_subset_profile(H)
         terms = _dual_reader(subspace_histogram(F, columns_of(H), n - k), n - k, q)

@@ -1,9 +1,17 @@
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from coverdepth.coverage import InvariantViolation, expectation_exact, mds_bound
+from coverdepth import coverage
+from coverdepth.coverage import (
+    InvariantViolation,
+    _lattice_kept,
+    expectation_exact,
+    expectation_exact_dual,
+    mds_bound,
+)
 from coverdepth.gf import field_from_order
 from coverdepth.codes import projective_points
 from coverdepth import search
@@ -169,6 +177,49 @@ def _reference_search(F, k, n):
 def test_search_matches_reference_fold(q, k, n, jobs):
     F = field_from_order(q)
     assert optimal_coverage(F, k, n, jobs=jobs).to_json_dict() == _reference_search(F, k, n)
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (4, 2), (16, 3), (256, 2)])
+def test_score_is_the_dual_route_and_none_off_the_span(q, k):
+    # The search takes admissibility and value from _score alone; hold both
+    # to the independent references: _spans for admissibility and the dual
+    # route for the value. The first three spaces read their kept lattice,
+    # the last two walk.
+    F = field_from_order(q)
+    assert _lattice_kept(q, k) == (q <= 4)
+    pts = projective_points(F, k)
+    hyperplane = [i for i, p in enumerate(pts) if p[0] == 0]
+    rng = random.Random(f"score/{q}/{k}")
+    spanning = 0
+    for trial in range(40):
+        n = rng.randint(1, 6)
+        # Every fourth draw stays inside a hyperplane, so it cannot span.
+        pool = hyperplane if trial % 4 == 0 else range(len(pts))
+        combo = tuple(sorted(rng.choice(pool) for _ in range(n)))
+        value = search._score(F, pts, combo)
+        if not search._spans(F, pts, combo, k):
+            assert value is None, combo
+            continue
+        spanning += 1
+        assert value == expectation_exact_dual(CandidateMultiset(F, k, combo).as_code()), combo
+    assert 0 < spanning < 40
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 4, 5), (3, 3, 5)])
+def test_search_builds_no_code_matrix_or_kernel(monkeypatch, q, k, n):
+    # Both cases took the dual side (n - k < k) when candidates were scored
+    # as codes; now each is one histogram of its columns.
+    F = field_from_order(q)
+    reference = _reference_search(F, k, n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("search rebuilt a candidate")
+
+    monkeypatch.setattr(search, "linear_code", forbidden)
+    monkeypatch.setattr(search, "from_columns", forbidden)
+    monkeypatch.setattr(search, "_spans", forbidden)
+    monkeypatch.setattr(coverage, "kernel_basis", forbidden)
+    assert optimal_coverage(F, k, n).to_json_dict() == reference
 
 
 def _fold_of(items):
