@@ -207,8 +207,8 @@ def test_score_is_the_dual_route_and_none_off_the_span(q, k):
 
 @pytest.mark.parametrize("q,k,n", [(2, 4, 5), (3, 3, 5)])
 def test_search_builds_no_code_matrix_or_kernel(monkeypatch, q, k, n):
-    # Both cases took the dual side (n - k < k) when candidates were scored
-    # as codes; now each is one histogram of its columns.
+    # n - k < k in both cases, so scoring through expectation_exact_auto
+    # would build each candidate's kernel.
     F = field_from_order(q)
     reference = _reference_search(F, k, n)
 
