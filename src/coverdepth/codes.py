@@ -8,7 +8,7 @@ The counters at the bottom answer questions of the form "how many size-s
 subsets of the column positions have a prescribed rank". The exact engine
 in coverage.py reads these counts from a subspace histogram; it runs the
 two profile walks here (the full-rank one on bare columns) only on sides
-whose lattice is not kept (2^15 member vectors), and the tests hold the
+whose lattice is not kept (2^16 member vectors), and the tests hold the
 lattice readers to them. Two observations keep everything in one place:
 
   * the subcode supported inside a coordinate set T has dimension

@@ -15,7 +15,7 @@ computes the expectation of that stopping time:
         the defect sum E = n*H(n) - sum_t I(t) / C(n-1, t-1) (_defect_sum).
     expectation_exact reads the primal side, expectation_exact_dual the dual
     side and expectation_exact_auto the side of smaller dimension m. A side
-    reads its lattice iff it is kept (_lattice_kept: at most 2^15 member
+    reads its lattice iff it is kept (_lattice_kept: at most 2^16 member
     vectors), else it runs the codes module's subset walk on that side.
     The primal side takes bare columns and also decides whether they span
     (_exact_from_columns), so search scores a candidate without a code.
@@ -163,10 +163,12 @@ def _mobius(c: int, q: int) -> int:
 
 # A lattice is built once per (field, m) and kept, with the subspaces
 # holding each vector, so only lattices whose subspaces together have at
-# most _KEPT_MEMBERS vectors are built (8 lattices kept at most). 2^15 keeps
-# GF(2)^6 (26,387) but not GF(5)^4 (41,056), which costs more time and memory
-# to build than its short codes take to walk. Membership: _BLOCK_CELLS cells.
-_KEPT_MEMBERS = 1 << 15
+# most _KEPT_MEMBERS vectors are built (8 lattices kept at most): GF(2)^6,
+# GF(5)^4 and GF(3)^5 but not GF(2)^7. A side whose lattice is not kept walks
+# subsets, which never ends for long codes such as the [121, 5] simplex over
+# GF(3), so the limit may not drop below GF(3)^5 (53,968 members).
+# Membership is computed at most _BLOCK_CELLS field cells at a time.
+_KEPT_MEMBERS = 1 << 16
 _BLOCK_CELLS = 1 << 18
 
 

@@ -6,7 +6,9 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from coverdepth.coverage import expectation_hamming, mds_bound
+import pytest
+
+from coverdepth.coverage import expectation_hamming, expectation_simplex, mds_bound
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -201,6 +203,24 @@ def test_expect_hamming_r6_is_bounded():
     proc = run_cli("expect", "--field", "2", "--code", "hamming", "--r", "6", timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith(f"value {expectation_hamming(2, 6)} ")
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (("--field", "3", "--code", "simplex", "--k", "5"), expectation_simplex(3, 5)),
+        (("--field", "5", "--code", "simplex", "--k", "4"), expectation_simplex(5, 4)),
+        (("--field", "3", "--code", "hamming", "--r", "5"), expectation_hamming(3, 5)),
+    ],
+    ids=["simplex-3-5", "simplex-5-4", "hamming-3-5"],
+)
+def test_expect_on_the_largest_kept_lattices_is_bounded(argv, value):
+    # The smaller side of each code is GF(3)^5 or GF(5)^4, whose lattices are
+    # kept. A subset walk there never ends: a hyperplane of GF(3)^5 holds 40
+    # of the simplex code's 121 columns.
+    proc = run_cli("expect", *argv, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(f"value {value} ")
 
 
 def test_simulate_is_deterministic_across_runs_and_jobs():

@@ -154,12 +154,12 @@ def test_subspace_histogram_of_all_points(q, m):
 
 
 def test_lattices_past_the_keep_limit_are_never_built():
-    # The subspaces of GF(2)^6 hold 26,387 member vectors, those of
-    # GF(5)^4 41,056 and those of GF(2)^7 387,987: only the first is kept,
-    # and the other two sides walk.
+    # The subspaces of GF(2)^6 hold 26,387 member vectors, those of GF(5)^4
+    # 41,056, GF(3)^5 53,968 and GF(2)^7 387,987: all but the last are kept,
+    # and GF(2)^7 walks.
     F = field_from_order(2)
-    assert _lattice_kept(2, 6)
-    assert not _lattice_kept(5, 4) and not _lattice_kept(2, 7)
+    assert _lattice_kept(2, 6) and _lattice_kept(5, 4) and _lattice_kept(3, 5)
+    assert not _lattice_kept(2, 7)
     with pytest.raises(ValueError, match="too large to keep"):
         subspace_histogram(F, projective_points(F, 7), 7)
 
