@@ -163,11 +163,9 @@ def _mobius(c: int, q: int) -> int:
 
 # A lattice is built once per (field, m) and kept, with the subspaces
 # holding each vector, so only lattices whose subspaces together have at
-# most _KEPT_MEMBERS vectors are built (8 lattices kept at most): GF(2)^6,
-# GF(5)^4 and GF(3)^5 but not GF(2)^7. A side whose lattice is not kept walks
-# subsets, which never ends for long codes such as the [121, 5] simplex over
-# GF(3), so the limit may not drop below GF(3)^5 (53,968 members).
-# Membership is computed at most _BLOCK_CELLS field cells at a time.
+# most _KEPT_MEMBERS vectors are built (8 at most). An unkept side walks,
+# which never ends on long codes such as the [121, 5] simplex over GF(3), so
+# the limit keeps GF(3)^5 (53,968). Membership: _BLOCK_CELLS cells at a time.
 _KEPT_MEMBERS = 1 << 16
 _BLOCK_CELLS = 1 << 18
 
