@@ -23,7 +23,12 @@ computes the expectation of that stopping time:
   * in closed form for the simplex family;
   * by Monte Carlo simulation with a counter-based generator whose output
     depends only on (seed, trial index), so estimates are reproducible
-    bit for bit under any process count.
+    bit for bit under any process count. Trials run as numpy lanes, one
+    draw per round: binary codes with k <= 64 in packed lanes (a column is
+    one 64-bit word, a reduction step one XOR), other fields of at most 512
+    elements and binary codes with k > 64 in table lanes (the field's
+    operation tables); larger fields run the scalar reference path, which
+    both kinds of lane match draw for draw.
 
 All exact values are fractions.Fraction; nothing is rounded until a caller
 asks for digits.
@@ -38,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -170,6 +175,7 @@ _KEPT_MEMBERS = 1 << 16
 _BLOCK_CELLS = 1 << 18
 
 
+@lru_cache(maxsize=1024)
 def _lattice_kept(q: int, m: int) -> bool:
     """Whether the lattice of GF(q)^m is small enough to build and keep."""
     # GF(q)^m alone has q^m members, so the sum below only runs for small q^m.
@@ -428,7 +434,137 @@ def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[Lis
     return _simulate_scalar(C.field, cols, C.n, C.k, _trial_key(seed, trial), trace)
 
 
-def _draw_counts_vector(
+# Vector lanes: a block of trials advances one draw per round, each lane
+# with its own basis of the columns drawn so far. The driver owns the keys,
+# the rejection sampling, the draw counters and the retiring, so both
+# kernels read the same random stream; they differ only in the independence
+# step. The lanes match _simulate_scalar draw for draw (the tests hold them
+# equal). A block holds at most _LANE_CELLS basis cells, so memory stays
+# bounded whatever k is; trials are keyed by index, so blocking changes no
+# count.
+_LANE_CELLS = 1 << 22
+
+
+def _run_lanes(
+    n: int,
+    k: int,
+    seed: int,
+    t0: int,
+    count: int,
+    state: List["np.ndarray"],
+    independent: Callable[[List["np.ndarray"], "np.ndarray"], "np.ndarray"],
+) -> "np.ndarray":
+    """Draw counts of trials t0 .. t0 + count - 1, as an int64 array.
+
+    state holds the lanes' bases, one lane per index of the first axis.
+    independent(state, col) reduces each lane's drawn column (an index in
+    0..n-1) against its basis, inserts it where it is independent and says
+    which lanes grew. A lane leaves every array in the round it reaches
+    rank k.
+    """
+    trial_idx = np.arange(t0, t0 + count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        keys = _mix64_np(np.uint64(_mix64(seed)) + trial_idx * np.uint64(_GOLDEN))
+    draws = np.zeros(count, dtype=np.uint64)
+    rank = np.zeros(count, dtype=np.int64)
+    lane = np.arange(count)
+    out = np.zeros(count, dtype=np.int64)
+    last = np.uint64(_MASK64 - (1 << 64) % n)  # larger values are rejected
+    shift = np.uint64(20)
+    while lane.size:
+        ctr = draws << shift
+        with np.errstate(over="ignore"):
+            val = _mix64_np(keys + ctr)
+        bad = np.flatnonzero(val > last)
+        attempt = np.uint64(0)
+        while bad.size:
+            attempt += np.uint64(1)
+            with np.errstate(over="ignore"):
+                val[bad] = _mix64_np(keys[bad] + (ctr[bad] | attempt))
+            bad = bad[val[bad] > last]
+        draws += np.uint64(1)
+        rank += independent(state, val % np.uint64(n))
+        done = np.flatnonzero(rank >= k)
+        if done.size:
+            # Retire: the live lanes past the new end fill the holes the
+            # finished ones leave below it, so a round moves only as many
+            # lanes as finish in it.
+            out[lane[done]] = draws[done]
+            size = lane.size - done.size
+            holes = done[done < size]
+            movers = size + np.flatnonzero(rank[size:] < k)
+            for a in (keys, draws, rank, lane, *state):
+                a[holes] = a[movers]
+            keys, draws, rank, lane = keys[:size], draws[:size], rank[:size], lane[:size]
+            state[:] = [s[:size] for s in state]
+    return out
+
+
+def _packed_lanes(cols: Sequence[Tuple[int, ...]], n: int, k: int, seed: int, t0: int,
+                  count: int) -> "np.ndarray":
+    """Binary lanes (q = 2, k <= 64): a column is one uint64 word, bit i its i-th entry.
+
+    Slot b of a lane's basis holds 0 or a word whose lowest set bit is b,
+    so a draw reduces in k steps v ^= slot_b * bit_b(v) and a nonzero
+    residual goes into the slot of its lowest set bit.
+    """
+    words = np.array([sum(x << i for i, x in enumerate(col)) for col in cols], dtype=np.uint64)
+    one = np.uint64(1)
+
+    def independent(state, col):
+        (slots,) = state
+        v = words[col]
+        for b in range(k):
+            v ^= slots[:, b] * (v >> np.uint64(b) & one)
+        grew = np.flatnonzero(v)
+        if grew.size:
+            r = v[grew]
+            low = np.frexp((r & (~r + one)).astype(np.float64))[1] - 1  # exact: a power of two
+            slots[grew, low] = r
+        return v != 0
+
+    return _run_lanes(n, k, seed, t0, count, [np.zeros((count, k), dtype=np.uint64)], independent)
+
+
+def _table_lanes(F: FieldSpec, cols: Sequence[Tuple[int, ...]], n: int, k: int, seed: int,
+                 t0: int, count: int) -> "np.ndarray":
+    """Lanes over the field's operation tables (q <= 512).
+
+    Slot r of a lane's (k, k) basis holds a row with a 1 at r once used
+    marks it filled.
+    """
+    _, sub_t, mul_t, inv_t = F.op_tables()
+    cols_arr = np.array(cols, dtype=np.uint16)
+
+    def independent(state, col):
+        basis, used = state
+        v = cols_arr[col]
+        grew = np.zeros(len(col), dtype=bool)
+        for r in range(k):
+            nz = v[:, r] != 0
+            if not nz.any():
+                continue
+            slot = used[:, r]
+            red = nz & slot
+            if red.any():
+                sel = np.flatnonzero(red)
+                c = v[sel, r]
+                v[sel] = sub_t[v[sel], mul_t[c[:, None], basis[sel, r, :]]]
+            ins = nz & ~slot
+            if ins.any():
+                sel = np.flatnonzero(ins)
+                cinv = inv_t[v[sel, r]]
+                basis[sel, r, :] = mul_t[cinv[:, None], v[sel]]
+                used[sel, r] = True
+                grew[sel] = True
+                v[sel] = 0
+        return grew
+
+    state = [np.zeros((count, k, k), dtype=np.uint16), np.zeros((count, k), dtype=bool)]
+    return _run_lanes(n, k, seed, t0, count, state, independent)
+
+
+def _draw_count_array(
     F: FieldSpec,
     cols: Sequence[Tuple[int, ...]],
     n: int,
@@ -436,66 +572,24 @@ def _draw_counts_vector(
     seed: int,
     t0: int,
     count: int,
-) -> List[int]:
-    # Table-driven lanes: all live trials advance one draw per round. Each
-    # lane carries its own pivot-slot basis as a (k, k) block. Matches
-    # _simulate_scalar draw for draw; the tests hold the two paths equal.
-    _, sub_t, mul_t, inv_t = F.op_tables()
-    cols_arr = np.array(cols, dtype=np.uint16)
-    trial_idx = np.arange(t0, t0 + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        keys = _mix64_np(np.uint64(_mix64(seed)) + trial_idx * np.uint64(_GOLDEN))
-    draws = np.zeros(count, dtype=np.uint64)
-    rank_now = np.zeros(count, dtype=np.int64)
-    basis = np.zeros((count, k, k), dtype=np.uint16)
-    used = np.zeros((count, k), dtype=bool)
-    alive = np.ones(count, dtype=bool)
-    rem = (1 << 64) % n
-    thresh = np.uint64((1 << 64) - rem) if rem else None
-    n_u = np.uint64(n)
-    shift = np.uint64(20)
-    one = np.uint64(1)
-    while True:
-        live = np.nonzero(alive)[0]
-        if live.size == 0:
-            break
-        with np.errstate(over="ignore"):
-            val = _mix64_np(keys[live] + (draws[live] << shift))
-        if thresh is not None:
-            bad = val >= thresh
-            att = np.zeros(live.size, dtype=np.uint64)
-            while bad.any():
-                sel = np.nonzero(bad)[0]
-                att[sel] += one
-                with np.errstate(over="ignore"):
-                    val[sel] = _mix64_np(
-                        keys[live[sel]] + ((draws[live[sel]] << shift) | att[sel])
-                    )
-                bad[sel] = val[sel] >= thresh
-        col = val % n_u
-        draws[live] += one
-        v = cols_arr[col]
-        for r in range(k):
-            nz = v[:, r] != 0
-            if not nz.any():
-                continue
-            slot = used[live, r]
-            red = nz & slot
-            if red.any():
-                sel = np.nonzero(red)[0]
-                c = v[sel, r]
-                v[sel] = sub_t[v[sel], mul_t[c[:, None], basis[live[sel], r, :]]]
-            ins = nz & ~slot
-            if ins.any():
-                sel = np.nonzero(ins)[0]
-                lanes = live[sel]
-                cinv = inv_t[v[sel, r]]
-                basis[lanes, r, :] = mul_t[cinv[:, None], v[sel]]
-                used[lanes, r] = True
-                rank_now[lanes] += 1
-                v[sel] = 0
-        alive[live[rank_now[live] >= k]] = False
-    return [int(x) for x in draws]
+    force_scalar: bool = False,
+) -> "np.ndarray":
+    """Draw counts of trials t0 .. t0 + count - 1 as an int64 array.
+
+    Binary codes with k <= 64 run the packed lanes, every other code over a
+    field of at most _TABLE_LIMIT elements the table lanes, and the rest (or
+    force_scalar) the scalar reference path.
+    """
+    if force_scalar or k < 1 or F.q > _TABLE_LIMIT:
+        return np.array([_simulate_scalar(F, cols, n, k, _trial_key(seed, t0 + j))
+                         for j in range(count)], dtype=np.int64)
+    if F.q == 2 and k <= 64:
+        cells, lanes = k, partial(_packed_lanes, cols, n, k, seed)
+    else:
+        cells, lanes = k * k, partial(_table_lanes, F, cols, n, k, seed)
+    block = max(1, _LANE_CELLS // cells)
+    return np.concatenate([lanes(t, min(block, t0 + count - t))
+                           for t in range(t0, t0 + count, block)] or [np.zeros(0, np.int64)])
 
 
 def _draw_counts(
@@ -508,9 +602,7 @@ def _draw_counts(
     count: int,
     force_scalar: bool = False,
 ) -> List[int]:
-    if not force_scalar and k >= 1 and F.q <= 512:
-        return _draw_counts_vector(F, cols, n, k, seed, t0, count)
-    return [_simulate_scalar(F, cols, n, k, _trial_key(seed, t0 + j)) for j in range(count)]
+    return _draw_count_array(F, cols, n, k, seed, t0, count, force_scalar).tolist()
 
 
 def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
@@ -528,10 +620,13 @@ def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
 
 def _mc_chunk(task) -> Tuple[int, int, int, int]:
     F, cols, n, k, seed, t0, count = task
-    counts = _draw_counts(F, cols, n, k, seed, t0, count)
-    total = sum(counts)
-    total_sq = sum(c * c for c in counts)
-    return total, total_sq, min(counts), max(counts)
+    counts = _draw_count_array(F, cols, n, k, seed, t0, count)
+    top = int(counts.max())
+    if len(counts) * top * top < 1 << 63:  # the int64 sum of squares cannot overflow
+        total_sq = int(np.dot(counts, counts))
+    else:
+        total_sq = sum(c * c for c in counts.tolist())
+    return int(counts.sum()), total_sq, int(counts.min()), top
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import random
 import statistics
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -53,6 +55,7 @@ from coverdepth.matrix import (
     mat_mul,
     matrix,
     row_space_canonical,
+    span_basis,
     zeros,
 )
 
@@ -315,6 +318,20 @@ def test_draw_counts_match_per_trial_keying():
     assert got == want
 
 
+def _binary_code(k, n, seed):
+    """A binary [n, k] code: k unit columns, one zero column, one repeated
+    column and n - k - 2 random nonzero columns, in random order."""
+    rng = random.Random(seed)
+    cols = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    while len(cols) < n - 2:
+        col = tuple(rng.randrange(2) for _ in range(k))
+        if any(col):
+            cols.append(col)
+    cols += [rng.choice(cols), (0,) * k]
+    rng.shuffle(cols)
+    return linear_code(from_columns(field_from_order(2), cols))
+
+
 @pytest.mark.parametrize(
     "maker",
     [
@@ -323,14 +340,87 @@ def test_draw_counts_match_per_trial_keying():
         lambda: reed_solomon(field_from_order(4), 5, 2),
         lambda: reed_solomon(field_from_order(9), 9, 3),
         lambda: reed_solomon(field_from_order(5), 5, 2),
+        # Binary codes run the packed lanes up to k = 64 and the table lanes
+        # past it.
+        lambda: _binary_code(64, 134, seed=64),
+        lambda: _binary_code(65, 136, seed=65),
+        # A zero and a repeated column; n = 12 is not a power of two, so the
+        # rejection threshold is live, while n = 16 rejects nothing.
+        lambda: _binary_code(4, 12, seed=12),
+        lambda: _binary_code(5, 16, seed=16),
     ],
 )
 def test_vector_and_scalar_draws_agree(maker):
     C = maker()
     cols = columns_of(C.generator)
-    fast = _draw_counts(C.field, cols, C.n, C.k, seed=2024, t0=0, count=300)
-    slow = _draw_counts(C.field, cols, C.n, C.k, seed=2024, t0=0, count=300, force_scalar=True)
+    count = 300 if C.k < 16 else 12  # the scalar reference is slow at k = 64
+    fast = _draw_counts(C.field, cols, C.n, C.k, seed=2024, t0=0, count=count)
+    slow = _draw_counts(C.field, cols, C.n, C.k, seed=2024, t0=0, count=count, force_scalar=True)
     assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: reed_solomon(field_from_order(16), 16, 8), lambda: hamming_code(field_from_order(2), 4)],
+)
+def test_lane_blocks_do_not_change_counts(monkeypatch, maker):
+    # 200 cells split the 400 trials into blocks of 3 table lanes at k = 8
+    # (k * k cells each) and of 18 packed lanes at k = 11 (k cells each).
+    C = maker()
+    cols = columns_of(C.generator)
+    whole = _draw_counts(C.field, cols, C.n, C.k, seed=8, t0=3, count=400)
+    monkeypatch.setattr(coverage, "_LANE_CELLS", 200)
+    assert _draw_counts(C.field, cols, C.n, C.k, seed=8, t0=3, count=400) == whole
+
+
+def _tail_terms(C):
+    """(coefficient, ratio) pairs with P(T > t) = sum coefficient * ratio^t.
+
+    From the generator-side histogram: P(T > t) = -sum_{d<k} h[(d, n_U)]
+    * mu(k - d) * (n_U / n)^t.
+    """
+    F, n, k, q = C.field, C.n, C.k, C.field.q
+    hist = subspace_histogram(F, columns_of(C.generator), k)
+    return [(-count * coverage._mobius(k - d, q), Fraction(inside, n))
+            for (d, inside), count in hist.items() if d < k]
+
+
+def _tail(terms, t):
+    return sum(c * r**t for c, r in terms)
+
+
+@pytest.mark.parametrize(
+    "C", [simplex_code(field_from_order(2), 3), _binary_code(4, 12, seed=12)], ids=["simplex", "12-4"]
+)
+def test_draws_follow_the_exact_distribution(C):
+    from scipy.stats import chi2
+
+    F, n, k = C.field, C.n, C.k
+    cols = columns_of(C.generator)
+    terms = _tail_terms(C)
+    # The tail against a brute-force count of all n^t draw sequences.
+    for t in range(5):
+        short = sum(len(span_basis(F, [cols[j] for j in seq], k)) < k
+                    for seq in product(range(n), repeat=t))
+        assert _tail(terms, t) == Fraction(short, n**t)
+    # Each term is geometric, so sum_t P(T > t) is a sum of c / (1 - r).
+    assert sum(c / (1 - r) for c, r in terms) == expectation_exact(C)
+    # Chi-square of 200k draw counts against the exact pmf, bins holding at
+    # least 20 expected trials and the last bin taking the whole tail. At
+    # the 1e-4 level a correct sampler fails with probability 1e-4 per code.
+    trials = 200_000
+    counts = Counter(_draw_counts(F, cols, n, k, seed=77, t0=0, count=trials))
+    observed, expected = [], []
+    t = k
+    while trials * float(_tail(terms, t)) >= 20:
+        observed.append(counts[t])
+        expected.append(trials * float(_tail(terms, t - 1) - _tail(terms, t)))
+        t += 1
+    observed.append(sum(c for s, c in counts.items() if s >= t))
+    expected.append(trials * float(_tail(terms, t - 1)))
+    assert sum(observed) == trials
+    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    assert chi2.sf(stat, len(observed) - 1) > 1e-4
 
 
 def test_large_field_falls_back_to_scalar():
