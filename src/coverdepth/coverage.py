@@ -263,6 +263,66 @@ def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> 
     return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
 
 
+# A batched read holds (candidates, subspaces) integer arrays of at most
+# _BATCH_CELLS cells; its totals stay int64 while they provably fit.
+_BATCH_CELLS = 1 << 14
+_INT64_LIMIT = 1 << 63
+
+
+class _PrimalBatch:
+    """The primal reader for many n-column candidates drawn from one list of columns.
+
+    Over the proper subspaces U of GF(q)^k, with L = lcm(1..n), a candidate
+    spans iff no n_U equals n, and then E = base + (n/L) * sum_U W[U, n_U]
+    with W[U, j] = -mu(k - dim U) * L/(n - j): the primal reader with every
+    term over one denominator. A subspace holding none of the columns has
+    n_U = 0 in every candidate and adds its -mu to base instead of a table
+    row. n_U is a sum of rows of the columns' incidence matrix, so a chunk
+    of candidates costs n row additions and one table gather. The integer
+    totals are int64 while sum |mu| * L < 2^63 bounds them, and Python ints
+    otherwise, so minima and ties are decided exactly.
+    """
+
+    def __init__(self, F: FieldSpec, columns: Sequence[Sequence[int]], k: int, n: int):
+        dims, holders = _small_lattice(F, k)
+        proper = len(dims) - 1  # the lattice lists GF(q)^k itself last
+        powers = [F.q**j for j in range(k)]
+        inc = np.zeros((len(columns), proper), dtype=bool)
+        for i, col in enumerate(columns):
+            held = np.frombuffer(holders[sum(x * p for x, p in zip(col, powers))], dtype=np.uint16)
+            inc[i, held[held < proper]] = True
+        used = np.flatnonzero(inc.any(axis=0))
+        mu = [-_mobius(k - d, F.q) for d in dims[:proper]]
+        self.n = n
+        self.base = sum(mu) - sum(mu[u] for u in used)
+        self.lcm = math.lcm(*range(1, n + 1)) if used.size else 1
+        self.incidence = inc[:, used].astype(np.int16 if n < 1 << 15 else np.int64)
+        exact = np.int64 if sum(abs(mu[u]) for u in used) * self.lcm < _INT64_LIMIT else object
+        self.weights = np.array([mu[u] * self.lcm // (n - j) if j < n else 0
+                                 for u in used for j in range(n + 1)], dtype=exact)
+        self.offsets = np.arange(used.size, dtype=np.int64) * (n + 1)
+
+    @property
+    def chunk(self) -> int:
+        """Candidates per batch, so that a batch's arrays hold at most _BATCH_CELLS cells."""
+        return max(1, _BATCH_CELLS // max(1, self.offsets.size))
+
+    def totals(self, combos: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+        """(spans, totals) of the candidates in the rows of combos, a (c, n) index array.
+
+        Where spans[i], candidate i has the exact expectation value(totals[i]).
+        """
+        counts = np.zeros((len(combos), self.offsets.size), dtype=self.incidence.dtype)
+        if self.offsets.size:
+            for j in range(combos.shape[1]):
+                counts += self.incidence[combos[:, j]]
+        spans = ~(counts == self.n).any(axis=1)
+        return spans, self.weights[counts + self.offsets].sum(axis=1)
+
+    def value(self, total) -> Fraction:
+        return self.base + Fraction(self.n * int(total), self.lcm)
+
+
 def _dual_reader(hist: Dict[Tuple[int, int], int], m: int, q: int) -> List[Tuple[int, int]]:
     """(t, I(t)) for t = 1..m: the independent t-subsets of the histogram's columns.
 
@@ -531,10 +591,12 @@ def _table_lanes(F: FieldSpec, cols: Sequence[Tuple[int, ...]], n: int, k: int, 
     """Lanes over the field's operation tables (q <= 512).
 
     Slot r of a lane's (k, k) basis holds a row with a 1 at r once used
-    marks it filled.
+    marks it filled. In characteristic 2 subtraction is XOR, so a reduction
+    step gathers from the multiplication table alone.
     """
     _, sub_t, mul_t, inv_t = F.op_tables()
     cols_arr = np.array(cols, dtype=np.uint16)
+    xor = F.p == 2
 
     def independent(state, col):
         basis, used = state
@@ -549,7 +611,11 @@ def _table_lanes(F: FieldSpec, cols: Sequence[Tuple[int, ...]], n: int, k: int, 
             if red.any():
                 sel = np.flatnonzero(red)
                 c = v[sel, r]
-                v[sel] = sub_t[v[sel], mul_t[c[:, None], basis[sel, r, :]]]
+                step = mul_t[c[:, None], basis[sel, r, :]]
+                if xor:
+                    v[sel] ^= step
+                else:
+                    v[sel] = sub_t[v[sel], step]
             ins = nz & ~slot
             if ins.any():
                 sel = np.flatnonzero(ins)

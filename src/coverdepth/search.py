@@ -9,8 +9,14 @@ P = (q^k-1)/(q-1) points. verify_reduction re-checks that argument against
 plain matrix enumeration at tiny sizes, including the fact that a zero
 column is never part of a strict optimum.
 
-A candidate is scored from its columns (coverage._exact_from_columns), which
-also rejects it if they do not span; no candidate builds a code or a kernel.
+A candidate is scored from its columns alone; no candidate builds a code or
+a kernel. When the subspace lattice of GF(q)^k is kept, candidates are read
+in chunks (coverage._PrimalBatch): each chunk's subspace counts are sums of
+rows of the points' incidence matrix, and its values and admissibility
+(whether the columns span) come from one integer table, so minima and ties
+are decided exactly before any Fraction is made. Otherwise each candidate
+goes through coverage._exact_from_columns, which also rejects it if its
+columns do not span.
 
 Every projective search, at any jobs value, runs one path: the multisets
 are split by their first (smallest) point index, each partition is folded
@@ -27,11 +33,22 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product, repeat
+from functools import lru_cache
+from itertools import combinations_with_replacement, islice, product, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .codes import LinearCode, _span_rank, linear_code, projective_points
-from .coverage import InvariantViolation, _exact_from_columns, _fan_out, _rational_str, mds_bound
+from .coverage import (
+    InvariantViolation,
+    _PrimalBatch,
+    _exact_from_columns,
+    _fan_out,
+    _lattice_kept,
+    _rational_str,
+    mds_bound,
+)
 from .matrix import eliminate, from_columns
 from .gf import FieldSpec
 
@@ -236,25 +253,65 @@ class _Fold:
         if not values:
             return
         best = min(values)
-        self.argmins = (self.argmins if self.best == best else []) + (
-            other.argmins if other.best == best else []
-        )
+        if self.best != best:
+            self.argmins = []
+        if other.best == best:
+            self.argmins.extend(other.argmins)
         self.best = best
         self.second = min((v for v in values if v > best), default=None)
 
 
+# Candidates per chunk when the lattice is not kept and each one is scored alone.
+_WALK_CHUNK = 1024
+
+
+@lru_cache(maxsize=8)
+def _batch(F: FieldSpec, k: int, n: int) -> _PrimalBatch:
+    """The batched primal reader of n-point candidates over the projective points of GF(q)^k."""
+    return _PrimalBatch(F, projective_points(F, k), k, n)
+
+
+def _score_chunk(F: FieldSpec, pts: Sequence[Tuple[int, ...]], batch: Optional[_PrimalBatch],
+                 chunk: List[Tuple[int, ...]]) -> _Fold:
+    """Fold of a chunk of candidates: one batched read, or _score each when batch is None.
+
+    Only the minimum and runner-up totals of a batch become fractions.
+    """
+    fold = _Fold()
+    fold.examined = len(chunk)
+    if batch is None:
+        for combo in chunk:
+            value = _score(F, pts, combo)
+            if value is not None:
+                fold.admissible += 1
+                fold.add(value, combo)
+        return fold
+    spans, totals = batch.totals(np.array(chunk, dtype=np.intp))
+    rows = np.flatnonzero(spans)
+    fold.admissible = rows.size
+    if rows.size:
+        totals = totals[rows]
+        low = totals.min()
+        fold.best = batch.value(low)
+        fold.argmins = [chunk[i] for i in rows[totals == low]]
+        above = totals[totals > low]
+        fold.second = batch.value(above.min()) if above.size else None
+    return fold
+
+
 def _search_partition(task) -> _Fold:
-    """Fold every multiset whose smallest point index is `first`."""
+    """Fold every multiset whose smallest point index is `first`, chunk by chunk.
+
+    The chunks are read in batches when the lattice of GF(q)^k is kept.
+    """
     F, k, n, first = task
     pts = projective_points(F, k)
+    batch = _batch(F, k, n) if _lattice_kept(F.q, k) else None
+    size = batch.chunk if batch else _WALK_CHUNK
+    tails = combinations_with_replacement(range(first, len(pts)), n - 1)
     fold = _Fold()
-    for tail in combinations_with_replacement(range(first, len(pts)), n - 1):
-        combo = (first,) + tail
-        fold.examined += 1
-        value = _score(F, pts, combo)
-        if value is not None:
-            fold.admissible += 1
-            fold.add(value, combo)
+    while chunk := [(first,) + tail for tail in islice(tails, size)]:
+        fold.merge(_score_chunk(F, pts, batch, chunk))
     return fold
 
 

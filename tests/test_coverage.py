@@ -348,6 +348,10 @@ def _binary_code(k, n, seed):
         # rejection threshold is live, while n = 16 rejects nothing.
         lambda: _binary_code(4, 12, seed=12),
         lambda: _binary_code(5, 16, seed=16),
+        # In characteristic 2 the table lanes reduce by XOR instead of a
+        # subtraction-table gather.
+        lambda: reed_solomon(field_from_order(8), 9, 4),
+        lambda: reed_solomon(field_from_order(16), 16, 8),
     ],
 )
 def test_vector_and_scalar_draws_agree(maker):

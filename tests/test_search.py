@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
 
+import numpy as np
 import pytest
 
 from coverdepth import coverage
@@ -350,3 +352,101 @@ def test_verify_reduction_guard():
     # 2^(40 * 10^6) matrices: the check must stop long before building that count.
     with pytest.raises(BudgetExceededError):
         verify_reduction(F2, 40, 10**6, guard=100)
+
+
+_real_score = search._score
+
+
+def _counting_score(calls):
+    def score(*args):
+        calls.append(args[2])
+        return _real_score(*args)
+
+    return score
+
+
+# Small spaces where many multisets repeat points or miss the span; n = k
+# leaves a single spanning shape.
+_BATCH_GRID = [(2, 2, 2), (2, 3, 3), (3, 2, 2), (2, 3, 5), (3, 2, 5), (4, 2, 4), (2, 4, 4), (3, 3, 4)]
+
+
+@pytest.mark.parametrize("q,k,n", _BATCH_GRID)
+def test_batched_totals_are_score_per_candidate(q, k, n):
+    # Every multiset, not just the fold's extremes: the batch spans exactly
+    # where _score is not None, and its total reads back as _score's value.
+    F = field_from_order(q)
+    pts = projective_points(F, k)
+    combos = list(combinations_with_replacement(range(len(pts)), n))
+    batch = search._batch(F, k, n)
+    spans, totals = batch.totals(np.array(combos, dtype=np.intp))
+    assert 0 < spans.sum() < len(combos)
+    for combo, ok, total in zip(combos, spans, totals):
+        value = search._score(F, pts, combo)
+        assert (value is not None) == ok, combo
+        if ok:
+            assert batch.value(total) == value, combo
+
+
+@pytest.mark.parametrize("q,k,n", _BATCH_GRID)
+def test_batched_fold_matches_per_candidate_fold(monkeypatch, q, k, n):
+    F = field_from_order(q)
+    batched = optimal_coverage(F, k, n).to_json_dict()
+    calls = []
+    monkeypatch.setattr(search, "_score", _counting_score(calls))
+    monkeypatch.setattr(search, "_lattice_kept", lambda q, m: False)
+    assert optimal_coverage(F, k, n).to_json_dict() == batched
+    assert len(calls) == batched["candidates_examined"]
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+@pytest.mark.parametrize("q,k,n", [(2, 3, 7), (3, 2, 5), (2, 4, 5)])
+def test_chunk_size_does_not_change_reports(monkeypatch, cells, q, k, n):
+    # 100 cells make chunks of 7 candidates over GF(2)^3 (14 subspaces in
+    # the table), 25 over GF(3)^2 and 1 over GF(2)^4.
+    F = field_from_order(q)
+    whole = optimal_coverage(F, k, n).to_json_dict()
+    monkeypatch.setattr(coverage, "_BATCH_CELLS", cells)
+    assert optimal_coverage(F, k, n).to_json_dict() == whole
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 3, 7), (3, 3, 4), (2, 4, 5)])
+def test_object_totals_give_the_same_reports(monkeypatch, q, k, n):
+    # With no int64 headroom the batch sums Python ints instead.
+    F = field_from_order(q)
+    whole = optimal_coverage(F, k, n).to_json_dict()
+    monkeypatch.setattr(coverage, "_INT64_LIMIT", 1)
+    monkeypatch.setattr(search, "_batch", search._batch.__wrapped__)
+    assert search._batch(F, k, n).weights.dtype == object
+    assert optimal_coverage(F, k, n).to_json_dict() == whole
+
+
+@pytest.mark.parametrize("n,exact", [(42, np.int64), (43, object)])
+def test_int64_totals_stop_at_their_headroom(n, exact):
+    # Over GF(2)^2 the table holds the 3 points, each with |mu| = 1:
+    # 3 * lcm(1..42) < 2^63 <= 3 * lcm(1..43), and lcm(1..43) alone
+    # already passes 2^63.
+    assert search._batch.__wrapped__(F2, 2, n).weights.dtype == exact
+    assert optimal_coverage(F2, 2, n).to_json_dict() == _reference_search(F2, 2, n)
+
+
+def test_unkept_side_scores_each_candidate(monkeypatch):
+    # The lattice of GF(16)^3 is not kept, so its candidates go one by one
+    # through _score. The whole n = 3 search has 3.4M multisets; the last
+    # partitions hold a few hundred of them, each held to the dual route.
+    F = field_from_order(16)
+    assert not _lattice_kept(16, 3)
+    pts = projective_points(F, 3)
+    calls = []
+    monkeypatch.setattr(search, "_score", _counting_score(calls))
+    for first in range(len(pts) - 12, len(pts)):
+        want = _Fold()
+        for tail in combinations_with_replacement(range(first, len(pts)), 2):
+            combo = (first,) + tail
+            want.examined += 1
+            if search._spans(F, pts, combo, 3):
+                want.admissible += 1
+                want.add(expectation_exact_dual(CandidateMultiset(F, 3, combo).as_code()), combo)
+        calls.clear()
+        got = search._search_partition((F, 3, 3, first))
+        assert _state(got) == _state(want)
+        assert len(calls) == got.examined
