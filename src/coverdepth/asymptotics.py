@@ -124,18 +124,12 @@ def hamming_gap_bound(F: FieldSpec, r: int) -> Decimal:
     return to_decimal((harmonic(r) - Fraction(r - 1, r)) * q ** (r - 2))
 
 
-def _hamming_mds_bound(n: int, r: int) -> Fraction:
-    """mds_bound(n, n - r) = n*(H(n) - H(r)), from the harmonic numbers
-    expectation_hamming has just used, instead of summing n - r reciprocals."""
-    return n * (harmonic(n) - harmonic(r))
-
-
 def hamming_gap(F: FieldSpec, r: int) -> GapReport:
     """Gap report for the redundancy-r Hamming code over F."""
     q = F.q
     n = (q**r - 1) // (q - 1)
     exact = expectation_hamming(q, r)
-    bound = _hamming_mds_bound(n, r)
+    bound = mds_bound(n, n - r)
     return GapReport(
         q, r, n, exact, bound, exact - bound, to_decimal(exact / bound), hamming_gap_bound(F, r)
     )
@@ -159,7 +153,7 @@ def binary_hamming_gap(r: int) -> GapReport:
     """Gap report for the binary Hamming code of redundancy r."""
     n = 2**r - 1
     exact = expectation_hamming(2, r)
-    bound = _hamming_mds_bound(n, r)
+    bound = mds_bound(n, n - r)
     return GapReport(
         2, r, n, exact, bound, exact - bound, to_decimal(exact / bound),
         binary_hamming_ratio_bound(r),

@@ -87,10 +87,6 @@ def _rational_str(value: Fraction) -> str:
     return f"{Decimal(value.numerator):f}/{Decimal(value.denominator):f}"
 
 
-_CACHE_LIMIT = 8192
-_harmonic_cache: List[Fraction] = [Fraction(0)]
-
-
 def _range_recip_sum(lo: int, hi: int) -> Fraction:
     """1/lo + ... + 1/hi, exactly; 0 when hi < lo.
 
@@ -110,17 +106,16 @@ def _range_recip_sum(lo: int, hi: int) -> Fraction:
     return Fraction(*split(lo, hi)) if lo <= hi else Fraction(0)
 
 
+@lru_cache(maxsize=64)
 def harmonic(n: int) -> Fraction:
-    """H(n) = 1 + 1/2 + ... + 1/n, exactly. H(0) = 0."""
+    """H(n) = 1 + 1/2 + ... + 1/n, exactly. H(0) = 0.
+
+    One reciprocal sum (_range_recip_sum). The small memo serves the few
+    values a caller repeats, such as the n and r of a Hamming grid row.
+    """
     if n < 0:
         raise ValueError("harmonic numbers need n >= 0")
-    if n < len(_harmonic_cache):
-        return _harmonic_cache[n]
-    if n <= _CACHE_LIMIT:
-        while len(_harmonic_cache) <= n:
-            _harmonic_cache.append(_harmonic_cache[-1] + Fraction(1, len(_harmonic_cache)))
-        return _harmonic_cache[n]
-    return harmonic(_CACHE_LIMIT) + _range_recip_sum(_CACHE_LIMIT + 1, n)
+    return _range_recip_sum(1, n)
 
 
 def mds_bound(n: int, k: int) -> Fraction:

@@ -16,7 +16,9 @@ machine, produce identical arithmetic.
 Scope bounds: q <= 2^31 and m <= 16. Dense numpy operation tables (used by
 the vectorized simulation engine) are available for q <= 512; scalar
 multiplication uses exp/log tables for q <= 2^16 and falls back to direct
-polynomial arithmetic above that.
+polynomial arithmetic above that. Primality, prime-power detection and
+the prime factors of q - 1 (for the generator search) all read one
+smallest-prime-factor trial division.
 """
 
 from __future__ import annotations
@@ -31,32 +33,30 @@ _TABLE_LIMIT = 512
 _LOG_LIMIT = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+def _smallest_prime_factor(n: int) -> int:
+    """The least prime dividing n >= 2, by trial division; n itself if prime."""
     if n % 2 == 0:
-        return False
+        return 2
     f = 3
     while f * f <= n:
         if n % f == 0:
-            return False
+            return f
         f += 2
-    return True
+    return n
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_prime_factor(n) == n
 
 
 def _prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n, ascending."""
     out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
+    while n > 1:
+        f = _smallest_prime_factor(n)
+        out.append(f)
+        while n % f == 0:
+            n //= f
     return out
 
 
@@ -391,11 +391,7 @@ def field_new(p: int, m: int = 1, modulus: Optional[Sequence[int]] = None) -> Fi
 def _prime_power(n: int) -> Tuple[int, int]:
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"{n!r} is not a prime power")
-    p = 2
-    while p * p <= n and n % p:
-        p += 1 if p == 2 else 2
-    if p * p > n:
-        p = n
+    p = _smallest_prime_factor(n)
     m = 0
     rest = n
     while rest % p == 0:

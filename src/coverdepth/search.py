@@ -63,21 +63,16 @@ class BudgetExceededError(RuntimeError):
 class CandidateMultiset:
     """A sorted multiset of projective-point indices, one per column.
 
-    Indices refer to projective_points(field, k) order. zero_columns pads
-    the code with that many zero columns; enumeration never produces any,
-    the field exists so dominance experiments can express padded codes.
+    Indices refer to projective_points(field, k) order.
     """
 
     field: FieldSpec
     k: int
     points: Tuple[int, ...]
-    zero_columns: int = 0
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.zero_columns < 0:
-            raise ValueError("zero_columns must be nonnegative")
         if not self.points:
             raise ValueError("need at least one point")
         point_count = _point_count(self.field, self.k)
@@ -88,12 +83,11 @@ class CandidateMultiset:
 
     @property
     def n(self) -> int:
-        return len(self.points) + self.zero_columns
+        return len(self.points)
 
     def as_code(self) -> LinearCode:
         pts = projective_points(self.field, self.k)
         cols = [pts[i] for i in self.points]
-        cols.extend([(0,) * self.k] * self.zero_columns)
         return linear_code(from_columns(self.field, cols))
 
 

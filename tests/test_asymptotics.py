@@ -155,6 +155,7 @@ def test_binary_hamming_gap_reports():
         rep = binary_hamming_gap(r)
         assert rep.ratio >= 1
         assert rep.predicted_leading_term == binary_hamming_ratio_bound(r)
+        assert rep.bound == rep.n * (harmonic(rep.n) - harmonic(r))
 
 
 def test_gap_grid_sorts_and_dedupes():

@@ -1,3 +1,4 @@
+import math
 import random
 import statistics
 from collections import Counter
@@ -67,10 +68,19 @@ def test_harmonic_basics():
     assert harmonic(10) - harmonic(9) == Fraction(1, 10)
     with pytest.raises(ValueError):
         harmonic(-1)
+    running = Fraction(0)
+    for n in range(1, 301):
+        running += Fraction(1, n)
+        assert harmonic(n) == running, n
+    # Cold, over the common denominator lcm(1..n): one integer sum.
+    harmonic.cache_clear()
+    n = 10**4
+    lcm = math.lcm(*range(1, n + 1))
+    assert harmonic(n) == Fraction(sum(lcm // i for i in range(1, n + 1)), lcm)
 
 
 def test_harmonic_beyond_cache():
-    # 8192 is the incremental cache limit; the two routes must agree across it.
+    # Differences of harmonic numbers are the tail sums _range_recip_sum adds.
     assert harmonic(8193) - harmonic(8192) == Fraction(1, 8193)
     tail = sum((Fraction(1, i) for i in range(8193, 8201)), Fraction(0))
     assert harmonic(8200) - harmonic(8192) == tail

@@ -1,8 +1,12 @@
 import pickle
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from coverdepth.cli import main
+from coverdepth.coverage import mds_bound
 from coverdepth.gf import (
     FieldSpec,
     field_from_order,
@@ -111,6 +115,9 @@ def test_validation_errors():
         field_new(2, 2, modulus=(0, 1, 1))  # x^2 + x = x(x+1)
     with pytest.raises(ValueError):
         field_new(2, 2, modulus=(1, 0, 1))  # x^2 + 1 = (x+1)^2 over GF(2)
+    for composite in (91, 65535):
+        with pytest.raises(ValueError):
+            field_new(composite)
     F = field_new(5)
     with pytest.raises(ValueError):
         F.inv(0)
@@ -121,8 +128,8 @@ def test_validation_errors():
 
 
 def test_prime_power_detection():
-    yes = [2, 3, 4, 5, 8, 9, 16, 27, 121, 128, 243]
-    no = [1, 6, 10, 12, 15, 100, 0, -3]
+    yes = [2, 3, 4, 5, 8, 9, 16, 27, 121, 128, 243, 65537, 2**16, 3**11, 5**7, 2**31 - 1]
+    no = [1, 6, 10, 12, 15, 100, 0, -3, 2**31 - 2, 1021 * 1031, 65535]
     assert all(is_prime_power(q) for q in yes)
     assert not any(is_prime_power(q) for q in no)
 
@@ -160,3 +167,38 @@ def test_large_prime_field_scalar_ops():
     assert F.inv(7) == pow(7, 1019, 1021)
     with pytest.raises(ValueError):
         F.op_tables()  # tables are capped at q <= 512
+
+
+@pytest.mark.parametrize("p,m", [(5, 7), (3, 11)])
+def test_polynomial_arithmetic_above_the_log_table_limit(p, m):
+    # Past 2^16 elements mul, inv and pow multiply polynomials directly.
+    F = field_new(p, m)
+    assert F.q > 1 << 16
+    for a in range(p):
+        for b in range(p):
+            assert F.mul(a, b) == a * b % p  # the prime subfield
+    # x^m reduces to minus the low coefficients of the modulus.
+    reduced = sum((-c) % p * p**i for i, c in enumerate(F.modulus[:m]))
+    assert F.pow(p, m) == reduced
+    rng = random.Random(F.q)
+    for _ in range(25):
+        a, b, c = (rng.randrange(1, F.q) for _ in range(3))
+        assert F.mul(a, F.inv(a)) == 1
+        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
+        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        assert F.mul(F.pow(a, F.q - 2), a) == 1  # a^(q-1) = 1
+        assert F.pow(a, -1) == F.inv(a)
+        e = rng.randrange(2, 12)
+        power = a
+        for _ in range(e - 1):
+            power = F.mul(power, a)
+        assert F.pow(a, e) == power
+
+
+def test_expect_over_a_field_above_the_log_table_limit(capsys):
+    # Reed-Solomon codes are MDS, so the exact value is the bound.
+    assert main(["expect", "--field", "78125", "--code", "rs", "--n", "5", "--k", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert mds_bound(5, 2) == Fraction(9, 4)
+    assert lines[:2] == ["value 9/4 (2.25)", "bound 9/4 (2.25)"]
+    assert "meets MDS bound" in lines

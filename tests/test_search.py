@@ -15,7 +15,8 @@ from coverdepth.coverage import (
     mds_bound,
 )
 from coverdepth.gf import field_from_order
-from coverdepth.codes import projective_points
+from coverdepth.codes import linear_code, projective_points
+from coverdepth.matrix import from_columns
 from coverdepth import search
 from coverdepth.search import (
     DEFAULT_BUDGET,
@@ -107,16 +108,15 @@ def test_candidate_multiset_validation():
         CandidateMultiset(F2, 2, ())
     with pytest.raises(ValueError):
         CandidateMultiset(F2, 0, (0,))
-    with pytest.raises(ValueError):
-        CandidateMultiset(F2, 2, (0, 1), zero_columns=-1)
 
 
 def test_candidate_as_code_and_zero_column_dominance():
     base = CandidateMultiset(F2, 2, (0, 1, 2))
-    padded = CandidateMultiset(F2, 2, (0, 1, 2), zero_columns=1)
-    assert base.n == 3 and padded.n == 4
-    assert padded.as_code().n == 4
-    assert expectation_exact(padded.as_code()) > expectation_exact(base.as_code())
+    pts = projective_points(F2, 2)
+    padded = linear_code(from_columns(F2, [pts[0], pts[1], pts[2], (0, 0)]))
+    assert base.n == 3 and base.as_code().n == 3
+    assert padded.n == 4
+    assert expectation_exact(padded) > expectation_exact(base.as_code())
 
 
 def test_search_small_binary_case():
