@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, List, NamedTuple, Optional
@@ -150,14 +150,9 @@ def binary_hamming_gap_coefficient(r: int) -> Decimal:
 
 
 def binary_hamming_gap(r: int) -> GapReport:
-    """Gap report for the binary Hamming code of redundancy r."""
-    n = 2**r - 1
-    exact = expectation_hamming(2, r)
-    bound = mds_bound(n, n - r)
-    return GapReport(
-        2, r, n, exact, bound, exact - bound, to_decimal(exact / bound),
-        binary_hamming_ratio_bound(r),
-    )
+    """hamming_gap over GF(2), with the limiting ratio bound as its prediction."""
+    return replace(hamming_gap(field_from_order(2), r),
+                   predicted_leading_term=binary_hamming_ratio_bound(r))
 
 
 def gap_grid(family: str, values: Iterable[int], k: Optional[int] = None,

@@ -17,6 +17,8 @@ computes the expectation of that stopping time:
     side and expectation_exact_auto the side of smaller dimension m. A side
     reads its lattice iff it is kept (_lattice_kept: at most 2^16 member
     vectors), else it runs the codes module's subset walk on that side.
+    Nothing is cached between calls: each read tests its distinct columns
+    against every subspace (_incidence).
     The primal side takes bare columns and also decides whether they span
     (_exact_from_columns), so search scores a candidate without a code.
     expectation_hamming fills the defect sum from r closed-form counts;
@@ -37,7 +39,6 @@ asks for digits.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -161,18 +162,18 @@ def _mobius(c: int, q: int) -> int:
     return (-1) ** c * q ** (c * (c - 1) // 2)
 
 
-# A lattice is built once per (field, m) and kept, with the subspaces
-# holding each vector, so only lattices whose subspaces together have at
-# most _KEPT_MEMBERS vectors are built (8 at most). An unkept side walks,
-# which never ends on long codes such as the [121, 5] simplex over GF(3), so
-# the limit keeps GF(3)^5 (53,968). Membership: _BLOCK_CELLS cells at a time.
+# Each call that reads a lattice enumerates every subspace of GF(q)^m, so
+# only lattices whose subspaces together have at most _KEPT_MEMBERS vectors
+# are read ("kept"). An unkept side walks, which never ends on long codes
+# such as the [121, 5] simplex over GF(3), so the limit keeps GF(3)^5
+# (53,968). Membership: _BLOCK_CELLS cells at a time.
 _KEPT_MEMBERS = 1 << 16
 _BLOCK_CELLS = 1 << 18
 
 
 @lru_cache(maxsize=1024)
 def _lattice_kept(q: int, m: int) -> bool:
-    """Whether the lattice of GF(q)^m is small enough to build and keep."""
+    """Whether the lattice of GF(q)^m is small enough to enumerate on every call that reads it."""
     # GF(q)^m alone has q^m members, so the sum below only runs for small q^m.
     if q > _TABLE_LIMIT or q**m > _KEPT_MEMBERS:
         return False
@@ -209,24 +210,20 @@ def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "n
                 yield d, (span == target).all(axis=2)
 
 
-@lru_cache(maxsize=8)
-def _small_lattice(F: FieldSpec, m: int) -> Tuple[Tuple[int, ...], Tuple[array, ...]]:
-    """(dims, holders) of the lattice of GF(q)^m.
+def _incidence(
+    F: FieldSpec, columns: Sequence[Sequence[int]], m: int
+) -> Tuple[Tuple[int, ...], "np.ndarray"]:
+    """(dims, inc) over the lattice of GF(q)^m: inc[u, j] is True iff column j lies in subspace u.
 
-    dims[u] is the dimension of subspace u and holders[c] lists the
-    subspaces holding the vector with code c = sum_j v[j] q^j. Search scores
-    thousands of codes on one lattice, so a histogram then costs one pass
-    over the columns' holders.
+    dims[u] is the dimension of subspace u; GF(q)^m itself comes last. Only
+    for lattices small enough to keep (_lattice_kept); ValueError otherwise.
     """
     q = F.q
     if not _lattice_kept(q, m):
         raise ValueError(f"the subspace lattice of GF({q})^{m} is too large to keep")
-    codes = np.arange(q**m, dtype=np.int64)
-    vectors = (codes[:, None] // q ** np.arange(m, dtype=np.int64) % q).astype(np.uint16)
-    blocks = list(_membership(F, m, vectors))
+    blocks = list(_membership(F, m, np.array(columns, dtype=np.uint16).reshape(len(columns), m)))
     dims = tuple(d for d, member in blocks for _ in range(len(member)))
-    incidence = np.concatenate([member for _, member in blocks])
-    return dims, tuple(array("H", np.flatnonzero(held).tolist()) for held in incidence.T)
+    return dims, np.concatenate([member for _, member in blocks])
 
 
 def subspace_histogram(
@@ -235,16 +232,15 @@ def subspace_histogram(
     """h[(d, n_U)]: how many d-dimensional subspaces U of GF(q)^m hold n_U of the columns.
 
     Every subspace is counted, from {0} to GF(q)^m itself; zero columns lie
-    in every U. Each column has m entries in 0..q-1. Only for lattices
-    small enough to keep (_lattice_kept); ValueError otherwise.
+    in every U. Each column has m entries in 0..q-1. Each distinct column is
+    tested once and counted with its multiplicity, so the work is bounded by
+    the q^m vectors of GF(q)^m whatever the number of columns. Only for
+    lattices small enough to keep (_lattice_kept); ValueError otherwise.
     """
-    dims, holders = _small_lattice(F, m)
-    powers = [F.q**j for j in range(m)]
-    inside = [0] * len(dims)
-    for col in columns:
-        for u in holders[sum(x * p for x, p in zip(col, powers))]:
-            inside[u] += 1
-    return dict(Counter(zip(dims, inside)))
+    distinct, times = np.unique(np.array(columns, dtype=np.int64).reshape(len(columns), m),
+                                axis=0, return_counts=True)
+    dims, inc = _incidence(F, distinct, m)
+    return dict(Counter(zip(dims, (inc.astype(np.int64) @ times).tolist())))
 
 
 def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> Optional[Fraction]:
@@ -279,15 +275,10 @@ class _PrimalBatch:
     """
 
     def __init__(self, F: FieldSpec, columns: Sequence[Sequence[int]], k: int, n: int):
-        dims, holders = _small_lattice(F, k)
-        proper = len(dims) - 1  # the lattice lists GF(q)^k itself last
-        powers = [F.q**j for j in range(k)]
-        inc = np.zeros((len(columns), proper), dtype=bool)
-        for i, col in enumerate(columns):
-            held = np.frombuffer(holders[sum(x * p for x, p in zip(col, powers))], dtype=np.uint16)
-            inc[i, held[held < proper]] = True
+        dims, inc = _incidence(F, columns, k)
+        dims, inc = dims[:-1], inc[:-1].T  # the proper subspaces: GF(q)^k itself comes last
         used = np.flatnonzero(inc.any(axis=0))
-        mu = [-_mobius(k - d, F.q) for d in dims[:proper]]
+        mu = [-_mobius(k - d, F.q) for d in dims]
         self.n = n
         self.base = sum(mu) - sum(mu[u] for u in used)
         self.lcm = math.lcm(*range(1, n + 1)) if used.size else 1

@@ -10,12 +10,14 @@ plain matrix enumeration at tiny sizes, including the fact that a zero
 column is never part of a strict optimum.
 
 A candidate is scored from its columns alone; no candidate builds a code or
-a kernel. When the subspace lattice of GF(q)^k is kept, candidates are read
-in chunks (coverage._PrimalBatch): each chunk's subspace counts are sums of
-rows of the points' incidence matrix, and its values and admissibility
-(whether the columns span) come from one integer table, so minima and ties
-are decided exactly before any Fraction is made. Otherwise each candidate
-goes through coverage._exact_from_columns, which also rejects it if its
+a kernel. One chunk scorer (_scored_chunks) reads projective partitions,
+full mode's distinct multisets and verify_reduction's raw matrices. When
+the subspace lattice of GF(q)^k is kept, it reads each chunk in one batch
+(coverage._PrimalBatch): the chunk's subspace counts are sums of rows of
+the columns' incidence matrix, and its values and admissibility (whether
+the columns span) come from one integer table, so minima and ties are
+decided exactly before any Fraction is made. Otherwise each candidate goes
+through _score (coverage._exact_from_columns), which also rejects it if its
 columns do not span.
 
 Every projective search, at any jobs value, runs one path: the multisets
@@ -265,31 +267,45 @@ def _batch(F: FieldSpec, k: int, n: int) -> _PrimalBatch:
     return _PrimalBatch(F, projective_points(F, k), k, n)
 
 
-def _score_chunk(F: FieldSpec, pts: Sequence[Tuple[int, ...]], batch: Optional[_PrimalBatch],
-                 chunk: List[Tuple[int, ...]]) -> _Fold:
-    """Fold of a chunk of candidates: one batched read, or _score each when batch is None.
+def _scored_chunks(
+    F: FieldSpec, cols: Sequence[Tuple[int, ...]], batch: Optional[_PrimalBatch],
+    combos: Iterable[Tuple[int, ...]],
+) -> Iterator[Tuple[list, "np.ndarray", "np.ndarray"]]:
+    """(chunk, rows, keys) for each chunk of combos, tuples of indices into cols.
 
-    Only the minimum and runner-up totals of a batch become fractions.
+    rows lists the chunk's spanning candidates and keys[i] orders candidate
+    rows[i]: its integer total from one batched read per chunk where batch
+    is given (batch.value reads it back), otherwise its _score value.
     """
-    fold = _Fold()
-    fold.examined = len(chunk)
-    if batch is None:
-        for combo in chunk:
-            value = _score(F, pts, combo)
-            if value is not None:
-                fold.admissible += 1
-                fold.add(value, combo)
-        return fold
-    spans, totals = batch.totals(np.array(chunk, dtype=np.intp))
-    rows = np.flatnonzero(spans)
-    fold.admissible = rows.size
-    if rows.size:
-        totals = totals[rows]
-        low = totals.min()
-        fold.best = batch.value(low)
-        fold.argmins = [chunk[i] for i in rows[totals == low]]
-        above = totals[totals > low]
-        fold.second = batch.value(above.min()) if above.size else None
+    combos = iter(combos)
+    while chunk := list(islice(combos, _WALK_CHUNK if batch is None else batch.chunk)):
+        if batch is None:
+            values = [_score(F, cols, combo) for combo in chunk]
+            rows = np.array([i for i, v in enumerate(values) if v is not None], dtype=np.intp)
+            yield chunk, rows, np.array([values[i] for i in rows], dtype=object)
+        else:
+            spans, totals = batch.totals(np.array(chunk, dtype=np.intp))
+            rows = np.flatnonzero(spans)
+            yield chunk, rows, totals[rows]
+
+
+def _fold_chunks(F: FieldSpec, cols: Sequence[Tuple[int, ...]], batch: Optional[_PrimalBatch],
+                 combos: Iterable[Tuple[int, ...]]) -> _Fold:
+    """Fold of the candidates in combos, chunk by chunk (_scored_chunks).
+
+    Only the minimum and runner-up keys of a chunk become fractions.
+    """
+    fold, value = _Fold(), batch.value if batch else Fraction
+    for chunk, rows, keys in _scored_chunks(F, cols, batch, combos):
+        part = _Fold()
+        part.examined, part.admissible = len(chunk), rows.size
+        if rows.size:
+            low = keys.min()
+            part.best = value(low)
+            part.argmins = [chunk[i] for i in rows[keys == low]]
+            above = keys[keys > low]
+            part.second = value(above.min()) if above.size else None
+        fold.merge(part)
     return fold
 
 
@@ -301,12 +317,8 @@ def _search_partition(task) -> _Fold:
     F, k, n, first = task
     pts = projective_points(F, k)
     batch = _batch(F, k, n) if _lattice_kept(F.q, k) else None
-    size = batch.chunk if batch else _WALK_CHUNK
     tails = combinations_with_replacement(range(first, len(pts)), n - 1)
-    fold = _Fold()
-    while chunk := [(first,) + tail for tail in islice(tails, size)]:
-        fold.merge(_score_chunk(F, pts, batch, chunk))
-    return fold
+    return _fold_chunks(F, pts, batch, ((first,) + tail for tail in tails))
 
 
 def optimal_coverage(
@@ -339,11 +351,10 @@ def optimal_coverage(
             fold.merge(part)
     else:
         counts = Counter(cand.points for cand in enumerate_candidates(F, k, n, mode, budget))
+        batch = _batch(F, k, n) if _lattice_kept(F.q, k) else None
+        fold = _fold_chunks(F, projective_points(F, k), batch, counts)
         fold.examined = (F.q**k - 1) ** n
         fold.admissible = sum(counts.values())
-        pts = projective_points(F, k)
-        for points in counts:
-            fold.add(_score(F, pts, points), points)
     elapsed = time.perf_counter() - start
     optimal = tuple(CandidateMultiset(F, k, points) for points in sorted(fold.argmins))
     return SearchReport(
@@ -370,24 +381,24 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     """
     _check_params(F, k, n)
     _check_budget(repeat((F.q, 1), k * n), guard, "matrices")
-    nonzero_values = set()
-    zero_col_best: Optional[Fraction] = None
-    for cols in product(product(range(F.q), repeat=k), repeat=n):
-        value = _exact_from_columns(F, cols, k)
-        if value is None:
-            continue
-        if all(any(c) for c in cols):
-            nonzero_values.add(value)
-        elif zero_col_best is None or value < zero_col_best:
-            zero_col_best = value
+    # Raw matrices are candidates over all q^k vectors in product order, so
+    # vector 0 is the zero column. Keys become values once, as sets.
+    kept = _lattice_kept(F.q, k)
+    vectors = list(product(range(F.q), repeat=k))
+    raw = _PrimalBatch(F, vectors, k, n) if kept else None
+    nonzero, zero_col = set(), set()
+    for chunk, rows, keys in _scored_chunks(F, vectors, raw, product(range(F.q**k), repeat=n)):
+        has_zero = (np.array(chunk, dtype=np.intp)[rows] == 0).any(axis=1)
+        nonzero.update(keys[~has_zero].tolist())
+        zero_col.update(keys[has_zero].tolist())
     pts = projective_points(F, k)
-    projective_values = {
-        _score(F, pts, cand.points) for cand in enumerate_candidates(F, k, n, "projective")
-    }
-    if nonzero_values != projective_values:
+    batch = _batch(F, k, n) if kept else None
+    projective = set()
+    multisets = combinations_with_replacement(range(len(pts)), n)
+    for _, _, keys in _scored_chunks(F, pts, batch, multisets):
+        projective.update(keys.tolist())
+    raw_value, value = (raw.value, batch.value) if kept else (Fraction, Fraction)
+    nonzero_values = {raw_value(key) for key in nonzero}
+    if nonzero_values != {value(key) for key in projective}:
         return False
-    if min(nonzero_values) != min(projective_values):
-        return False
-    if zero_col_best is not None and zero_col_best <= min(nonzero_values):
-        return False
-    return True
+    return not zero_col or raw_value(min(zero_col)) > min(nonzero_values)

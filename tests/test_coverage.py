@@ -157,11 +157,7 @@ def test_subspace_histogram_of_all_points(q, m):
     # subspace counts by dimension.
     F = field_from_order(q)
     columns = projective_points(F, m) if m else []
-    coverage._small_lattice.cache_clear()
-    try:
-        hist = subspace_histogram(F, columns, m)
-    finally:
-        coverage._small_lattice.cache_clear()
+    hist = subspace_histogram(F, columns, m)
     rows = enumerate(_GAUSSIAN_ROWS[q, m])
     assert hist == {(d, (q**d - 1) // (q - 1)): count for d, count in rows}
 
@@ -175,6 +171,38 @@ def test_lattices_past_the_keep_limit_are_never_built():
     assert not _lattice_kept(2, 7)
     with pytest.raises(ValueError, match="too large to keep"):
         subspace_histogram(F, projective_points(F, 7), 7)
+
+
+@pytest.mark.parametrize("code", ["simplex-2-3", "hamming-2-3", "rs-5-5-2", "simplex-3-2"])
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_repeating_every_column_leaves_the_expectation(code, t):
+    # Drawing uniformly from t copies of every column is the same process,
+    # so E does not change. Hamming [7,4] at t = 1 reads the dual side on
+    # the auto route; every other case reads the primal side on both.
+    F = field_from_order(int(code.split("-")[1]))
+    base = {
+        "simplex-2-3": lambda: simplex_code(F, 3),
+        "hamming-2-3": lambda: hamming_code(F, 3),
+        "rs-5-5-2": lambda: reed_solomon(F, 5, 2),
+        "simplex-3-2": lambda: simplex_code(F, 2),
+    }[code]()
+    want = expectation_exact_dual(base)
+    if code == "simplex-2-3":
+        assert want == Fraction(47, 12)
+    C = linear_code(from_columns(F, columns_of(base.generator) * t))
+    assert expectation_exact(C) == want
+    assert expectation_exact_auto(C) == want
+
+
+def test_repeated_columns_past_q_to_the_m_are_counted_once():
+    # 30 copies of the 63 simplex columns of GF(2)^6: n = 1890 is more than
+    # the 64 vectors of GF(2)^6, so each distinct column is tested once and
+    # weighted by its multiplicity.
+    F = field_from_order(2)
+    C = linear_code(from_columns(F, projective_points(F, 6) * 30))
+    assert C.n == 1890
+    assert expectation_exact(C) == expectation_simplex(2, 6)
+    assert expectation_exact_auto(C) == expectation_simplex(2, 6)
 
 
 def test_codes_past_the_lattice_bound_run_the_walk(monkeypatch, capsys):

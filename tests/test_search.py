@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 
 import numpy as np
@@ -9,6 +9,8 @@ import pytest
 from coverdepth import coverage
 from coverdepth.coverage import (
     InvariantViolation,
+    _PrimalBatch,
+    _exact_from_columns,
     _lattice_kept,
     expectation_exact,
     expectation_exact_dual,
@@ -450,3 +452,54 @@ def test_unkept_side_scores_each_candidate(monkeypatch):
         got = search._search_partition((F, 3, 3, first))
         assert _state(got) == _state(want)
         assert len(calls) == got.examined
+
+
+def _raise_on_score(*args):
+    raise AssertionError("a candidate was scored alone on a kept lattice")
+
+
+def test_kept_lattices_score_nothing_alone(monkeypatch):
+    # verify_reduction's raw matrices and projective candidates, and full
+    # mode's distinct multisets, are all read in batches where kept.
+    monkeypatch.setattr(search, "_score", _raise_on_score)
+    assert verify_reduction(F2, 2, 3)
+    assert verify_reduction(F2, 2, 4)
+    assert verify_reduction(F3, 2, 2)
+    assert optimal_coverage(F3, 2, 4, mode="full").to_json_dict() == {
+        "n": 4, "k": 2, "q": 3, "mode": "full", "candidates_examined": 4096,
+        "candidates_admissible": 4032, "minimum": "7/3", "optimal_candidates": [[0, 1, 2, 3]],
+        "runner_up": "8/3",
+    }
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 2), (2, 3, 3)])
+def test_batched_raw_matrices_are_exact_from_columns(q, k, n):
+    # Every raw matrix over all q^k vectors, zero columns included: the
+    # batch spans exactly where _exact_from_columns has a value, and the
+    # values agree matrix by matrix, so also as a set.
+    F = field_from_order(q)
+    vectors = list(product(range(q), repeat=k))
+    batch = _PrimalBatch(F, vectors, k, n)
+    got = {}
+    for chunk, rows, keys in search._scored_chunks(F, vectors, batch,
+                                                   product(range(len(vectors)), repeat=n)):
+        got.update((chunk[i], batch.value(key)) for i, key in zip(rows, keys))
+    want = {}
+    for combo in product(range(len(vectors)), repeat=n):
+        value = _exact_from_columns(F, [vectors[i] for i in combo], k)
+        if value is not None:
+            want[combo] = value
+    assert got == want
+    assert 0 < len(want) < len(vectors) ** n
+
+
+def test_verify_reduction_scores_each_matrix_on_an_unkept_lattice(monkeypatch):
+    # At the default keep limit, k = 1 over a field past 512 elements is the
+    # only unkept lattice small enough to enumerate: its 1021 raw matrices
+    # and its one projective candidate are each scored alone.
+    F = field_from_order(1021)
+    assert not _lattice_kept(1021, 1)
+    calls = []
+    monkeypatch.setattr(search, "_score", _counting_score(calls))
+    assert verify_reduction(F, 1, 1)
+    assert len(calls) == 1021 + 1
