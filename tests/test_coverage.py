@@ -173,23 +173,25 @@ def test_lattices_past_the_keep_limit_are_never_built():
         subspace_histogram(F, projective_points(F, 7), 7)
 
 
-@pytest.mark.parametrize("code", ["simplex-2-3", "hamming-2-3", "rs-5-5-2", "simplex-3-2"])
+_REPEATED_BASES = {
+    "simplex-2-3": lambda: simplex_code(field_from_order(2), 3),
+    "hamming-2-3": lambda: hamming_code(field_from_order(2), 3),
+    "rs-5-5-2": lambda: reed_solomon(field_from_order(5), 5, 2),
+    "simplex-3-2": lambda: simplex_code(field_from_order(3), 2),
+}
+
+
+@pytest.mark.parametrize("code", list(_REPEATED_BASES))
 @pytest.mark.parametrize("t", [1, 2, 5])
 def test_repeating_every_column_leaves_the_expectation(code, t):
     # Drawing uniformly from t copies of every column is the same process,
     # so E does not change. Hamming [7,4] at t = 1 reads the dual side on
     # the auto route; every other case reads the primal side on both.
-    F = field_from_order(int(code.split("-")[1]))
-    base = {
-        "simplex-2-3": lambda: simplex_code(F, 3),
-        "hamming-2-3": lambda: hamming_code(F, 3),
-        "rs-5-5-2": lambda: reed_solomon(F, 5, 2),
-        "simplex-3-2": lambda: simplex_code(F, 2),
-    }[code]()
+    base = _REPEATED_BASES[code]()
     want = expectation_exact_dual(base)
     if code == "simplex-2-3":
         assert want == Fraction(47, 12)
-    C = linear_code(from_columns(F, columns_of(base.generator) * t))
+    C = linear_code(from_columns(base.field, columns_of(base.generator) * t))
     assert expectation_exact(C) == want
     assert expectation_exact_auto(C) == want
 
