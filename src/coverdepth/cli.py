@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 from . import codes as cd
 from .asymptotics import gap_grid, grid_csv, simplex_gap
 from .coverage import (
+    BudgetExceededError,
     InvariantViolation,
     decimal_str,
     expectation_exact,
@@ -33,7 +34,7 @@ from .coverage import (
 )
 from .gf import FieldSpec, field_from_order, is_prime_power, parse_field_spec
 from .matrix import columns_of, parse_matrix
-from .search import BudgetExceededError, DEFAULT_BUDGET, optimal_coverage, verify_reduction
+from .search import DEFAULT_BUDGET, optimal_coverage, verify_reduction
 
 FIG_K = (3, 4, 5, 6, 7)
 FIG_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23)

@@ -16,9 +16,16 @@ computes the expectation of that stopping time:
     expectation_exact reads the primal side, expectation_exact_dual the dual
     side and expectation_exact_auto the side of smaller dimension m. A side
     reads its lattice iff it is kept (_lattice_kept: at most 2^16 member
-    vectors), else it runs the codes module's subset walk on that side.
-    Nothing is cached between calls: each read tests its distinct columns
-    against every subspace (_incidence).
+    vectors). Nothing is cached between calls: each read tests its distinct
+    columns against every subspace (_incidence).
+    Where a lattice is not kept, the dual side counts I(t) level by level
+    in numpy for q <= 512 (_level_counts: one level of independent
+    t-subsets at a time, each state the table lanes' basis of its columns,
+    refused with BudgetExceededError past _LEVEL_CELLS basis cells), and
+    the primal side, when n - k <= k, reads the kernel's columns the same
+    way (the dual reader if the kernel's lattice is kept). Only fields past
+    512 elements and primal sides with n - k > k still run the codes
+    module's subset walks.
     The primal side takes bare columns and also decides whether they span
     (_exact_from_columns), so search scores a candidate without a code.
     expectation_hamming fills the defect sum from r closed-form counts;
@@ -52,7 +59,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 import numpy as np
 
 from .codes import LinearCode, _full_rank_profile, independent_subset_profile
-from .matrix import Basis, columns_of, eliminate, kernel_basis, span_basis
+from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis,
+                     rank_and_kernel, span_basis)
 from .gf import _TABLE_LIMIT, FieldSpec, is_prime_power
 
 Rational = Union[int, Fraction]
@@ -60,6 +68,10 @@ Rational = Union[int, Fraction]
 
 class InvariantViolation(RuntimeError):
     """A quantity provably constrained by theory came out the wrong side."""
+
+
+class BudgetExceededError(RuntimeError):
+    """The requested enumeration is larger than the configured budget."""
 
 
 def to_decimal(value: Rational, digits: int = 50) -> Decimal:
@@ -195,6 +207,9 @@ def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "n
     for d in range(m + 1):
         for pivots in combinations(range(m), d):
             rest = [j for j in range(m) if j not in pivots]
+            if not pivots or not rest:  # {0} holds the zero vector, GF(q)^m every vector
+                yield d, (~X.any(axis=1) if rest else np.ones(s, dtype=bool))[None]
+                continue
             free = [(i, a) for i, p in enumerate(pivots) for a, j in enumerate(rest) if j > p]
             target = X[:, rest]
             total = q ** len(free)
@@ -237,10 +252,10 @@ def subspace_histogram(
     the q^m vectors of GF(q)^m whatever the number of columns. Only for
     lattices small enough to keep (_lattice_kept); ValueError otherwise.
     """
-    distinct, times = np.unique(np.array(columns, dtype=np.int64).reshape(len(columns), m),
-                                axis=0, return_counts=True)
-    dims, inc = _incidence(F, distinct, m)
-    return dict(Counter(zip(dims, (inc.astype(np.int64) @ times).tolist())))
+    times = Counter(map(tuple, columns))
+    dims, inc = _incidence(F, list(times), m)
+    inside = inc.astype(np.int64) @ np.array(list(times.values()), dtype=np.int64)
+    return dict(Counter(zip(dims, inside.tolist())))
 
 
 def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> Optional[Fraction]:
@@ -322,15 +337,38 @@ def _dual_reader(hist: Dict[Tuple[int, int], int], m: int, q: int) -> List[Tuple
     ]
 
 
+def _dual_terms(H: MatrixGF) -> List[Tuple[int, int]]:
+    """(t, I(t)) for t = 1..m over the columns of the m x n matrix H.
+
+    The dual reader where the lattice of GF(q)^m is kept, else the level
+    count for q <= 512, else the independent-subset walk.
+    """
+    F, m = H.field, H.rows
+    if m == 0:  # a code of length n = k: no dual terms
+        return []
+    if _lattice_kept(F.q, m):
+        return _dual_reader(subspace_histogram(F, columns_of(H), m), m, F.q)
+    if F.q <= _TABLE_LIMIT:
+        counts = _level_counts(F, columns_of(H), m)
+    else:
+        counts = independent_subset_profile(H)
+    return [(t, counts[t]) for t in range(1, m + 1)]
+
+
 def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) -> Optional[Fraction]:
     """Exact expectation of the code the columns generate; None unless they span GF(q)^k.
 
     The primal reader decides both from one histogram when the lattice of
-    GF(q)^k is kept; otherwise a rank check precedes the full-rank walk.
+    GF(q)^k is kept. Otherwise, for q <= 512 and n - k <= k, one reduction
+    gives the rank and the kernel, whose columns the dual side counts
+    (_dual_terms). Past that, a rank check precedes the full-rank walk.
     """
     n, q = len(columns), F.q
     if _lattice_kept(q, k):
         return _primal_reader(subspace_histogram(F, columns, k), n, k, q)
+    if q <= _TABLE_LIMIT and n - k <= k:
+        rank, H = rank_and_kernel(from_columns(F, columns))
+        return _defect_sum(n, _dual_terms(H)) if rank == k else None
     if len(span_basis(F, columns, k)) < k:
         return None
     counts = _full_rank_profile(F, columns, k)
@@ -346,19 +384,11 @@ def expectation_exact_dual(C: LinearCode) -> Fraction:
     """Exact expectation from the dual side (m = n - k).
 
     Size-s full-rank subsets of C correspond to independent (n-s)-subsets
-    of the dual columns, so the defect sum runs over t = n-s = 1..n-k. The
-    counts come from the dual reader of the dual columns' histogram, or the
-    independent-subset walk when that lattice is not kept.
-    Preferable when n - k < k.
+    of the dual columns, so the defect sum runs over t = n-s = 1..n-k; the
+    counts come from the dual columns (_dual_terms). Preferable when
+    n - k < k.
     """
-    m, q = C.n - C.k, C.field.q
-    H = kernel_basis(C.generator)
-    if _lattice_kept(q, m):
-        terms = _dual_reader(subspace_histogram(C.field, columns_of(H), m), m, q)
-    else:
-        counts = independent_subset_profile(H)
-        terms = [(t, counts[t]) for t in range(1, m + 1)]
-    return _defect_sum(C.n, terms)
+    return _defect_sum(C.n, _dual_terms(kernel_basis(C.generator)))
 
 
 def expectation_exact_auto(C: LinearCode) -> Fraction:
@@ -487,8 +517,89 @@ def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[Lis
 # step. The lanes match _simulate_scalar draw for draw (the tests hold them
 # equal). A block holds at most _LANE_CELLS basis cells, so memory stays
 # bounded whatever k is; trials are keyed by index, so blocking changes no
-# count.
+# count. The level count reduces its children with the table lanes' step
+# (_reduce_insert), _LEVEL_BLOCK_CELLS basis cells at a time, and refuses a
+# level whose children would hold more than _LEVEL_CELLS basis cells.
 _LANE_CELLS = 1 << 22
+_LEVEL_CELLS = 1 << 25
+_LEVEL_BLOCK_CELLS = 1 << 16
+
+
+def _reduce_insert(basis: "np.ndarray", used: "np.ndarray", v: "np.ndarray", sub_t: "np.ndarray",
+                   mul_t: "np.ndarray", inv_t: "np.ndarray", xor: bool) -> "np.ndarray":
+    """Reduce row i of v against basis i, insert it where it is independent; say which grew.
+
+    Slot r of a (k, k) basis holds a row with a 1 at r, and zeros before
+    it, once used[:, r] marks it filled. v, basis and used change in place.
+    In characteristic 2 (xor) subtraction is XOR, so a reduction step
+    gathers from the multiplication table alone.
+    """
+    grew = np.zeros(len(v), dtype=bool)
+    for r in range(v.shape[1]):
+        nz = v[:, r] != 0
+        slot = used[:, r]
+        (sel,) = (nz & slot).nonzero()
+        if sel.size:
+            step = mul_t[v[sel, r, None], basis[sel, r, :]]
+            if xor:
+                v[sel] ^= step
+            else:
+                v[sel] = sub_t[v[sel], step]
+        (sel,) = (nz & ~slot).nonzero()
+        if sel.size:
+            basis[sel, r, :] = mul_t[inv_t[v[sel, r, None]], v[sel]]
+            used[sel, r] = True
+            grew[sel] = True
+            v[sel] = 0
+    return grew
+
+
+def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> List[int]:
+    """I(0..m): how many t-subsets of the columns, each in GF(q)^m, are independent; q <= 512.
+
+    Level t holds one state per independent t-subset: the index of its last
+    column and the reduced basis of its columns (_reduce_insert's slots,
+    whose diagonal says which slots are filled). Level t + 1 reduces every
+    later column against a copy of each state's basis, block by block, and
+    keeps the children that grew; the last level is only counted. Before a
+    level is reduced its children are counted, and past _LEVEL_CELLS basis
+    cells the count raises BudgetExceededError.
+    """
+    n = len(columns)
+    dtype = np.uint8 if F.q <= 256 else np.uint16
+    _, sub_t, mul_t, inv_t = (table.astype(dtype) for table in F.op_tables())
+    cols = np.array(columns, dtype=dtype).reshape(n, m)
+    last = np.full(1, -1, dtype=np.int32)
+    basis = np.zeros((1, m, m), dtype=dtype)
+    block = max(1, _LEVEL_BLOCK_CELLS // max(1, m * m))
+    counts = [1]
+    for t in range(1, m + 1):
+        ends = np.cumsum(n - 1 - last, dtype=np.int64)  # state s's children end at ends[s]
+        total = int(ends[-1]) if ends.size else 0
+        if total * m * m > _LEVEL_CELLS:
+            raise BudgetExceededError(f"more than {_LEVEL_CELLS} basis cells in the "
+                                      f"independent {t}-subsets of {n} columns")
+        keep = t < m
+        if keep:  # untouched rows of np.empty take no memory
+            next_last = np.empty(total, dtype=np.int32)
+            next_basis = np.empty((total, m, m), dtype=dtype)
+        size = 0
+        for start in range(0, total, block):
+            child = np.arange(start, min(total, start + block), dtype=np.int64)
+            parent = np.searchsorted(ends, child, side="right")
+            col = child - ends[parent] + n
+            b = basis[parent]
+            grew = _reduce_insert(b, np.diagonal(b, axis1=1, axis2=2) != 0, cols[col],
+                                  sub_t, mul_t, inv_t, F.p == 2)
+            c = int(np.count_nonzero(grew))
+            if keep and c:
+                next_last[size:size + c] = col[grew]
+                next_basis[size:size + c] = b[grew]
+            size += c
+        counts.append(size)
+        if keep:
+            last, basis = next_last[:size], next_basis[:size]
+    return counts
 
 
 def _run_lanes(
@@ -576,9 +687,8 @@ def _table_lanes(F: FieldSpec, cols: Sequence[Tuple[int, ...]], n: int, k: int, 
                  t0: int, count: int) -> "np.ndarray":
     """Lanes over the field's operation tables (q <= 512).
 
-    Slot r of a lane's (k, k) basis holds a row with a 1 at r once used
-    marks it filled. In characteristic 2 subtraction is XOR, so a reduction
-    step gathers from the multiplication table alone.
+    Each lane holds a (k, k) basis and its used slots, grown by
+    _reduce_insert.
     """
     _, sub_t, mul_t, inv_t = F.op_tables()
     cols_arr = np.array(cols, dtype=np.uint16)
@@ -586,31 +696,7 @@ def _table_lanes(F: FieldSpec, cols: Sequence[Tuple[int, ...]], n: int, k: int, 
 
     def independent(state, col):
         basis, used = state
-        v = cols_arr[col]
-        grew = np.zeros(len(col), dtype=bool)
-        for r in range(k):
-            nz = v[:, r] != 0
-            if not nz.any():
-                continue
-            slot = used[:, r]
-            red = nz & slot
-            if red.any():
-                sel = np.flatnonzero(red)
-                c = v[sel, r]
-                step = mul_t[c[:, None], basis[sel, r, :]]
-                if xor:
-                    v[sel] ^= step
-                else:
-                    v[sel] = sub_t[v[sel], step]
-            ins = nz & ~slot
-            if ins.any():
-                sel = np.flatnonzero(ins)
-                cinv = inv_t[v[sel, r]]
-                basis[sel, r, :] = mul_t[cinv[:, None], v[sel]]
-                used[sel, r] = True
-                grew[sel] = True
-                v[sel] = 0
-        return grew
+        return _reduce_insert(basis, used, cols_arr[col], sub_t, mul_t, inv_t, xor)
 
     state = [np.zeros((count, k, k), dtype=np.uint16), np.zeros((count, k), dtype=bool)]
     return _run_lanes(n, k, seed, t0, count, state, independent)

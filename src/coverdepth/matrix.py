@@ -2,8 +2,10 @@
 
 Every matrix in this project is small (n stays under a few hundred), so the
 implementation favours clarity over micro-optimization: plain Gaussian
-elimination on lists of ints, one field operation at a time. One step,
-eliminate, reduces a vector against an echelon basis; rank, in_span, the
+elimination on lists of ints, one field operation at a time. A row
+operation skips the zero entries of the row it subtracts, so sparse
+matrices, such as the generators of long Hamming codes, cost little. One
+step, eliminate, reduces a vector against an echelon basis; rank, in_span, the
 subset-profile walks, scalar simulation and search's projective classes all
 run on it, and only rref keeps its own row operations. Row and column
 indices are 0-based throughout the API; anything user-facing that prints
@@ -110,7 +112,7 @@ def eliminate(field: FieldSpec, basis: Basis, vector: Sequence[int]) -> Optional
     for piv, w in basis:
         c = v[piv]
         if c:
-            v = [field.sub(x, field.mul(c, y)) for x, y in zip(v, w)]
+            v = [field.sub(x, field.mul(c, y)) if y else x for x, y in zip(v, w)]
     piv = next((t for t, x in enumerate(v) if x), None)
     if piv is None:
         return None
@@ -140,6 +142,7 @@ def rank(M: MatrixGF) -> int:
 def rref(M: MatrixGF) -> Tuple[MatrixGF, List[int]]:
     """Reduced row echelon form and the (strictly increasing) pivot columns."""
     F = M.field
+    sub, mul = F.sub, F.mul
     work = [row[:] for row in M.entries]
     pivots: List[int] = []
     r = 0
@@ -155,13 +158,15 @@ def rref(M: MatrixGF) -> Tuple[MatrixGF, List[int]]:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         pinv = F.inv(work[r][c])
-        if pinv != 1:
-            work[r] = [F.mul(pinv, x) for x in work[r]]
         prow = work[r]
-        for i in range(M.rows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(work[i], prow)]
+        nonzero = [(j, y if pinv == 1 else mul(pinv, y)) for j, y in enumerate(prow) if y]
+        for j, y in nonzero:
+            prow[j] = y
+        for i, row in enumerate(work):
+            f = row[c]
+            if f and i != r:
+                for j, y in nonzero:
+                    row[j] = sub(row[j], mul(f, y))
         pivots.append(c)
         r += 1
     return MatrixGF(F, M.rows, M.cols, work), pivots
@@ -173,6 +178,11 @@ def kernel_basis(M: MatrixGF) -> MatrixGF:
     The result has cols - rank(M) rows; solving from the RREF with one free
     variable set to 1 per basis vector keeps the output deterministic.
     """
+    return rank_and_kernel(M)[1]
+
+
+def rank_and_kernel(M: MatrixGF) -> Tuple[int, MatrixGF]:
+    """(rank(M), kernel_basis(M)), both from one reduction to RREF."""
     R, pivots = rref(M)
     F = M.field
     pivot_set = set(pivots)
@@ -182,9 +192,9 @@ def kernel_basis(M: MatrixGF) -> MatrixGF:
         v = [0] * M.cols
         v[f] = 1
         for r, c in enumerate(pivots):
-            v[c] = F.neg(R.entries[r][f])
+            v[c] = F.neg(R.entries[r][f]) if R.entries[r][f] else 0
         rows.append(v)
-    return MatrixGF(F, len(rows), M.cols, rows)
+    return len(pivots), MatrixGF(F, len(rows), M.cols, rows)
 
 
 def in_span(field: FieldSpec, vectors: Sequence[Sequence[int]], v: Sequence[int]) -> bool:

@@ -9,16 +9,17 @@ P = (q^k-1)/(q-1) points. verify_reduction re-checks that argument against
 plain matrix enumeration at tiny sizes, including the fact that a zero
 column is never part of a strict optimum.
 
-A candidate is scored from its columns alone; no candidate builds a code or
-a kernel. One chunk scorer (_scored_chunks) reads projective partitions,
-full mode's distinct multisets and verify_reduction's raw matrices. When
+A candidate is scored from its columns alone; no candidate builds a code.
+One chunk scorer (_scored_chunks) reads projective partitions, full
+mode's distinct multisets and verify_reduction's raw matrices. When
 the subspace lattice of GF(q)^k is kept, it reads each chunk in one batch
 (coverage._PrimalBatch): the chunk's subspace counts are sums of rows of
 the columns' incidence matrix, and its values and admissibility (whether
 the columns span) come from one integer table, so minima and ties are
 decided exactly before any Fraction is made. Otherwise each candidate goes
 through _score (coverage._exact_from_columns), which also rejects it if its
-columns do not span.
+columns do not span; for q <= 512 and n - k <= k it counts on the kernel
+of the candidate's columns.
 
 Every projective search, at any jobs value, runs one path: the multisets
 are split by their first (smallest) point index, each partition is folded
@@ -43,6 +44,7 @@ import numpy as np
 
 from .codes import LinearCode, _span_rank, linear_code, projective_points
 from .coverage import (
+    BudgetExceededError,
     InvariantViolation,
     _PrimalBatch,
     _exact_from_columns,
@@ -55,10 +57,6 @@ from .matrix import eliminate, from_columns
 from .gf import FieldSpec
 
 DEFAULT_BUDGET = 5_000_000
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from pathlib import Path
 
@@ -203,6 +204,24 @@ def test_expect_hamming_r6_is_bounded():
     proc = run_cli("expect", "--field", "2", "--code", "hamming", "--r", "6", timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith(f"value {expectation_hamming(2, 6)} ")
+
+
+@pytest.mark.parametrize("q,r", [(2, 7), (3, 6)])
+def test_expect_past_the_level_budget_exits_two(q, r):
+    # Neither dual lattice is kept (GF(2)^7, GF(3)^6), and the level count
+    # refuses the independent 4-subsets of the 127 binary points and the
+    # 3-subsets of the 364 ternary points. The walk ran without end on both.
+    cap = 1 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    start = time.perf_counter()
+    proc = run_cli("expect", "--field", str(q), "--code", "hamming", "--r", str(r),
+                   timeout=60, preexec_fn=limit_memory)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize(

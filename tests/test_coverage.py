@@ -25,6 +25,7 @@ from coverdepth.codes import (
     simplex_code,
 )
 from coverdepth.coverage import (
+    BudgetExceededError,
     McEstimate,
     _defect_sum,
     _draw_counts,
@@ -207,11 +208,22 @@ def test_repeated_columns_past_q_to_the_m_are_counted_once():
     assert expectation_exact_auto(C) == expectation_simplex(2, 6)
 
 
-def test_codes_past_the_lattice_bound_run_the_walk(monkeypatch, capsys):
+def _forbid_walks(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("walked a code over a field of at most 512 elements")
+
+    monkeypatch.setattr(coverage, "_full_rank_profile", no_walk)
+    monkeypatch.setattr(coverage, "independent_subset_profile", no_walk)
+
+
+def test_codes_past_the_lattice_bound_count_levels(monkeypatch, capsys):
+    # Neither side's lattice is kept (GF(16)^8, GF(9)^5), so the kernel's
+    # columns are counted level by level, and no walk runs.
     def no_lattice(*args):
         raise AssertionError("lattice built past its size bound")
 
     monkeypatch.setattr(coverage, "subspace_histogram", no_lattice)
+    _forbid_walks(monkeypatch)
     for q, n, k in ((16, 16, 8), (9, 10, 5)):
         argv = ["expect", "--field", str(q), "--code", "rs", "--n", str(n), "--k", str(k)]
         assert main(argv) == 0
@@ -219,13 +231,76 @@ def test_codes_past_the_lattice_bound_run_the_walk(monkeypatch, capsys):
 
 
 def test_hamming_r5_never_walks(monkeypatch):
-    def no_walk(*args):
-        raise AssertionError("walked a code the lattice covers")
-
-    monkeypatch.setattr(coverage, "_full_rank_profile", no_walk)
-    monkeypatch.setattr(coverage, "independent_subset_profile", no_walk)
+    # The primal side (GF(2)^26) reads the kernel's columns in the kept
+    # lattice of GF(2)^5, as the dual side does.
+    _forbid_walks(monkeypatch)
     C = hamming_code(field_from_order(2), 5)
     assert expectation_exact_auto(C) == expectation_hamming(2, 5)
+    assert expectation_exact(C) == expectation_hamming(2, 5)
+
+
+_LEVEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32)
+
+
+@pytest.mark.parametrize("q", _LEVEL_FIELDS)
+def test_level_counts_match_the_walk(q):
+    # Random columns with zero and repeated ones, n < m included.
+    F = field_from_order(q)
+    rng = random.Random(f"levels-{q}")
+    for _ in range(12):
+        m, n = rng.randint(1, 5), rng.randint(1, 14)
+        cols = [tuple(rng.randrange(q) for _ in range(m)) for _ in range(n)]
+        cols[rng.randrange(n)] = (0,) * m
+        cols[rng.randrange(n)] = cols[rng.randrange(n)]
+        walk = independent_subset_profile(from_columns(F, cols)) + [0] * m
+        assert coverage._level_counts(F, cols, m) == walk[: m + 1], cols
+
+
+@pytest.mark.parametrize("q,n,k", [(16, 16, 8), (16, 17, 9), (9, 10, 5)])
+def test_level_counts_of_mds_duals(q, n, k):
+    # The dual of an MDS code is MDS: every n - k of its columns are independent.
+    C = reed_solomon(field_from_order(q), n, k)
+    counts = coverage._level_counts(C.field, columns_of(kernel_basis(C.generator)), n - k)
+    assert counts == [comb(n, t) for t in range(n - k + 1)]
+    assert _defect_sum(n, enumerate(counts[1:], 1)) == mds_bound(n, k)
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: reed_solomon(field_from_order(9), 10, 5), lambda: _binary_code(8, 11, seed=11)],
+)
+def test_level_blocks_do_not_change_counts(monkeypatch, maker):
+    # 30 cells make blocks of one child at m = 5 and of 3 children at m = 3
+    # (the binary [11, 8] code has a zero and a repeated column).
+    C = maker()
+    cols = columns_of(kernel_basis(C.generator))
+    whole = coverage._level_counts(C.field, cols, C.n - C.k)
+    monkeypatch.setattr(coverage, "_LEVEL_BLOCK_CELLS", 30)
+    assert coverage._level_counts(C.field, cols, C.n - C.k) == whole
+
+
+def test_level_budget_is_checked_before_a_level_is_reduced(monkeypatch):
+    # The 15 points of GF(2)^4: level 1 reduces 15 children of 16 cells
+    # each, level 2 would reduce C(15, 2) = 105 (1,680 cells).
+    F = field_from_order(2)
+    reduced = []
+    real = coverage._reduce_insert
+
+    def counted(basis, used, v, *tables):
+        reduced.append(len(v))
+        return real(basis, used, v, *tables)
+
+    monkeypatch.setattr(coverage, "_reduce_insert", counted)
+    monkeypatch.setattr(coverage, "_LEVEL_CELLS", 1000)
+    with pytest.raises(BudgetExceededError, match="2-subsets of 15 columns"):
+        coverage._level_counts(F, projective_points(F, 4), 4)
+    assert sum(reduced) == 15
+
+
+def test_widest_level_fits_the_budget():
+    # RS [20,10]/GF(32): the last level reduces C(20, 10) = 184,756 children.
+    C = reed_solomon(field_from_order(32), 20, 10)
+    assert expectation_exact_auto(C) == mds_bound(20, 10)
 
 
 def test_frozen_expectations():

@@ -348,6 +348,32 @@ def test_verify_reduction_small_cases():
     assert verify_reduction(F3, 2, 2)
 
 
+@pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 3)])
+def test_verify_reduction_rejects_a_cheap_zero_column(monkeypatch, q, k, n):
+    # Doctor the raw matrices' keys so that every spanning matrix with a
+    # zero column (vector 0 of the raw side) scores below every other key:
+    # the value sets still agree, so only the zero-column check can fail.
+    # n > k, so some spanning matrix has a zero column.
+    F = field_from_order(q)
+    real = search._scored_chunks
+    doctored = []
+
+    def cheap_zero_columns(F, cols, batch, combos):
+        raw = not any(cols[0])
+        for chunk, rows, keys in real(F, cols, batch, combos):
+            if raw:
+                has_zero = (np.array(chunk, dtype=np.intp)[rows] == 0).any(axis=1)
+                keys = keys.copy()
+                keys[has_zero] = -(10**9)
+                doctored.append(int(has_zero.sum()))
+            yield chunk, rows, keys
+
+    assert verify_reduction(F, k, n)
+    monkeypatch.setattr(search, "_scored_chunks", cheap_zero_columns)
+    assert not verify_reduction(F, k, n)
+    assert sum(doctored) > 0
+
+
 def test_verify_reduction_guard():
     with pytest.raises(BudgetExceededError):
         verify_reduction(F2, 3, 7, guard=100)
