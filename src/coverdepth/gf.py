@@ -199,42 +199,16 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        p = self.p
-        if self.m == 1:
-            return (a + b) % p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._digitwise(a, b, 1)
 
     def sub(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        p = self.p
-        if self.m == 1:
-            return (a - b) % p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a - b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self._digitwise(a, b, -1)
 
     def neg(self, a: int) -> int:
         self._check(a)
-        p = self.p
-        if self.m == 1:
-            return (-a) % p
-        out, mult = 0, 1
-        while a:
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self._digitwise(0, a, -1)
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
@@ -290,6 +264,21 @@ class FieldSpec:
         return out
 
     # -- internals ----------------------------------------------------------
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b coefficient by coefficient (sign 1 or -1): one XOR in characteristic 2."""
+        p = self.p
+        if p == 2:
+            return a ^ b
+        if self.m == 1:
+            return (a + sign * b) % p
+        out, mult = 0, 1
+        while a or b:
+            out += ((a + sign * b) % p) * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
 
     def _poly_mul_mod(self, a: int, b: int) -> int:
         p, m = self.p, self.m

@@ -10,10 +10,11 @@ plain matrix enumeration at tiny sizes, including the fact that a zero
 column is never part of a strict optimum.
 
 A candidate is scored from its columns alone; no candidate builds a code.
-One chunk scorer (_scored_chunks) reads projective partitions, full
-mode's distinct multisets and verify_reduction's raw matrices. When
-the subspace lattice of GF(q)^k is kept, it reads each chunk in one batch
-(coverage._PrimalBatch): the chunk's subspace counts are sums of rows of
+One chunk scorer (_scored_chunks) reads projective partitions and the raw
+matrices of full mode and verify_reduction (candidates over all q^k
+vectors), and one helper (_reader) decides for all of them whether the
+subspace lattice of GF(q)^k is kept. If it is, each chunk is read in one
+batch (coverage._PrimalBatch): the chunk's subspace counts are sums of rows of
 the columns' incidence matrix, and its values and admissibility (whether
 the columns span) come from one integer table, so minima and ties are
 decided exactly before any Fraction is made. Otherwise each candidate goes
@@ -26,19 +27,19 @@ are split by their first (smallest) point index, each partition is folded
 into a running minimum, argmins and runner-up, and the partition folds are
 merged in index order with exact comparisons. jobs only decides whether the
 partitions run in this process or in worker processes, so reports do not
-depend on worker count or schedule. Full mode exists for cross-checking,
-runs in-process and ignores jobs.
+depend on worker count or schedule. Full mode exists to cross-check the
+reduction: it folds every matrix with nonzero columns, runs in-process,
+ignores jobs, and maps only its argmins to multisets of projective points.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice, product, repeat
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, combinations_with_replacement, islice, product, repeat
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -183,30 +184,18 @@ def _spans(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int], k
 
 
 def enumerate_candidates(
-    F: FieldSpec, k: int, n: int, mode: str = "projective", budget: int = DEFAULT_BUDGET
+    F: FieldSpec, k: int, n: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[CandidateMultiset]:
-    """Stream the admissible (spanning) candidates in lexicographic order.
+    """Stream the admissible (spanning) multisets in lexicographic order, each once.
 
-    Projective mode emits each multiset exactly once. Full mode walks every
-    nonzero-column matrix instead and emits the multiset of its columns'
-    projective classes, duplicates included; it exists so the reduction can
-    be cross-checked, not for real searches.
+    A plain reference stream: the search itself folds scored chunks instead.
     """
     _check_params(F, k, n)
-    _check_search_budget(F, k, n, mode, budget)
-    if mode == "projective":
-        pts = projective_points(F, k)
-        for combo in combinations_with_replacement(range(len(pts)), n):
-            if _spans(F, pts, combo, k):
-                yield CandidateMultiset(F, k, combo)
-        return
-    nonzero = [v for v in product(range(F.q), repeat=k) if any(v)]
-    index = {p: i for i, p in enumerate(projective_points(F, k))}
-    for cols in product(nonzero, repeat=n):
-        if _span_rank(F, cols, cap=k) == k:
-            # Against an empty basis, eliminate just scales c to its projective class.
-            classes = sorted(index[tuple(eliminate(F, [], c)[1])] for c in cols)
-            yield CandidateMultiset(F, k, tuple(classes))
+    _check_search_budget(F, k, n, "projective", budget)
+    pts = projective_points(F, k)
+    for combo in combinations_with_replacement(range(len(pts)), n):
+        if _spans(F, pts, combo, k):
+            yield CandidateMultiset(F, k, combo)
 
 
 def _score(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int]) -> Optional[Fraction]:
@@ -259,10 +248,32 @@ class _Fold:
 _WALK_CHUNK = 1024
 
 
+def _columns(F: FieldSpec, k: int, raw: bool) -> List[Tuple[int, ...]]:
+    """All q^k vectors in product order (vector 0 first) if raw, else the projective points."""
+    return list(product(range(F.q), repeat=k)) if raw else projective_points(F, k)
+
+
 @lru_cache(maxsize=8)
-def _batch(F: FieldSpec, k: int, n: int) -> _PrimalBatch:
-    """The batched primal reader of n-point candidates over the projective points of GF(q)^k."""
-    return _PrimalBatch(F, projective_points(F, k), k, n)
+def _batch(F: FieldSpec, k: int, n: int, raw: bool = False) -> _PrimalBatch:
+    """The batched primal reader of n-column candidates over _columns(F, k, raw)."""
+    return _PrimalBatch(F, _columns(F, k, raw), k, n)
+
+
+def _reader(
+    F: FieldSpec, k: int, n: int, raw: bool = False
+) -> Tuple[List[Tuple[int, ...]], Optional[_PrimalBatch], Callable]:
+    """(columns, batch, value) for n-column candidates over _columns(F, k, raw).
+
+    The one place that decides whether the lattice of GF(q)^k is kept: if
+    so, batch reads whole chunks (_batch) and value turns its integer keys
+    into expectations; if not, batch is None, each candidate goes through
+    _score, and its keys are already the values.
+    """
+    columns = _columns(F, k, raw)
+    if not _lattice_kept(F.q, k):
+        return columns, None, Fraction
+    batch = _batch(F, k, n, raw)
+    return columns, batch, batch.value
 
 
 def _scored_chunks(
@@ -287,13 +298,13 @@ def _scored_chunks(
             yield chunk, rows, totals[rows]
 
 
-def _fold_chunks(F: FieldSpec, cols: Sequence[Tuple[int, ...]], batch: Optional[_PrimalBatch],
-                 combos: Iterable[Tuple[int, ...]]) -> _Fold:
-    """Fold of the candidates in combos, chunk by chunk (_scored_chunks).
+def _fold_chunks(F: FieldSpec, reader, combos: Iterable[Tuple[int, ...]]) -> _Fold:
+    """Fold of the candidates in combos, chunk by chunk, through a _reader.
 
-    Only the minimum and runner-up keys of a chunk become fractions.
+    Only the minimum and runner-up keys of a chunk become values.
     """
-    fold, value = _Fold(), batch.value if batch else Fraction
+    cols, batch, value = reader
+    fold = _Fold()
     for chunk, rows, keys in _scored_chunks(F, cols, batch, combos):
         part = _Fold()
         part.examined, part.admissible = len(chunk), rows.size
@@ -308,15 +319,11 @@ def _fold_chunks(F: FieldSpec, cols: Sequence[Tuple[int, ...]], batch: Optional[
 
 
 def _search_partition(task) -> _Fold:
-    """Fold every multiset whose smallest point index is `first`, chunk by chunk.
-
-    The chunks are read in batches when the lattice of GF(q)^k is kept.
-    """
+    """Fold every multiset whose smallest point index is `first`, chunk by chunk."""
     F, k, n, first = task
-    pts = projective_points(F, k)
-    batch = _batch(F, k, n) if _lattice_kept(F.q, k) else None
+    pts, _, _ = reader = _reader(F, k, n)
     tails = combinations_with_replacement(range(first, len(pts)), n - 1)
-    return _fold_chunks(F, pts, batch, ((first,) + tail for tail in tails))
+    return _fold_chunks(F, reader, ((first,) + tail for tail in tails))
 
 
 def optimal_coverage(
@@ -333,26 +340,28 @@ def optimal_coverage(
     first entry is the canonical representative), and the smallest strictly
     larger value seen. Projective mode folds one partition per first point,
     in this process when jobs == 1 and on `jobs` worker processes otherwise.
-    Full mode ignores jobs; it only exists for cross-checking and repeats
-    multisets, each of which is scored once.
+    Full mode ignores jobs; it only exists for cross-checking and folds
+    every matrix with nonzero columns, each scored on its own columns.
     """
     _check_params(F, k, n)
     if jobs < 1:
         raise ValueError("jobs must be positive")
+    _check_search_budget(F, k, n, mode, budget)
     start = time.perf_counter()
-    fold = _Fold()
     if mode == "projective":
-        _check_search_budget(F, k, n, mode, budget)
-        point_count = _point_count(F, k)
-        tasks = [(F, k, n, first) for first in range(point_count)]
+        fold = _Fold()
+        tasks = [(F, k, n, first) for first in range(_point_count(F, k))]
         for part in _fan_out(_search_partition, tasks, jobs):
             fold.merge(part)
     else:
-        counts = Counter(cand.points for cand in enumerate_candidates(F, k, n, mode, budget))
-        batch = _batch(F, k, n) if _lattice_kept(F.q, k) else None
-        fold = _fold_chunks(F, projective_points(F, k), batch, counts)
-        fold.examined = (F.q**k - 1) ** n
-        fold.admissible = sum(counts.values())
+        vectors, _, _ = reader = _reader(F, k, n, raw=True)
+        fold = _fold_chunks(F, reader, product(range(1, F.q**k), repeat=n))
+        # Only the argmin matrices map to multisets of projective points.
+        # Against an empty basis, eliminate just scales a vector to its class.
+        index = {p: i for i, p in enumerate(projective_points(F, k))}
+        point = {v: index[tuple(eliminate(F, [], vectors[v])[1])]
+                 for v in set(chain.from_iterable(fold.argmins))}
+        fold.argmins = list({tuple(sorted(map(point.get, cols))) for cols in fold.argmins})
     elapsed = time.perf_counter() - start
     optimal = tuple(CandidateMultiset(F, k, points) for points in sorted(fold.argmins))
     return SearchReport(
@@ -381,21 +390,17 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     _check_budget(repeat((F.q, 1), k * n), guard, "matrices")
     # Raw matrices are candidates over all q^k vectors in product order, so
     # vector 0 is the zero column. Keys become values once, as sets.
-    kept = _lattice_kept(F.q, k)
-    vectors = list(product(range(F.q), repeat=k))
-    raw = _PrimalBatch(F, vectors, k, n) if kept else None
+    vectors, raw, raw_value = _reader(F, k, n, raw=True)
     nonzero, zero_col = set(), set()
     for chunk, rows, keys in _scored_chunks(F, vectors, raw, product(range(F.q**k), repeat=n)):
         has_zero = (np.array(chunk, dtype=np.intp)[rows] == 0).any(axis=1)
         nonzero.update(keys[~has_zero].tolist())
         zero_col.update(keys[has_zero].tolist())
-    pts = projective_points(F, k)
-    batch = _batch(F, k, n) if kept else None
+    pts, batch, value = _reader(F, k, n)
     projective = set()
     multisets = combinations_with_replacement(range(len(pts)), n)
     for _, _, keys in _scored_chunks(F, pts, batch, multisets):
         projective.update(keys.tolist())
-    raw_value, value = (raw.value, batch.value) if kept else (Fraction, Fraction)
     nonzero_values = {raw_value(key) for key in nonzero}
     if nonzero_values != {value(key) for key in projective}:
         return False

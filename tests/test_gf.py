@@ -80,11 +80,28 @@ def test_pow_cases():
 
 
 def test_neg_and_sub_consistency():
-    for q in (4, 9, 25):
+    # add, sub and neg act on polynomial-basis coefficients one by one:
+    # hold them to that oracle on every pair of the small fields and on
+    # seeded pairs of GF(2^10) and GF(5^7).
+    def oracle(F, a, b, sign):
+        coeffs = [(x + sign * y) % F.p for x, y in zip(F.element_coeffs(a), F.element_coeffs(b))]
+        return sum(c * F.p**i for i, c in enumerate(coeffs))
+
+    for q in (2, 4, 8, 9, 25, 27, 1024, 5**7):
         F = field_from_order(q)
-        for a in F.elements():
-            for b in F.elements():
-                assert F.sub(a, b) == F.add(a, F.neg(b))
+        if q < 1024:
+            pairs = [(a, b) for a in F.elements() for b in F.elements()]
+        else:
+            rng = random.Random(q)
+            pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(500)]
+            pairs += [(0, 0), (q - 1, 1)]
+        for a, b in pairs:
+            assert F.add(a, b) == oracle(F, a, b, 1), (q, a, b)
+            assert F.sub(a, b) == oracle(F, a, b, -1), (q, a, b)
+            assert F.neg(b) == oracle(F, 0, b, -1), (q, b)
+            assert F.sub(a, b) == F.add(a, F.neg(b))
+        if F.p == 2:
+            assert all(F.neg(a) == a for a, _ in pairs)
 
 
 def test_element_coeffs_round_trip():

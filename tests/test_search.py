@@ -42,14 +42,6 @@ def test_enumerate_projective_counts():
     assert len(list(enumerate_candidates(F2, 3, 7))) == 1478
 
 
-def test_enumerate_full_mode_keeps_duplicates():
-    cands = list(enumerate_candidates(F2, 2, 3, mode="full"))
-    assert len(cands) == 24
-    # Every full-mode multiset also appears in projective mode.
-    proj = {c.points for c in enumerate_candidates(F2, 2, 3)}
-    assert {c.points for c in cands} == proj
-
-
 def test_enumerate_candidates_are_sorted_and_spanning():
     for cand in enumerate_candidates(F3, 2, 3):
         assert cand.points == tuple(sorted(cand.points))
@@ -61,7 +53,7 @@ def test_enumerate_budget():
     with pytest.raises(BudgetExceededError):
         next(gen)
     with pytest.raises(BudgetExceededError):
-        list(enumerate_candidates(F2, 2, 3, mode="full", budget=5))
+        optimal_coverage(F2, 2, 3, mode="full", budget=5)
     assert DEFAULT_BUDGET == 5_000_000
 
 
@@ -73,9 +65,9 @@ def test_budget_is_checked_before_anything_is_built(monkeypatch):
 
     monkeypatch.setattr(search, "projective_points", forbidden)
     monkeypatch.setattr(search, "product", forbidden)
+    with pytest.raises(BudgetExceededError):
+        next(enumerate_candidates(F2, 40, 40))
     for mode in ("projective", "full"):
-        with pytest.raises(BudgetExceededError):
-            next(enumerate_candidates(F2, 40, 40, mode))
         with pytest.raises(BudgetExceededError):
             optimal_coverage(F2, 40, 40, mode=mode)
 
@@ -98,7 +90,7 @@ def test_enumerate_errors():
     with pytest.raises(ValueError):
         list(enumerate_candidates(F2, 3, 2))
     with pytest.raises(ValueError):
-        list(enumerate_candidates(F2, 2, 3, mode="banana"))
+        optimal_coverage(F2, 2, 3, mode="banana")
 
 
 def test_candidate_multiset_validation():
@@ -289,6 +281,46 @@ def test_search_full_mode_agrees_with_projective():
     assert [c.points for c in full.optimal_candidates] == [
         c.points for c in proj.optimal_candidates
     ]
+
+
+def _brute_full_search(F, k, n):
+    # Full mode's reference: every nonzero raw matrix scored on its own
+    # columns, each column projected to its point index here, by scaling
+    # its first nonzero entry to 1.
+    pts = projective_points(F, k)
+    index = {p: i for i, p in enumerate(pts)}
+
+    def point(v):
+        lead = F.inv(next(x for x in v if x))
+        return index[tuple(F.mul(lead, x) for x in v)]
+
+    nonzero = [v for v in product(range(F.q), repeat=k) if any(v)]
+    scored = []
+    for cols in product(nonzero, repeat=n):
+        value = _exact_from_columns(F, list(cols), k)
+        if value is not None:
+            scored.append((value, tuple(sorted(point(v) for v in cols))))
+    values = sorted({value for value, _ in scored})
+    return {
+        "examined": len(nonzero) ** n,
+        "admissible": len(scored),
+        "minimum": values[0],
+        "runner_up": values[1] if len(values) > 1 else None,
+        "argmins": sorted({points for value, points in scored if value == values[0]}),
+    }
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 3), (2, 3, 4), (4, 2, 3)])
+def test_full_mode_matches_brute_force(q, k, n):
+    F = field_from_order(q)
+    report = optimal_coverage(F, k, n, mode="full")
+    assert {
+        "examined": report.candidates_examined,
+        "admissible": report.candidates_admissible,
+        "minimum": report.minimum,
+        "runner_up": report.runner_up,
+        "argmins": [c.points for c in report.optimal_candidates],
+    } == _brute_full_search(F, k, n)
 
 
 def test_search_budget_and_validation():
@@ -486,7 +518,7 @@ def _raise_on_score(*args):
 
 def test_kept_lattices_score_nothing_alone(monkeypatch):
     # verify_reduction's raw matrices and projective candidates, and full
-    # mode's distinct multisets, are all read in batches where kept.
+    # mode's raw matrices, are all read in batches where kept.
     monkeypatch.setattr(search, "_score", _raise_on_score)
     assert verify_reduction(F2, 2, 3)
     assert verify_reduction(F2, 2, 4)
@@ -529,3 +561,16 @@ def test_verify_reduction_scores_each_matrix_on_an_unkept_lattice(monkeypatch):
     monkeypatch.setattr(search, "_score", _counting_score(calls))
     assert verify_reduction(F, 1, 1)
     assert len(calls) == 1021 + 1
+
+
+def test_full_mode_scores_each_matrix_on_an_unkept_lattice(monkeypatch):
+    # Each of the 1020 raw matrices of GF(1021)^1 goes through _score once;
+    # every one spans and they all share the single projective point.
+    F = field_from_order(1021)
+    proj = optimal_coverage(F, 1, 1)
+    calls = []
+    monkeypatch.setattr(search, "_score", _counting_score(calls))
+    full = optimal_coverage(F, 1, 1, mode="full")
+    assert len(calls) == full.candidates_examined == full.candidates_admissible == 1020
+    assert full.minimum == proj.minimum
+    assert full.optimal_candidates == proj.optimal_candidates
