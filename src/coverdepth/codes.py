@@ -122,11 +122,6 @@ def dual(C: LinearCode) -> LinearCode:
     return LinearCode(C.field, C.n, C.n - C.k, gen)
 
 
-def _span_rank(field: FieldSpec, vectors: Iterable[Sequence[int]], cap: int = -1) -> int:
-    """Rank of a set of column vectors, stopping early once cap is reached."""
-    return len(span_basis(field, vectors, cap))
-
-
 def shortened_subcode_dim(C: LinearCode, support: Iterable[int]) -> int:
     """Dimension of {codewords supported inside the given coordinate set}.
 
@@ -139,7 +134,7 @@ def shortened_subcode_dim(C: LinearCode, support: Iterable[int]) -> int:
             raise ValueError(f"coordinate {i} out of range 0..{C.n - 1}")
     cols = columns_of(C.generator)
     outside = [cols[j] for j in range(C.n) if j not in s]
-    return C.k - _span_rank(C.field, outside, cap=C.k)
+    return C.k - len(span_basis(C.field, outside, cap=C.k))
 
 
 @dataclass
@@ -167,7 +162,7 @@ def information_set_count(C: LinearCode, s: int) -> SubsetCounter:
         F = C.field
         k = C.k
         for sub in combinations(range(C.n), s):
-            if _span_rank(F, (cols[j] for j in sub), cap=k) == k:
+            if len(span_basis(F, (cols[j] for j in sub), cap=k)) == k:
                 count += 1
     return SubsetCounter(C, s, count)
 
@@ -189,7 +184,7 @@ def shortened_dim_count(C: LinearCode, dimension: int, s: int) -> SubsetCounter:
     F = C.field
     count = 0
     for sub in combinations(range(C.n), s):
-        if _span_rank(F, (cols[j] for j in sub), cap=target + 1) == target:
+        if len(span_basis(F, (cols[j] for j in sub), cap=target + 1)) == target:
             count += 1
     return SubsetCounter(C, s, count)
 

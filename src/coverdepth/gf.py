@@ -306,7 +306,8 @@ class FieldSpec:
     def _find_generator(self) -> int:
         order = self.q - 1
         checks = [order // f for f in _prime_factors(order)]
-        for g in range(2, self.q):
+        # 1 generates GF(2)'s one-element group; past q = 2 it fails every check.
+        for g in range(1, self.q):
             if all(self._pow_direct(g, c) != 1 for c in checks):
                 return g
         raise RuntimeError(f"no multiplicative generator found for {self!r}")
@@ -338,28 +339,22 @@ class FieldSpec:
             q, p = self.q, self.p
             if q > _TABLE_LIMIT:
                 raise ValueError(f"operation tables are limited to q <= {_TABLE_LIMIT}")
-            if self.m == 1:
-                idx = np.arange(q, dtype=np.int64)
-                add = (idx[:, None] + idx[None, :]) % p
-                sub = (idx[:, None] - idx[None, :]) % p
-                mul = (idx[:, None] * idx[None, :]) % p
-            else:
-                A = np.arange(q, dtype=np.int64)[:, None]
-                B = np.arange(q, dtype=np.int64)[None, :]
-                add = np.zeros((q, q), dtype=np.int64)
-                sub = np.zeros((q, q), dtype=np.int64)
-                shift = 1
-                for _ in range(self.m):
-                    da = (A // shift) % p
-                    db = (B // shift) % p
-                    add += ((da + db) % p) * shift
-                    sub += ((da - db) % p) * shift
-                    shift *= p
-                exp, log = self._logtables()
-                e = np.asarray(exp, dtype=np.int64)
-                l = np.asarray(log, dtype=np.int64)
-                mul = np.zeros((q, q), dtype=np.int64)
-                mul[1:, 1:] = e[(l[1:, None] + l[None, 1:]) % (q - 1)]
+            A = np.arange(q, dtype=np.int64)[:, None]
+            B = np.arange(q, dtype=np.int64)[None, :]
+            add = np.zeros((q, q), dtype=np.int64)
+            sub = np.zeros((q, q), dtype=np.int64)
+            shift = 1
+            for _ in range(self.m):
+                da = (A // shift) % p
+                db = (B // shift) % p
+                add += ((da + db) % p) * shift
+                sub += ((da - db) % p) * shift
+                shift *= p
+            exp, log = self._logtables()
+            e = np.asarray(exp, dtype=np.int64)
+            l = np.asarray(log, dtype=np.int64)
+            mul = np.zeros((q, q), dtype=np.int64)
+            mul[1:, 1:] = e[(l[1:, None] + l[None, 1:]) % (q - 1)]
             inv = np.zeros(q, dtype=np.int64)
             for a in range(1, q):
                 inv[a] = self.inv(a)

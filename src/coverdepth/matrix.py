@@ -2,14 +2,15 @@
 
 Every matrix in this project is small (n stays under a few hundred), so the
 implementation favours clarity over micro-optimization: plain Gaussian
-elimination on lists of ints, one field operation at a time. A row
-operation skips the zero entries of the row it subtracts, so sparse
-matrices, such as the generators of long Hamming codes, cost little. One
-step, eliminate, reduces a vector against an echelon basis; rank, in_span, the
-subset-profile walks, scalar simulation and search's projective classes all
-run on it, and only rref keeps its own row operations. Row and column
-indices are 0-based throughout the API; anything user-facing that prints
-coordinates converts to 1-based at the rendering step.
+elimination on lists of ints, one field operation at a time. One step,
+eliminate, reduces a vector against an echelon basis whose rows are kept as
+their nonzero (index, entry) pairs, so a row operation touches only those
+entries and sparse matrices, such as the generators of long Hamming codes,
+cost little. rank, rref (and through it kernels and canonical row spaces),
+in_span, the subset-profile walks, scalar simulation and search's projective
+classes all run on it. Row and column indices are 0-based throughout the
+API; anything user-facing that prints coordinates converts to 1-based at the
+rendering step.
 
 Matrix text format (shared with the CLI): first line "k n q", then k lines
 of n whitespace-separated integers in [0, q) using the element encoding from
@@ -96,30 +97,42 @@ def mat_mul(A: MatrixGF, B: MatrixGF) -> MatrixGF:
     return MatrixGF(F, A.rows, B.cols, out)
 
 
-Pivot = Tuple[int, List[int]]
+Pivot = Tuple[int, List[Tuple[int, int]]]
 Basis = List[Pivot]
+
+
+def _dense(n: int, pairs: Iterable[Tuple[int, int]]) -> List[int]:
+    """The length-n vector with the given nonzero (index, entry) pairs."""
+    v = [0] * n
+    for j, x in pairs:
+        v[j] = x
+    return v
 
 
 def eliminate(field: FieldSpec, basis: Basis, vector: Sequence[int]) -> Optional[Pivot]:
     """Reduce a vector against an echelon basis; None if it lies in the span.
 
-    Otherwise returns (pivot, residual scaled so residual[pivot] == 1),
-    ready to append. basis holds (pivot, w) pairs in insertion order, each
-    w zero at the pivots of the pairs before it, which is what appending
-    the non-None results of this function builds.
+    Otherwise returns (pivot, residual), ready to append: the residual as
+    its nonzero (index, entry) pairs in index order, scaled so that the
+    first pair is (pivot, 1). basis holds (pivot, pairs) in insertion order,
+    each row zero at the pivots of the rows before it, which is what
+    appending the non-None results of this function builds. Subtracting a
+    basis row touches only its nonzero pairs.
     """
     v = list(vector)
-    for piv, w in basis:
+    for piv, row in basis:
         c = v[piv]
         if c:
-            v = [field.sub(x, field.mul(c, y)) if y else x for x, y in zip(v, w)]
-    piv = next((t for t, x in enumerate(v) if x), None)
-    if piv is None:
+            for j, y in row:
+                v[j] = field.sub(v[j], field.mul(c, y))
+    residual = [(j, x) for j, x in enumerate(v) if x]
+    if not residual:
         return None
-    inv = field.inv(v[piv])
-    if inv != 1:
-        v = [field.mul(inv, x) for x in v]
-    return piv, v
+    piv, lead = residual[0]
+    if lead != 1:
+        inv = field.inv(lead)
+        residual = [(j, field.mul(inv, x)) for j, x in residual]
+    return piv, residual
 
 
 def span_basis(field: FieldSpec, vectors: Iterable[Sequence[int]], cap: int = -1) -> Basis:
@@ -140,36 +153,21 @@ def rank(M: MatrixGF) -> int:
 
 
 def rref(M: MatrixGF) -> Tuple[MatrixGF, List[int]]:
-    """Reduced row echelon form and the (strictly increasing) pivot columns."""
-    F = M.field
-    sub, mul = F.sub, F.mul
-    work = [row[:] for row in M.entries]
-    pivots: List[int] = []
-    r = 0
-    for c in range(M.cols):
-        if r == M.rows:
-            break
-        pivot = None
-        for i in range(r, M.rows):
-            if work[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pinv = F.inv(work[r][c])
-        prow = work[r]
-        nonzero = [(j, y if pinv == 1 else mul(pinv, y)) for j, y in enumerate(prow) if y]
-        for j, y in nonzero:
-            prow[j] = y
-        for i, row in enumerate(work):
-            f = row[c]
-            if f and i != r:
-                for j, y in nonzero:
-                    row[j] = sub(row[j], mul(f, y))
-        pivots.append(c)
-        r += 1
-    return MatrixGF(F, M.rows, M.cols, work), pivots
+    """Reduced row echelon form and the (strictly increasing) pivot columns.
+
+    Back-substitution on an echelon basis of the rows: from the largest
+    pivot down, each basis row is reduced against the rows already fully
+    reduced, all of larger pivot, which zeroes it at their pivots. The RREF
+    of a matrix is unique, so the basis found first does not matter.
+    """
+    F, n = M.field, M.cols
+    reduced: Basis = []
+    for _, row in sorted(span_basis(F, M.entries), reverse=True):
+        reduced.append(eliminate(F, reduced, _dense(n, row)))
+    reduced.reverse()
+    entries = [_dense(n, row) for _, row in reduced]
+    entries += [[0] * n for _ in range(M.rows - len(reduced))]
+    return MatrixGF(F, M.rows, n, entries), [piv for piv, _ in reduced]
 
 
 def kernel_basis(M: MatrixGF) -> MatrixGF:

@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codes import LinearCode, _span_rank, linear_code, projective_points
+from .codes import LinearCode, linear_code, projective_points
 from .coverage import (
     BudgetExceededError,
     InvariantViolation,
@@ -54,7 +54,7 @@ from .coverage import (
     _rational_str,
     mds_bound,
 )
-from .matrix import eliminate, from_columns
+from .matrix import _dense, eliminate, from_columns, span_basis
 from .gf import FieldSpec
 
 DEFAULT_BUDGET = 5_000_000
@@ -129,7 +129,7 @@ class SearchReport:
         }
 
 
-def _check_params(F: FieldSpec, k: int, n: int) -> None:
+def _check_params(k: int, n: int) -> None:
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < k:
@@ -180,7 +180,7 @@ def _check_search_budget(F: FieldSpec, k: int, n: int, mode: str, budget: int) -
 def _spans(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int], k: int) -> bool:
     """Whether the points indexed by combo span GF(q)^k (enumerate_candidates' test)."""
     distinct = dict.fromkeys(combo)
-    return len(distinct) >= k and _span_rank(F, (pts[i] for i in distinct), cap=k) == k
+    return len(distinct) >= k and len(span_basis(F, (pts[i] for i in distinct), cap=k)) == k
 
 
 def enumerate_candidates(
@@ -190,7 +190,7 @@ def enumerate_candidates(
 
     A plain reference stream: the search itself folds scored chunks instead.
     """
-    _check_params(F, k, n)
+    _check_params(k, n)
     _check_search_budget(F, k, n, "projective", budget)
     pts = projective_points(F, k)
     for combo in combinations_with_replacement(range(len(pts)), n):
@@ -343,7 +343,7 @@ def optimal_coverage(
     Full mode ignores jobs; it only exists for cross-checking and folds
     every matrix with nonzero columns, each scored on its own columns.
     """
-    _check_params(F, k, n)
+    _check_params(k, n)
     if jobs < 1:
         raise ValueError("jobs must be positive")
     _check_search_budget(F, k, n, mode, budget)
@@ -359,7 +359,7 @@ def optimal_coverage(
         # Only the argmin matrices map to multisets of projective points.
         # Against an empty basis, eliminate just scales a vector to its class.
         index = {p: i for i, p in enumerate(projective_points(F, k))}
-        point = {v: index[tuple(eliminate(F, [], vectors[v])[1])]
+        point = {v: index[tuple(_dense(k, eliminate(F, [], vectors[v])[1]))]
                  for v in set(chain.from_iterable(fold.argmins))}
         fold.argmins = list({tuple(sorted(map(point.get, cols))) for cols in fold.argmins})
     elapsed = time.perf_counter() - start
@@ -386,7 +386,7 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     the minima agree, and every spanning matrix containing a zero column
     scores strictly worse than the nonzero minimum.
     """
-    _check_params(F, k, n)
+    _check_params(k, n)
     _check_budget(repeat((F.q, 1), k * n), guard, "matrices")
     # Raw matrices are candidates over all q^k vectors in product order, so
     # vector 0 is the zero column. Keys become values once, as sets.

@@ -7,7 +7,6 @@ import pytest
 from coverdepth.codes import (
     LinearCode,
     SubsetCounter,
-    _span_rank,
     dual,
     hamming_code,
     independent_subset_profile,
@@ -29,6 +28,7 @@ from coverdepth.matrix import (
     matrix,
     rank,
     row_space_canonical,
+    span_basis,
     transpose,
     zeros,
 )
@@ -232,7 +232,7 @@ def brute_independent_counts(M):
     counts = [0] * (M.cols + 1)
     for t in range(M.cols + 1):
         for sub in combinations(range(M.cols), t):
-            if _span_rank(F, (cols[j] for j in sub)) == t:
+            if len(span_basis(F, (cols[j] for j in sub))) == t:
                 counts[t] += 1
     return counts
 
@@ -258,6 +258,6 @@ def test_independent_subset_profile_against_brute_force():
 def test_span_rank_cap():
     F = field_from_order(2)
     cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert _span_rank(F, cols) == 3
-    assert _span_rank(F, cols, cap=2) == 2
-    assert _span_rank(F, [], cap=5) == 0
+    assert len(span_basis(F, cols)) == 3
+    assert len(span_basis(F, cols, cap=2)) == 2
+    assert len(span_basis(F, [], cap=5)) == 0

@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -27,13 +26,10 @@ from coverdepth.matrix import (
 def span_size(M):
     """Count distinct linear combinations of the rows: equals q^rank."""
     F = M.field
-    seen = set()
-    for coeffs in itertools.product(F.elements(), repeat=M.rows):
-        v = [0] * M.cols
-        for c, row in zip(coeffs, M.entries):
-            if c:
-                v = [F.add(x, F.mul(c, y)) for x, y in zip(v, row)]
-        seen.add(tuple(v))
+    seen = {(0,) * M.cols}
+    for row in M.entries:
+        seen = {tuple(F.add(x, F.mul(c, y)) for x, y in zip(v, row))
+                for v in seen for c in F.elements()}
     return len(seen)
 
 
@@ -71,12 +67,22 @@ def test_rank_invariant_under_invertible_left_mul():
         assert rank(mat_mul(A, M)) == r
 
 
+def sparse_matrix(rng, F, rows, cols, nonzeros):
+    """A random matrix with at most the given number of nonzeros per row."""
+    entries = [[0] * cols for _ in range(rows)]
+    for row in entries:
+        for j in rng.sample(range(cols), rng.randint(0, nonzeros)):
+            row[j] = rng.randrange(1, F.q)
+    return matrix(F, entries)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_rref_properties(q):
     F = field_from_order(q)
     rng = random.Random(2000 + q)
-    for _ in range(20):
-        M = random_matrix(rng, F, rng.randint(1, 4), rng.randint(1, 5))
+    cases = [random_matrix(rng, F, rng.randint(1, 4), rng.randint(1, 5)) for _ in range(20)]
+    cases += [sparse_matrix(rng, F, 3, 12, 2) for _ in range(10)]
+    for M in cases:
         R, pivots = rref(M)
         assert pivots == sorted(set(pivots))
         assert len(pivots) == rank(M)
@@ -87,6 +93,12 @@ def test_rref_properties(q):
             assert not any(R.entries[r])
         # Row space is preserved: canonical forms coincide.
         assert row_space_canonical(M).entries == row_space_canonical(R).entries
+        # The same two facts without rref: each row is zero before its
+        # pivot, and M, R and M stacked on R's nonzero rows span one space.
+        for i, c in enumerate(pivots):
+            assert not any(R.entries[i][:c])
+        stacked = matrix(F, M.entries + R.entries[: len(pivots)])
+        assert span_size(M) == span_size(R) == span_size(stacked)
 
 
 def test_row_space_canonical_is_a_row_space_invariant():
