@@ -29,7 +29,8 @@ from .coverage import (
     expectation_monte_carlo,
     expectation_simplex,
     mds_bound,
-    _draw_counts,
+    simulate_trial,
+    _draw_count_array,
     _rational_str,
 )
 from .gf import FieldSpec, field_from_order, is_prime_power, parse_field_spec
@@ -188,23 +189,21 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 
 
 def _parse_grid(text: str, kind: str) -> List[int]:
+    """The values of a grid: lo..hi (q grids keep its prime powers) or a comma list."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-        if hi < lo:
-            raise _UsageError(f"empty grid {text!r}")
-        values = list(range(lo, hi + 1))
+        values = list(range(int(lo_s), int(hi_s) + 1))
         if kind == "q":
-            return [v for v in values if is_prime_power(v)]
-        return values
-    values = [int(part) for part in text.split(",") if part.strip()]
+            values = [v for v in values if is_prime_power(v)]
+    else:
+        values = [int(part) for part in text.split(",") if part.strip()]
+        if kind == "q":
+            for v in values:
+                if not is_prime_power(v):
+                    raise _UsageError(f"{v} is not a prime power")
     if not values:
         raise _UsageError(f"empty grid {text!r}")
-    if kind == "q":
-        for v in values:
-            if not is_prime_power(v):
-                raise _UsageError(f"{v} is not a prime power")
     return values
 
 
@@ -305,8 +304,8 @@ def cmd_verify(args: argparse.Namespace) -> str:
         F = FieldSpec(2)
         C = cd.simplex_code(F, 3)
         cols = columns_of(C.generator)
-        fast = _draw_counts(F, cols, C.n, C.k, 7, 0, 256)
-        slow = _draw_counts(F, cols, C.n, C.k, 7, 0, 256, force_scalar=True)
+        fast = _draw_count_array(F, cols, C.n, C.k, 7, 0, 256).tolist()
+        slow = [simulate_trial(C, 7, t) for t in range(256)]
         if fast != slow:
             raise AssertionError("vector and scalar draw counts differ")
 
@@ -342,15 +341,16 @@ _SHARED_FLAGS = {
 
 
 def _add_command(subs, name: str, handler, summary: str, flags: Tuple[str, ...],
-                 required: Tuple[str, ...] = (), fmt: Optional[str] = None):
+                 required: Tuple[str, ...] = (), formats: Tuple[str, ...] = ()):
     """Add a subcommand that runs handler and takes the named shared flags.
 
-    fmt is the default of its --format flag; commands without one take none.
+    formats are the choices of its --format flag, the default first;
+    commands without any take no --format.
     """
     p = subs.add_parser(name, help=summary)
     p.set_defaults(handler=handler)
-    if fmt is not None:
-        p.add_argument("--format", dest="fmt", choices=("plain", "json", "csv"), default=fmt)
+    if formats:
+        p.add_argument("--format", dest="fmt", choices=formats, default=formats[0])
     for flag in flags:
         p.add_argument(flag, required=flag in required, **_SHARED_FLAGS[flag])
     return p
@@ -362,23 +362,24 @@ def build_parser() -> _Parser:
     code_flags = ("--field", "--code", "--k", "--r", "--n", "--out", "--jobs", "--trials", "--seed")
 
     p = _add_command(subs, "expect", cmd_expect, "expected draw count of a code",
-                     code_flags + ("--digits",), required=("--code",), fmt="plain")
+                     code_flags + ("--digits",), required=("--code",), formats=("plain", "json"))
     p.add_argument("--method", choices=("exact", "dual", "formula", "mc"), default="exact")
 
     _add_command(subs, "bound", cmd_bound, "MDS lower bound n(H(n) - H(n-k))",
-                 ("--n", "--k", "--out", "--digits"), required=("--n", "--k"), fmt="plain")
+                 ("--n", "--k", "--out", "--digits"), required=("--n", "--k"),
+                 formats=("plain", "json"))
 
     p = _add_command(subs, "search", cmd_search, "exhaustive optimum over [n,k] codes",
                      ("--field", "--k", "--n", "--out", "--digits", "--jobs"),
-                     required=("--field", "--k", "--n"), fmt="json")
+                     required=("--field", "--k", "--n"), formats=("json", "plain"))
     p.add_argument("--mode", choices=("projective", "full"), default="projective")
     p.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
 
     _add_command(subs, "simulate", cmd_simulate, "Monte Carlo estimate of the draw count",
-                 code_flags, required=("--code",), fmt="json")
+                 code_flags, required=("--code",), formats=("json", "plain"))
 
     p = _add_command(subs, "asymptotics", cmd_asymptotics, "gap grids against the known limits",
-                     ("--k", "--r", "--out", "--digits"), fmt="csv")
+                     ("--k", "--r", "--out", "--digits"), formats=("csv", "json"))
     p.add_argument("--family", required=True, choices=("simplex", "hamming", "binary-hamming"))
     p.add_argument("--q-grid", dest="q_grid")
     p.add_argument("--r-grid", dest="r_grid")

@@ -8,10 +8,11 @@ The counters at the bottom answer questions of the form "how many size-s
 subsets of the column positions have a prescribed rank". The exact engine
 in coverage.py reads these counts from a subspace histogram, or counts the
 independent subsets level by level where the lattice is not kept (2^16
-member vectors). It runs the two profile walks here only over fields past
-512 elements and, for the full-rank walk on bare columns, on primal sides
-with n - k > k; the tests hold the lattice readers and the level count to
-them. Two observations keep everything in one place:
+member vectors). It runs the independent-subset walk here only on dual
+columns over fields past 512 elements, and the full-rank walk on bare
+columns only on primal sides with n - k > k; the tests hold the lattice
+readers and the level count to them. Two observations keep everything in
+one place:
 
   * the subcode supported inside a coordinate set T has dimension
     k - rank(columns outside T), by rank-nullity applied to the projection

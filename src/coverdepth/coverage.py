@@ -21,11 +21,11 @@ computes the expectation of that stopping time:
     Where a lattice is not kept, the dual side counts I(t) level by level
     in numpy for q <= 512 (_level_counts: one level of independent
     t-subsets at a time, each state the table lanes' basis of its columns,
-    refused with BudgetExceededError past _LEVEL_CELLS basis cells), and
-    the primal side, when n - k <= k, reads the kernel's columns the same
-    way (the dual reader if the kernel's lattice is kept). Only fields past
-    512 elements and primal sides with n - k > k still run the codes
-    module's subset walks.
+    refused with BudgetExceededError past _LEVEL_CELLS basis cells) and
+    past 512 elements walks its independent subsets; the primal side, when
+    n - k <= k, reads the kernel's columns the same way (_dual_terms), in
+    every field. Only primal sides with n - k > k run the full-rank walk
+    (codes._full_rank_profile).
     The primal side takes bare columns and also decides whether they span
     (_exact_from_columns), so search scores a candidate without a code.
     expectation_hamming fills the defect sum from r closed-form counts;
@@ -36,8 +36,9 @@ computes the expectation of that stopping time:
     draw per round: binary codes with k <= 64 in packed lanes (a column is
     one 64-bit word, a reduction step one XOR), other fields of at most 512
     elements and binary codes with k > 64 in table lanes (the field's
-    operation tables); larger fields run the scalar reference path, which
-    both kinds of lane match draw for draw.
+    operation tables, each lane one (k, k) basis); larger fields run the
+    scalar reference path. _draw_count_array is the one batch entry, and
+    both kinds of lane match simulate_trial draw for draw.
 
 All exact values are fractions.Fraction; nothing is rounded until a caller
 asks for digits.
@@ -359,14 +360,14 @@ def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) 
     """Exact expectation of the code the columns generate; None unless they span GF(q)^k.
 
     The primal reader decides both from one histogram when the lattice of
-    GF(q)^k is kept. Otherwise, for q <= 512 and n - k <= k, one reduction
-    gives the rank and the kernel, whose columns the dual side counts
-    (_dual_terms). Past that, a rank check precedes the full-rank walk.
+    GF(q)^k is kept. Otherwise, when n - k <= k, one reduction gives the
+    rank and the kernel, whose columns the dual side counts (_dual_terms).
+    Past that, a rank check precedes the full-rank walk.
     """
     n, q = len(columns), F.q
     if _lattice_kept(q, k):
         return _primal_reader(subspace_histogram(F, columns, k), n, k, q)
-    if q <= _TABLE_LIMIT and n - k <= k:
+    if n - k <= k:
         rank, H = rank_and_kernel(from_columns(F, columns))
         return _defect_sum(n, _dual_terms(H)) if rank == k else None
     if len(span_basis(F, columns, k)) < k:
@@ -376,7 +377,11 @@ def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) 
 
 
 def expectation_exact(C: LinearCode) -> Fraction:
-    """Exact expectation from the generator's side (m = k): see _exact_from_columns."""
+    """Exact expectation read from the generator's columns (_exact_from_columns).
+
+    The m = k lattice where it is kept, else the kernel's columns on the
+    dual side when n - k <= k, else the full-rank walk.
+    """
     return _exact_from_columns(C.field, columns_of(C.generator), C.k)
 
 
@@ -514,7 +519,7 @@ def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[Lis
 # with its own basis of the columns drawn so far. The driver owns the keys,
 # the rejection sampling, the draw counters and the retiring, so both
 # kernels read the same random stream; they differ only in the independence
-# step. The lanes match _simulate_scalar draw for draw (the tests hold them
+# step. The lanes match simulate_trial draw for draw (the tests hold them
 # equal). A block holds at most _LANE_CELLS basis cells, so memory stays
 # bounded whatever k is; trials are keyed by index, so blocking changes no
 # count. The level count reduces its children with the table lanes' step
@@ -525,19 +530,20 @@ _LEVEL_CELLS = 1 << 25
 _LEVEL_BLOCK_CELLS = 1 << 16
 
 
-def _reduce_insert(basis: "np.ndarray", used: "np.ndarray", v: "np.ndarray", sub_t: "np.ndarray",
-                   mul_t: "np.ndarray", inv_t: "np.ndarray", xor: bool) -> "np.ndarray":
+def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", sub_t: "np.ndarray", mul_t: "np.ndarray",
+                   inv_t: "np.ndarray", xor: bool) -> "np.ndarray":
     """Reduce row i of v against basis i, insert it where it is independent; say which grew.
 
-    Slot r of a (k, k) basis holds a row with a 1 at r, and zeros before
-    it, once used[:, r] marks it filled. v, basis and used change in place.
-    In characteristic 2 (xor) subtraction is XOR, so a reduction step
-    gathers from the multiplication table alone.
+    Slot r of a (k, k) basis is filled iff its diagonal entry is nonzero:
+    a filled slot holds a row with a 1 at r and zeros before it, an empty
+    one zeros. v and basis change in place. In characteristic 2 (xor)
+    subtraction is XOR, so a reduction step gathers from the
+    multiplication table alone.
     """
     grew = np.zeros(len(v), dtype=bool)
     for r in range(v.shape[1]):
         nz = v[:, r] != 0
-        slot = used[:, r]
+        slot = basis[:, r, r] != 0
         (sel,) = (nz & slot).nonzero()
         if sel.size:
             step = mul_t[v[sel, r, None], basis[sel, r, :]]
@@ -548,7 +554,6 @@ def _reduce_insert(basis: "np.ndarray", used: "np.ndarray", v: "np.ndarray", sub
         (sel,) = (nz & ~slot).nonzero()
         if sel.size:
             basis[sel, r, :] = mul_t[inv_t[v[sel, r, None]], v[sel]]
-            used[sel, r] = True
             grew[sel] = True
             v[sel] = 0
     return grew
@@ -558,12 +563,11 @@ def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> Lis
     """I(0..m): how many t-subsets of the columns, each in GF(q)^m, are independent; q <= 512.
 
     Level t holds one state per independent t-subset: the index of its last
-    column and the reduced basis of its columns (_reduce_insert's slots,
-    whose diagonal says which slots are filled). Level t + 1 reduces every
-    later column against a copy of each state's basis, block by block, and
-    keeps the children that grew; the last level is only counted. Before a
-    level is reduced its children are counted, and past _LEVEL_CELLS basis
-    cells the count raises BudgetExceededError.
+    column and the reduced basis of its columns (_reduce_insert's slots).
+    Level t + 1 reduces every later column against a copy of each state's
+    basis, block by block, and keeps the children that grew; the last level
+    is only counted. Before a level is reduced its children are counted,
+    and past _LEVEL_CELLS basis cells the count raises BudgetExceededError.
     """
     n = len(columns)
     dtype = np.uint8 if F.q <= 256 else np.uint16
@@ -589,8 +593,7 @@ def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> Lis
             parent = np.searchsorted(ends, child, side="right")
             col = child - ends[parent] + n
             b = basis[parent]
-            grew = _reduce_insert(b, np.diagonal(b, axis1=1, axis2=2) != 0, cols[col],
-                                  sub_t, mul_t, inv_t, F.p == 2)
+            grew = _reduce_insert(b, cols[col], sub_t, mul_t, inv_t, F.p == 2)
             c = int(np.count_nonzero(grew))
             if keep and c:
                 next_last[size:size + c] = col[grew]
@@ -608,12 +611,13 @@ def _run_lanes(
     seed: int,
     t0: int,
     count: int,
-    state: List["np.ndarray"],
-    independent: Callable[[List["np.ndarray"], "np.ndarray"], "np.ndarray"],
+    state: "np.ndarray",
+    independent: Callable[["np.ndarray", "np.ndarray"], "np.ndarray"],
 ) -> "np.ndarray":
     """Draw counts of trials t0 .. t0 + count - 1, as an int64 array.
 
-    state holds the lanes' bases, one lane per index of the first axis.
+    state holds the lanes' bases, one lane per index of the first axis: the
+    slot words of packed lanes, the (k, k) bases of table lanes.
     independent(state, col) reduces each lane's drawn column (an index in
     0..n-1) against its basis, inserts it where it is independent and says
     which lanes grew. A lane leaves every array in the round it reaches
@@ -650,10 +654,9 @@ def _run_lanes(
             size = lane.size - done.size
             holes = done[done < size]
             movers = size + np.flatnonzero(rank[size:] < k)
-            for a in (keys, draws, rank, lane, *state):
+            for a in (keys, draws, rank, lane, state):
                 a[holes] = a[movers]
-            keys, draws, rank, lane = keys[:size], draws[:size], rank[:size], lane[:size]
-            state[:] = [s[:size] for s in state]
+            keys, draws, rank, lane, state = (a[:size] for a in (keys, draws, rank, lane, state))
     return out
 
 
@@ -668,8 +671,7 @@ def _packed_lanes(cols: Sequence[Tuple[int, ...]], n: int, k: int, seed: int, t0
     words = np.array([sum(x << i for i, x in enumerate(col)) for col in cols], dtype=np.uint64)
     one = np.uint64(1)
 
-    def independent(state, col):
-        (slots,) = state
+    def independent(slots, col):
         v = words[col]
         for b in range(k):
             v ^= slots[:, b] * (v >> np.uint64(b) & one)
@@ -680,26 +682,24 @@ def _packed_lanes(cols: Sequence[Tuple[int, ...]], n: int, k: int, seed: int, t0
             slots[grew, low] = r
         return v != 0
 
-    return _run_lanes(n, k, seed, t0, count, [np.zeros((count, k), dtype=np.uint64)], independent)
+    return _run_lanes(n, k, seed, t0, count, np.zeros((count, k), dtype=np.uint64), independent)
 
 
 def _table_lanes(F: FieldSpec, cols: Sequence[Tuple[int, ...]], n: int, k: int, seed: int,
                  t0: int, count: int) -> "np.ndarray":
     """Lanes over the field's operation tables (q <= 512).
 
-    Each lane holds a (k, k) basis and its used slots, grown by
-    _reduce_insert.
+    Each lane holds only a (k, k) basis, grown by _reduce_insert; its
+    diagonal says which slots are filled.
     """
     _, sub_t, mul_t, inv_t = F.op_tables()
     cols_arr = np.array(cols, dtype=np.uint16)
     xor = F.p == 2
 
-    def independent(state, col):
-        basis, used = state
-        return _reduce_insert(basis, used, cols_arr[col], sub_t, mul_t, inv_t, xor)
+    def independent(basis, col):
+        return _reduce_insert(basis, cols_arr[col], sub_t, mul_t, inv_t, xor)
 
-    state = [np.zeros((count, k, k), dtype=np.uint16), np.zeros((count, k), dtype=bool)]
-    return _run_lanes(n, k, seed, t0, count, state, independent)
+    return _run_lanes(n, k, seed, t0, count, np.zeros((count, k, k), dtype=np.uint16), independent)
 
 
 def _draw_count_array(
@@ -710,15 +710,15 @@ def _draw_count_array(
     seed: int,
     t0: int,
     count: int,
-    force_scalar: bool = False,
 ) -> "np.ndarray":
-    """Draw counts of trials t0 .. t0 + count - 1 as an int64 array.
+    """Draw counts of trials t0 .. t0 + count - 1 as an int64 array: the only batch entry.
 
     Binary codes with k <= 64 run the packed lanes, every other code over a
-    field of at most _TABLE_LIMIT elements the table lanes, and the rest (or
-    force_scalar) the scalar reference path.
+    field of at most _TABLE_LIMIT elements the table lanes, and the rest
+    the scalar reference path, trial by trial. Trial t draws what
+    simulate_trial(C, seed, t) draws (the tests hold them equal).
     """
-    if force_scalar or k < 1 or F.q > _TABLE_LIMIT:
+    if k < 1 or F.q > _TABLE_LIMIT:
         return np.array([_simulate_scalar(F, cols, n, k, _trial_key(seed, t0 + j))
                          for j in range(count)], dtype=np.int64)
     if F.q == 2 and k <= 64:
@@ -728,19 +728,6 @@ def _draw_count_array(
     block = max(1, _LANE_CELLS // cells)
     return np.concatenate([lanes(t, min(block, t0 + count - t))
                            for t in range(t0, t0 + count, block)] or [np.zeros(0, np.int64)])
-
-
-def _draw_counts(
-    F: FieldSpec,
-    cols: Sequence[Tuple[int, ...]],
-    n: int,
-    k: int,
-    seed: int,
-    t0: int,
-    count: int,
-    force_scalar: bool = False,
-) -> List[int]:
-    return _draw_count_array(F, cols, n, k, seed, t0, count, force_scalar).tolist()
 
 
 def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:

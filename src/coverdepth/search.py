@@ -19,8 +19,8 @@ the columns' incidence matrix, and its values and admissibility (whether
 the columns span) come from one integer table, so minima and ties are
 decided exactly before any Fraction is made. Otherwise each candidate goes
 through _score (coverage._exact_from_columns), which also rejects it if its
-columns do not span; for q <= 512 and n - k <= k it counts on the kernel
-of the candidate's columns.
+columns do not span; for n - k <= k it counts on the kernel of the
+candidate's columns.
 
 Every projective search, at any jobs value, runs one path: the multisets
 are split by their first (smallest) point index, each partition is folded

@@ -294,6 +294,13 @@ def test_asymptotics_errors():
     assert run_cli("asymptotics", "--q-grid", "2..4").returncode == 1
 
 
+def test_grid_range_without_a_prime_power_is_a_usage_error():
+    proc = run_cli("asymptotics", "--family", "simplex", "--k", "3", "--q-grid", "14..15")
+    assert proc.returncode == 1
+    assert proc.stderr == "usage error: empty grid '14..15'\n"
+    assert proc.stdout == ""
+
+
 def test_figure1_grid():
     proc = run_cli("figure1")
     assert proc.returncode == 0
@@ -351,6 +358,9 @@ def test_flags_a_command_does_not_read_are_usage_errors():
         ("bound", "--n", "7", "--k", "4", "--jobs", "2"),
         ("figure1", "--field", "7"),
         ("verify", "--budget", "5"),
+        ("search", "--field", "2", "--k", "2", "--n", "3", "--format", "csv"),
+        ("expect", "--field", "2", "--code", "simplex", "--k", "3", "--format", "csv"),
+        ("asymptotics", "--family", "simplex", "--k", "3", "--q-grid", "2", "--format", "plain"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 1, argv
@@ -370,6 +380,12 @@ def test_usage_errors_exit_one():
 def test_verify_command_passes():
     proc = run_cli("verify")
     assert proc.returncode == 0
-    lines = proc.stdout.strip().splitlines()
-    assert len(lines) == 7
-    assert all(ln.startswith("ok ") for ln in lines)
+    assert proc.stdout == (
+        "ok closed-form simplex [7,3] GF(2)\n"
+        "ok closed-form hamming [7,4] GF(2)\n"
+        "ok mds equality rs [5,2] GF(5)\n"
+        "ok duality identity hamming [7,4] GF(2)\n"
+        "ok projective reduction (2,2,3) (2,2,4) (3,2,3)\n"
+        "ok simulation path agreement [7,3] GF(2)\n"
+        "ok gap nonnegativity simplex k=3\n"
+    )

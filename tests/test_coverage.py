@@ -28,7 +28,7 @@ from coverdepth.coverage import (
     BudgetExceededError,
     McEstimate,
     _defect_sum,
-    _draw_counts,
+    _draw_count_array,
     _dual_reader,
     _lattice_kept,
     _mix64,
@@ -239,6 +239,16 @@ def test_hamming_r5_never_walks(monkeypatch):
     assert expectation_exact(C) == expectation_hamming(2, 5)
 
 
+def test_large_field_primal_side_reads_the_kernel(monkeypatch):
+    # GF(1021) is past the operation tables, yet with n - k = 2 <= k the
+    # primal side reads the kernel's columns instead of the full-rank walk.
+    def no_walk(*args):
+        raise AssertionError("ran the full-rank walk with n - k <= k")
+
+    monkeypatch.setattr(coverage, "_full_rank_profile", no_walk)
+    assert expectation_exact(reed_solomon(field_from_order(1021), 6, 4)) == mds_bound(6, 4)
+
+
 _LEVEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32)
 
 
@@ -286,9 +296,9 @@ def test_level_budget_is_checked_before_a_level_is_reduced(monkeypatch):
     reduced = []
     real = coverage._reduce_insert
 
-    def counted(basis, used, v, *tables):
+    def counted(basis, v, *tables):
         reduced.append(len(v))
-        return real(basis, used, v, *tables)
+        return real(basis, v, *tables)
 
     monkeypatch.setattr(coverage, "_reduce_insert", counted)
     monkeypatch.setattr(coverage, "_LEVEL_CELLS", 1000)
@@ -425,12 +435,20 @@ def test_single_column_code_always_one_draw():
         assert simulate_trial(C, seed=3, trial=t) == 1
 
 
+def _draws(C, seed, t0, count):
+    """The lanes' draw counts of trials t0 .. t0 + count - 1, as a list."""
+    return _draw_count_array(C.field, columns_of(C.generator), C.n, C.k, seed, t0, count).tolist()
+
+
+def _reference_draws(C, seed, t0, count):
+    """The same trials, one simulate_trial call each."""
+    return [simulate_trial(C, seed=seed, trial=t) for t in range(t0, t0 + count)]
+
+
 def test_draw_counts_match_per_trial_keying():
+    # Trial t0 + j of a batch starting at t0 = 5 is keyed as trial 5 + j.
     C = hamming_code(field_from_order(2), 3)
-    cols = columns_of(C.generator)
-    got = _draw_counts(C.field, cols, C.n, C.k, seed=11, t0=5, count=4, force_scalar=True)
-    want = [simulate_trial(C, seed=11, trial=5 + j) for j in range(4)]
-    assert got == want
+    assert _draws(C, seed=11, t0=5, count=4) == _reference_draws(C, seed=11, t0=5, count=4)
 
 
 def _binary_code(k, n, seed):
@@ -471,11 +489,8 @@ def _binary_code(k, n, seed):
 )
 def test_vector_and_scalar_draws_agree(maker):
     C = maker()
-    cols = columns_of(C.generator)
     count = 300 if C.k < 16 else 12  # the scalar reference is slow at k = 64
-    fast = _draw_counts(C.field, cols, C.n, C.k, seed=2024, t0=0, count=count)
-    slow = _draw_counts(C.field, cols, C.n, C.k, seed=2024, t0=0, count=count, force_scalar=True)
-    assert fast == slow
+    assert _draws(C, 2024, 0, count) == _reference_draws(C, 2024, 0, count)
 
 
 @pytest.mark.parametrize(
@@ -486,10 +501,9 @@ def test_lane_blocks_do_not_change_counts(monkeypatch, maker):
     # 200 cells split the 400 trials into blocks of 3 table lanes at k = 8
     # (k * k cells each) and of 18 packed lanes at k = 11 (k cells each).
     C = maker()
-    cols = columns_of(C.generator)
-    whole = _draw_counts(C.field, cols, C.n, C.k, seed=8, t0=3, count=400)
+    whole = _draws(C, seed=8, t0=3, count=400)
     monkeypatch.setattr(coverage, "_LANE_CELLS", 200)
-    assert _draw_counts(C.field, cols, C.n, C.k, seed=8, t0=3, count=400) == whole
+    assert _draws(C, seed=8, t0=3, count=400) == whole
 
 
 def _tail_terms(C):
@@ -528,7 +542,7 @@ def test_draws_follow_the_exact_distribution(C):
     # least 20 expected trials and the last bin taking the whole tail. At
     # the 1e-4 level a correct sampler fails with probability 1e-4 per code.
     trials = 200_000
-    counts = Counter(_draw_counts(F, cols, n, k, seed=77, t0=0, count=trials))
+    counts = Counter(_draws(C, seed=77, t0=0, count=trials))
     observed, expected = [], []
     t = k
     while trials * float(_tail(terms, t)) >= 20:
@@ -543,18 +557,13 @@ def test_draws_follow_the_exact_distribution(C):
 
 
 def test_large_field_falls_back_to_scalar():
-    F = field_from_order(1021)
-    C = reed_solomon(F, 5, 2)
-    cols = columns_of(C.generator)
-    fast = _draw_counts(F, cols, C.n, C.k, seed=1, t0=0, count=20)
-    slow = [simulate_trial(C, seed=1, trial=t) for t in range(20)]
-    assert fast == slow
+    C = reed_solomon(field_from_order(1021), 5, 2)
+    assert _draws(C, seed=1, t0=0, count=20) == _reference_draws(C, seed=1, t0=0, count=20)
 
 
 def test_monte_carlo_summary_statistics():
     C = simplex_code(field_from_order(2), 3)
-    cols = columns_of(C.generator)
-    counts = _draw_counts(C.field, cols, C.n, C.k, seed=5, t0=0, count=500)
+    counts = _draws(C, seed=5, t0=0, count=500)
     est = expectation_monte_carlo(C, trials=500, seed=5)
     assert est.mean == sum(counts) / 500
     assert est.min_draws == min(counts) and est.max_draws == max(counts)
@@ -594,9 +603,8 @@ def test_monte_carlo_scalar_path_above_table_limit():
     # GF(1024) is past the 512-element operation tables, so every trial runs
     # the scalar engine.
     C = reed_solomon(field_from_order(1024), 12, 4)
-    cols = columns_of(C.generator)
-    counts = _draw_counts(C.field, cols, C.n, C.k, seed=4, t0=0, count=12)
-    assert counts == [simulate_trial(C, seed=4, trial=t) for t in range(12)]
+    counts = _draws(C, seed=4, t0=0, count=12)
+    assert counts == _reference_draws(C, seed=4, t0=0, count=12)
     est = expectation_monte_carlo(C, trials=12, seed=4)
     assert est.mean == sum(counts) / 12
     assert (est.min_draws, est.max_draws) == (min(counts), max(counts))
@@ -674,10 +682,7 @@ def test_property_expectation_is_invariant(C, data):
 @_PROPERTY
 @given(_codes(), st.integers(0, 2**64 - 1), st.integers(0, 10**6))
 def test_property_scalar_and_vector_draws_agree(C, seed, t0):
-    cols = columns_of(C.generator)
-    fast = _draw_counts(C.field, cols, C.n, C.k, seed, t0, 25)
-    slow = _draw_counts(C.field, cols, C.n, C.k, seed, t0, 25, force_scalar=True)
-    assert fast == slow
+    assert _draws(C, seed, t0, 25) == _reference_draws(C, seed, t0, 25)
 
 
 @_PROPERTY
