@@ -31,10 +31,11 @@ from .coverage import (
     mds_bound,
     simulate_trial,
     _draw_count_array,
+    _flat_table,
     _rational_str,
 )
 from .gf import FieldSpec, field_from_order, is_prime_power, parse_field_spec
-from .matrix import columns_of, parse_matrix
+from .matrix import parse_matrix
 from .search import DEFAULT_BUDGET, optimal_coverage, verify_reduction
 
 FIG_K = (3, 4, 5, 6, 7)
@@ -303,11 +304,10 @@ def cmd_verify(args: argparse.Namespace) -> str:
     def simulation_paths():
         F = FieldSpec(2)
         C = cd.simplex_code(F, 3)
-        cols = columns_of(C.generator)
-        fast = _draw_count_array(F, cols, C.n, C.k, 7, 0, 256).tolist()
         slow = [simulate_trial(C, 7, t) for t in range(256)]
-        if fast != slow:
-            raise AssertionError("vector and scalar draw counts differ")
+        for table in (None, _flat_table(F, C.columns, C.k, 256)):
+            if _draw_count_array(F, C.columns, C.n, C.k, 7, 0, 256, table).tolist() != slow:
+                raise AssertionError("vector and scalar draw counts differ")
 
     def gap_sign():
         for q in (2, 3, 4, 5):

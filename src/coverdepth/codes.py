@@ -29,6 +29,7 @@ against the brute force in the tests (up to n = 16).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import comb
 from typing import Iterable, List, Sequence, Tuple
@@ -60,6 +61,11 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"[{self.n},{self.k}] code over {self.field!r}"
+
+    @cached_property
+    def columns(self) -> Tuple[Tuple[int, ...], ...]:
+        """The generator's columns, read once per code; the generator must not change after."""
+        return tuple(columns_of(self.generator))
 
 
 def linear_code(generator: MatrixGF) -> LinearCode:

@@ -33,12 +33,18 @@ computes the expectation of that stopping time:
   * by Monte Carlo simulation with a counter-based generator whose output
     depends only on (seed, trial index), so estimates are reproducible
     bit for bit under any process count. Trials run as numpy lanes, one
-    draw per round: binary codes with k <= 64 in packed lanes (a column is
-    one 64-bit word, a reduction step one XOR), other fields of at most 512
-    elements and binary codes with k > 64 in table lanes (the field's
-    operation tables, each lane one (k, k) basis); larger fields run the
-    scalar reference path. _draw_count_array is the one batch entry, and
-    both kinds of lane match simulate_trial draw for draw.
+    draw per round, in one of three kernels. Over fields of at most 512
+    elements expectation_monte_carlo first builds the code's flat table
+    (_flat_table: the flat each flat of the column matroid moves to with
+    each column), once per call, and a draw is one gather in it. The build
+    gives up, before a level is reduced, once the flats would outnumber the
+    call's trials or a level's residuals would pass _FLAT_CELLS cells; then
+    binary codes with k <= 64 run packed lanes (a column is one 64-bit
+    word, a reduction step one XOR) and every other code over at most 512
+    elements table lanes (the field's operation tables, each lane one
+    (k, k) basis). Larger fields run the scalar reference path.
+    _draw_count_array is the one batch entry, and every kernel matches
+    simulate_trial draw for draw.
 
 All exact values are fractions.Fraction; nothing is rounded until a caller
 asks for digits.
@@ -511,16 +517,15 @@ def _simulate_scalar(
 
 def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[List[int]] = None) -> int:
     """Number of draws one simulated trial needs. Pure in (seed, trial)."""
-    cols = columns_of(C.generator)
-    return _simulate_scalar(C.field, cols, C.n, C.k, _trial_key(seed, trial), trace)
+    return _simulate_scalar(C.field, C.columns, C.n, C.k, _trial_key(seed, trial), trace)
 
 
 # Vector lanes: a block of trials advances one draw per round, each lane
-# with its own basis of the columns drawn so far. The driver owns the keys,
-# the rejection sampling, the draw counters and the retiring, so both
-# kernels read the same random stream; they differ only in the independence
-# step. The lanes match simulate_trial draw for draw (the tests hold them
-# equal). A block holds at most _LANE_CELLS basis cells, so memory stays
+# with its own state for the columns drawn so far. The driver owns the keys,
+# the rejection sampling, the draw counters and the retiring, so the flat,
+# packed and table kernels read the same random stream; they differ only in
+# the independence step. The lanes match simulate_trial draw for draw (the
+# tests hold them equal). A block holds at most _LANE_CELLS basis cells, so memory stays
 # bounded whatever k is; trials are keyed by index, so blocking changes no
 # count. The level count reduces its children with the table lanes' step
 # (_reduce_insert), _LEVEL_BLOCK_CELLS basis cells at a time, and refuses a
@@ -616,12 +621,13 @@ def _run_lanes(
 ) -> "np.ndarray":
     """Draw counts of trials t0 .. t0 + count - 1, as an int64 array.
 
-    state holds the lanes' bases, one lane per index of the first axis: the
-    slot words of packed lanes, the (k, k) bases of table lanes.
-    independent(state, col) reduces each lane's drawn column (an index in
-    0..n-1) against its basis, inserts it where it is independent and says
-    which lanes grew. A lane leaves every array in the round it reaches
-    rank k.
+    state holds the lanes' states, one lane per index of the first axis:
+    the flat of each lane on the flat table, the slot words of packed
+    lanes, the (k, k) bases of table lanes. independent(state, col) adds
+    each lane's drawn column (an index in 0..n-1) to its state and says
+    which lanes grew: the flat moved, or the column reduced to a nonzero
+    residual and was inserted. A lane leaves every array in the round it
+    reaches rank k.
     """
     trial_idx = np.arange(t0, t0 + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -702,6 +708,151 @@ def _table_lanes(F: FieldSpec, cols: Sequence[Tuple[int, ...]], n: int, k: int, 
     return _run_lanes(n, k, seed, t0, count, np.zeros((count, k, k), dtype=np.uint16), independent)
 
 
+# The flat table. The span of a lane's drawn columns is a flat of the column
+# matroid, so a draw only moves the lane from its flat to the flat the drawn
+# column closes it to. _flat_table numbers the flats level by level (rank 0
+# first, the top flat last) and tabulates that move; its build reads each
+# level's residuals _FLAT_BLOCK_CELLS cells at a time and stops, before a
+# level is reduced, once the flats would outnumber the trials they serve or
+# the level's residuals would pass _FLAT_CELLS cells.
+_FLAT_CELLS = 1 << 22
+_FLAT_BLOCK_CELLS = 1 << 16
+
+
+def _packed_keys(parts: Sequence["np.ndarray"], bits: Sequence[int]) -> "np.ndarray":
+    """(N, W) uint64 keys: the rows of the parts, part i below 2^bits[i], packed whole into words.
+
+    Equal rows give equal keys and distinct rows distinct keys, for any
+    number of parts.
+    """
+    words, used = [], 64
+    for part, b in zip(parts, bits):
+        if used + b > 64:
+            words.append(np.zeros(len(part), dtype=np.uint64))
+            used = 0
+        words[-1] |= part.astype(np.uint64) << np.uint64(used)
+        used += b
+    return np.stack(words, axis=1)
+
+
+def _group(keys: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """(first, ids) of the rows of (N, W) uint64 keys: equal rows share an id in 0..G-1.
+
+    first[g] is the index of a row with id g.
+    """
+    if keys.shape[1] == 1:
+        _, first, ids = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+    else:
+        _, first, ids = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return first, ids.reshape(-1)
+
+
+def _normalised(v: "np.ndarray", mul_t: "np.ndarray", inv_t: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """(w, lead): each nonzero row of v over its first nonzero entry, whose index is lead."""
+    lead = (v != 0).argmax(axis=-1)
+    if len(inv_t) == 2:  # GF(2): every first nonzero entry is already 1
+        return v, lead
+    return mul_t[inv_t[np.take_along_axis(v, lead[..., None], axis=-1)], v], lead
+
+
+def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray", sub_t: "np.ndarray",
+                   mul_t: "np.ndarray", inv_t: "np.ndarray", xor: bool) -> "np.ndarray":
+    """Residuals of the flats spanned by each parent flat and one column outside it.
+
+    Child c takes parent[c]'s residuals and eliminates, from each, its entry
+    at the pivot of column col[c]'s normalised residual, so the projection's
+    kernel grows by that column.
+    """
+    count, n, k = len(parent), resid.shape[1], resid.shape[2]
+    out = np.empty((count, n, k), dtype=resid.dtype)
+    block = max(1, _FLAT_BLOCK_CELLS // (n * k))
+    for c0 in range(0, count, block):
+        r = resid[parent[c0:c0 + block]]
+        w, lead = _normalised(r[np.arange(len(r)), col[c0:c0 + block]], mul_t, inv_t)
+        step = mul_t[np.take_along_axis(r, lead[:, None, None], axis=2), w[:, None, :]]
+        out[c0:c0 + block] = r ^ step if xor else sub_t[r, step]
+    return out
+
+
+def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: int) -> Optional["np.ndarray"]:
+    """T[f, j]: the flat that flat f and column j span; None past a cap or where q > 512.
+
+    The n columns, each of length k, must span GF(q)^k, as a code's do.
+
+    Flats are numbered level by level: 0 is the flat of the zero columns,
+    the last one holds every column. Each flat keeps its residuals, an
+    (n, k) array: the columns under a linear projection whose kernel is the
+    flat's span. Column j lies in f iff its residual is zero, and then
+    T[f, j] = f. The nonzero residuals of f fall into classes of
+    proportional ones (equal after normalising), and each class adds its
+    columns to f's column set to make one child. Children reached from
+    several parents are merged by that column set, one bit per column, and
+    take their residuals from one representative parent (_flat_children).
+    Before a level is reduced, the build returns None once the flats would
+    number more than limit or the level's residuals more than _FLAT_CELLS
+    cells.
+    """
+    n, q = len(cols), F.q
+    if k < 1 or q > _TABLE_LIMIT or n * k > _FLAT_CELLS:
+        return None
+    dtype = np.uint8 if q <= 256 else np.uint16
+    _, sub_t, mul_t, inv_t = (table.astype(dtype) for table in F.op_tables())
+    xor, ebits = F.p == 2, (q - 1).bit_length()
+    words = (n + 63) // 64
+    bit = np.zeros((n, words), dtype=np.uint64)
+    bit[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (np.arange(n, dtype=np.uint64) % np.uint64(64))
+    resid = np.array(cols, dtype=dtype).reshape(1, n, k)
+    masks = np.bitwise_or.reduce(bit[~resid[0].any(axis=1)], axis=0)[None]
+    rows, size = [], 1
+    block = max(1, _FLAT_BLOCK_CELLS // (n * k))
+    key_bits = [max(1, (block - 1).bit_length())] + [ebits] * k
+    for r in range(k):
+        count = len(resid)
+        # step[f, j]: the candidate child of flat f and column j, -1 where j lies in f.
+        step = np.full((count, n), -1, dtype=np.int32)
+        classes, found = [], 0
+        for p0 in range(0, count, block):
+            pp, jj = np.nonzero(resid[p0:p0 + block].any(axis=2))
+            w, _ = _normalised(resid[p0 + pp, jj], mul_t, inv_t)
+            first, ids = _group(_packed_keys([pp, *w.T], key_bits))
+            m = masks[p0 + pp[first]]
+            for word in range(words):
+                np.bitwise_or.at(m[:, word], ids, bit[jj, word])
+            kept, merged = _group(m)  # a child of several flats in the block is kept once
+            step[p0 + pp, jj] = merged[ids] + found
+            rep = first[kept]
+            classes.append((m[kept], (p0 + pp[rep]).astype(np.int32), jj[rep].astype(np.int32)))
+            found += len(kept)
+        class_masks, parent, col = (np.concatenate(a) for a in zip(*classes))
+        del classes
+        first, child = _group(class_masks)
+        if size + len(first) > limit or (r + 1 < k and len(first) * n * k > _FLAT_CELLS):
+            return None
+        row = (size + child).astype(np.int32).take(step)
+        np.copyto(row, np.arange(size - count, size, dtype=np.int32)[:, None], where=step < 0)
+        rows.append(row)
+        del step, child
+        if r + 1 < k:
+            resid = _flat_children(resid, parent[first], col[first], sub_t, mul_t, inv_t, xor)
+            masks = class_masks[first]
+        size += len(first)
+    del resid
+    rows.append(np.full((1, n), size - 1, dtype=np.int32))
+    return np.concatenate(rows)
+
+
+def _flat_lanes(table: "np.ndarray", n: int, k: int, seed: int, t0: int, count: int) -> "np.ndarray":
+    """Lanes on the flat table: a lane's one state is its flat, and a draw one gather."""
+
+    def independent(flat, col):
+        moved = table[flat, col]
+        grew = moved != flat
+        flat[:] = moved
+        return grew
+
+    return _run_lanes(n, k, seed, t0, count, np.zeros(count, dtype=table.dtype), independent)
+
+
 def _draw_count_array(
     F: FieldSpec,
     cols: Sequence[Tuple[int, ...]],
@@ -710,18 +861,26 @@ def _draw_count_array(
     seed: int,
     t0: int,
     count: int,
+    table: Optional["np.ndarray"] = None,
 ) -> "np.ndarray":
     """Draw counts of trials t0 .. t0 + count - 1 as an int64 array: the only batch entry.
 
-    Binary codes with k <= 64 run the packed lanes, every other code over a
+    Given the code's flat table, the flat lanes run: expectation_monte_carlo
+    passes one wherever _flat_table builds it, that is over fields of at
+    most _TABLE_LIMIT elements while the flats number at most the call's
+    trials and no level's residuals pass _FLAT_CELLS cells. Without one,
+    binary codes with k <= 64 run the packed lanes, every other code over a
     field of at most _TABLE_LIMIT elements the table lanes, and the rest
     the scalar reference path, trial by trial. Trial t draws what
-    simulate_trial(C, seed, t) draws (the tests hold them equal).
+    simulate_trial(C, seed, t) draws whichever kernel runs (the tests hold
+    them equal).
     """
-    if k < 1 or F.q > _TABLE_LIMIT:
+    if table is not None:
+        cells, lanes = 1, partial(_flat_lanes, table, n, k, seed)
+    elif k < 1 or F.q > _TABLE_LIMIT:
         return np.array([_simulate_scalar(F, cols, n, k, _trial_key(seed, t0 + j))
                          for j in range(count)], dtype=np.int64)
-    if F.q == 2 and k <= 64:
+    elif F.q == 2 and k <= 64:
         cells, lanes = k, partial(_packed_lanes, cols, n, k, seed)
     else:
         cells, lanes = k * k, partial(_table_lanes, F, cols, n, k, seed)
@@ -744,8 +903,8 @@ def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
 
 
 def _mc_chunk(task) -> Tuple[int, int, int, int]:
-    F, cols, n, k, seed, t0, count = task
-    counts = _draw_count_array(F, cols, n, k, seed, t0, count)
+    F, cols, n, k, seed, t0, count, table = task
+    counts = _draw_count_array(F, cols, n, k, seed, t0, count, table)
     top = int(counts.max())
     if len(counts) * top * top < 1 << 63:  # the int64 sum of squares cannot overflow
         total_sq = int(np.dot(counts, counts))
@@ -776,17 +935,19 @@ def expectation_monte_carlo(C: LinearCode, trials: int, seed: int, jobs: int = 1
     """Estimate the expected draw count from `trials` independent trials.
 
     Trials are keyed by their index, so the estimate for a given
-    (code, trials, seed) is identical for every value of jobs. With a
-    single trial the standard error is reported as 0.0.
+    (code, trials, seed) is identical for every value of jobs. The code's
+    flat table, where it builds within its caps, is built once here and
+    sent with every chunk. With a single trial the standard error is
+    reported as 0.0.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    F = C.field
-    cols = tuple(columns_of(C.generator))
+    F, cols = C.field, C.columns
+    table = _flat_table(F, cols, C.k, trials)
     tasks = [
-        (F, cols, C.n, C.k, seed, t0, min(_CHUNK, trials - t0))
+        (F, cols, C.n, C.k, seed, t0, min(_CHUNK, trials - t0), table)
         for t0 in range(0, trials, _CHUNK)
     ]
     parts = _fan_out(_mc_chunk, tasks, jobs)

@@ -317,11 +317,11 @@ class FieldSpec:
             g = self._find_generator()
             exp = [0] * (self.q - 1)
             log = [-1] * self.q
-            cur = 1
+            cur, p, prime = 1, self.p, self.m == 1
             for i in range(self.q - 1):
                 exp[i] = cur
                 log[cur] = i
-                cur = self._poly_mul_mod(cur, g)
+                cur = cur * g % p if prime else self._poly_mul_mod(cur, g)
             if cur != 1:
                 raise RuntimeError("generator order check failed")
             self._exp = exp

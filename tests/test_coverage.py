@@ -1,18 +1,20 @@
 import math
 import random
 import statistics
+import tracemalloc
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_invertible
-from coverdepth import coverage
+from coverdepth import codes, coverage
 from coverdepth.cli import main
 from coverdepth.codes import (
     LinearCode,
@@ -445,6 +447,14 @@ def _reference_draws(C, seed, t0, count):
     return [simulate_trial(C, seed=seed, trial=t) for t in range(t0, t0 + count)]
 
 
+def _flat_draws(C, seed, t0, count):
+    """The same trials on the code's flat table; None where the table passes a cap."""
+    table = coverage._flat_table(C.field, C.columns, C.k, 1 << 20)
+    if table is None:
+        return None
+    return _draw_count_array(C.field, C.columns, C.n, C.k, seed, t0, count, table).tolist()
+
+
 def test_draw_counts_match_per_trial_keying():
     # Trial t0 + j of a batch starting at t0 = 5 is keyed as trial 5 + j.
     C = hamming_code(field_from_order(2), 3)
@@ -485,12 +495,19 @@ def _binary_code(k, n, seed):
         # subtraction-table gather.
         lambda: reed_solomon(field_from_order(8), 9, 4),
         lambda: reed_solomon(field_from_order(16), 16, 8),
+        # The flat table's class keys of RS [10,8]/GF(256) need 74 bits (two
+        # words), and the 121 columns of the GF(3) simplex code two mask words.
+        lambda: reed_solomon(field_from_order(256), 10, 8),
+        lambda: simplex_code(field_from_order(3), 5),
     ],
 )
 def test_vector_and_scalar_draws_agree(maker):
     C = maker()
     count = 300 if C.k < 16 else 12  # the scalar reference is slow at k = 64
-    assert _draws(C, 2024, 0, count) == _reference_draws(C, 2024, 0, count)
+    reference = _reference_draws(C, 2024, 0, count)
+    assert _draws(C, 2024, 0, count) == reference
+    # Only the binary codes with k = 64 and 65 have too many flats.
+    assert _flat_draws(C, 2024, 0, count) == (reference if C.k < 64 else None)
 
 
 @pytest.mark.parametrize(
@@ -499,11 +516,146 @@ def test_vector_and_scalar_draws_agree(maker):
 )
 def test_lane_blocks_do_not_change_counts(monkeypatch, maker):
     # 200 cells split the 400 trials into blocks of 3 table lanes at k = 8
-    # (k * k cells each) and of 18 packed lanes at k = 11 (k cells each).
+    # (k * k cells each), of 18 packed lanes at k = 11 (k cells each) and of
+    # 200 flat lanes (one cell each). 30 cells make the flat table's build
+    # read one flat at a time.
     C = maker()
     whole = _draws(C, seed=8, t0=3, count=400)
+    table = coverage._flat_table(C.field, C.columns, C.k, 1 << 20)
+    assert _flat_draws(C, seed=8, t0=3, count=400) == whole
     monkeypatch.setattr(coverage, "_LANE_CELLS", 200)
     assert _draws(C, seed=8, t0=3, count=400) == whole
+    assert _flat_draws(C, seed=8, t0=3, count=400) == whole
+    monkeypatch.setattr(coverage, "_FLAT_BLOCK_CELLS", 30)
+    assert np.array_equal(coverage._flat_table(C.field, C.columns, C.k, 1 << 20), table)
+
+
+def _flat_ranks(table):
+    """The rank of every flat of a flat table, from the moves out of flat 0."""
+    ranks = [0] * len(table)
+    for f, row in enumerate(table.tolist()):
+        for g in row:
+            if g != f:
+                ranks[g] = ranks[f] + 1
+    return ranks
+
+
+@pytest.mark.parametrize("q,k", [(2, 3), (2, 4), (3, 3), (3, 4), (4, 3), (3, 5)])
+def test_simplex_flats_are_the_subspaces(q, k):
+    # Every subspace of GF(q)^k is spanned by the points it holds.
+    C = simplex_code(field_from_order(q), k)
+    ranks = Counter(_flat_ranks(coverage._flat_table(C.field, C.columns, k, 1 << 20)))
+    assert [ranks[d] for d in range(k + 1)] == [coverage._gaussian(k, d, q) for d in range(k + 1)]
+
+
+@pytest.mark.parametrize("q,n,k", [(16, 16, 8), (256, 10, 8), (9, 9, 3), (8, 8, 3), (5, 6, 2)])
+def test_mds_flats_are_the_small_subsets(q, n, k):
+    # Every t < k columns of an MDS code are independent and close to
+    # themselves, so the flats are the t-subsets for t < k and the whole set.
+    C = reed_solomon(field_from_order(q), n, k)
+    table = coverage._flat_table(C.field, C.columns, k, 1 << 20)
+    assert len(table) == sum(comb(n, t) for t in range(k)) + 1
+    assert Counter(_flat_ranks(table)) == {**{t: comb(n, t) for t in range(k)}, k: 1}
+
+
+def test_flat_caps_are_checked_before_a_level_is_reduced(monkeypatch):
+    # RS [8,3]/GF(9) has 1, 8 and 28 flats of rank 0, 1 and 2 and one of
+    # rank 3; a flat's residuals are 8 * 3 = 24 cells.
+    C = reed_solomon(field_from_order(9), 8, 3)
+    F, cols, sizes = C.field, C.columns, [1, 8, 28, 1]
+    reduced = []
+    real = coverage._flat_children
+
+    def counted(resid, parent, *args):
+        reduced.append(len(parent))
+        return real(resid, parent, *args)
+
+    monkeypatch.setattr(coverage, "_flat_children", counted)
+    assert len(coverage._flat_table(F, cols, 3, 38)) == 38
+    assert sum(reduced) == 36
+    for r in range(1, 4):  # one flat too many at level r
+        reduced.clear()
+        assert coverage._flat_table(F, cols, 3, sum(sizes[:r + 1]) - 1) is None
+        assert sum(reduced) == sum(sizes[1:r])
+    for r in range(3):  # one residual cell too many at level r
+        reduced.clear()
+        monkeypatch.setattr(coverage, "_FLAT_CELLS", sizes[r] * 24 - 1)
+        assert coverage._flat_table(F, cols, 3, 38) is None
+        assert sum(reduced) == sum(sizes[1:r])
+
+
+@pytest.mark.parametrize("maker", [lambda: reed_solomon(field_from_order(9), 8, 3),
+                                   lambda: _binary_code(4, 12, seed=12)])
+def test_past_either_flat_cap_the_lanes_give_the_same_estimate(monkeypatch, maker):
+    C = maker()
+    table = coverage._flat_table(C.field, C.columns, C.k, 1 << 20)
+    sizes = sorted(Counter(_flat_ranks(table)).items())
+    built = []
+    real = coverage._flat_table
+    monkeypatch.setattr(coverage, "_flat_table", lambda *args: built.append(real(*args)) or built[-1])
+
+    def check(trials, has_table):
+        built.clear()
+        est = expectation_monte_carlo(C, trials=trials, seed=13)
+        assert [t is not None for t in built] == [has_table]
+        counts = _draws(C, seed=13, t0=0, count=trials)
+        assert est.mean == sum(counts) / trials
+        assert (est.min_draws, est.max_draws) == (min(counts), max(counts))
+        return est
+
+    # With as many trials as flats the table is built; one level short of
+    # the trials, or past the cell cap at any level, it is not.
+    whole = check(len(table), True)
+    total = 0
+    for r, size in sizes:
+        total += size
+        if r:
+            check(total - 1, False)
+    for r, size in sizes[:-1]:
+        monkeypatch.setattr(coverage, "_FLAT_CELLS", size * C.n * C.k - 1)
+        assert check(len(table), False) == whole
+
+
+def test_flat_build_peak_stays_below_a_lane_chunk():
+    # tracemalloc sees numpy's buffers; the field's tables are built first.
+    C = reed_solomon(field_from_order(16), 16, 8)
+    F, cols = C.field, C.columns
+    F.op_tables()
+    tracemalloc.start()
+    try:
+        _draw_count_array(F, cols, C.n, C.k, 1, 0, coverage._CHUNK)
+        lanes = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = coverage._flat_table(F, cols, C.k, 200_000)
+        build = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 26_334
+    assert build <= lanes, (build, lanes)
+
+
+@pytest.mark.parametrize("spec,trials", [(("--field", "16", "--code", "rs", "--n", "16", "--k", "8"), 40_000),
+                                         (("--field", "3", "--code", "simplex", "--k", "4"), 70_000)])
+def test_simulate_bytes_do_not_depend_on_jobs_or_kernel(monkeypatch, capsys, spec, trials):
+    # Two or three chunks, so --jobs 2 sends the flat table to two workers.
+    argv = ["simulate", *spec, "--trials", str(trials), "--seed", "3"]
+    outs = []
+    for jobs in ("1", "2"):
+        assert main(argv + ["--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    monkeypatch.setattr(coverage, "_flat_table", lambda *args: None)
+    assert main(argv) == 0
+    outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_simulate_trial_reads_the_columns_once_per_code(monkeypatch):
+    C = simplex_code(field_from_order(3), 3)
+    calls = []
+    real = codes.columns_of
+    monkeypatch.setattr(codes, "columns_of", lambda M: calls.append(M) or real(M))
+    assert [simulate_trial(C, seed=5, trial=t) for t in range(20)] == _draws(C, 5, 0, 20)
+    assert len(calls) == 1
 
 
 def _tail_terms(C):

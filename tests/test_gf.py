@@ -52,6 +52,22 @@ def test_tables_match_scalar_ops(q):
             assert inv[a] == F.inv(a)
 
 
+@pytest.mark.parametrize("p", [3, 7, 251, 509])
+def test_prime_field_log_tables_match_the_digit_list_step(p):
+    # Prime fields step their exp table by one modular multiplication; the
+    # polynomial step on base-p digit lists must give the same tables.
+    F = FieldSpec(p)
+    g = F._find_generator()
+    exp, cur = [], 1
+    for _ in range(p - 1):
+        exp.append(cur)
+        cur = F._poly_mul_mod(cur, g)
+    log = [-1] * p
+    for i, a in enumerate(exp):
+        log[a] = i
+    assert F._logtables() == (exp, log)
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)])
 def test_frobenius(p, m):
     F = field_new(p, m)
