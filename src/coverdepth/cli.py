@@ -306,7 +306,7 @@ def cmd_verify(args: argparse.Namespace) -> str:
         C = cd.simplex_code(F, 3)
         slow = [simulate_trial(C, 7, t) for t in range(256)]
         for table in (None, _flat_table(F, C.columns, C.k, 256)):
-            if _draw_count_array(F, C.columns, C.n, C.k, 7, 0, 256, table).tolist() != slow:
+            if _draw_count_array(F, C.columns, 7, 0, 256, table).tolist() != slow:
                 raise AssertionError("vector and scalar draw counts differ")
 
     def gap_sign():

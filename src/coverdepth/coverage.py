@@ -31,9 +31,10 @@ computes the expectation of that stopping time:
     expectation_hamming fills the defect sum from r closed-form counts;
   * in closed form for the simplex family;
   * by Monte Carlo simulation with a counter-based generator whose output
-    depends only on (seed, trial index), so estimates are reproducible
-    bit for bit under any process count. Trials run as numpy lanes, one
-    draw per round, in one of three kernels. Over fields of at most 512
+    depends only on (seed, trial index, draw index), so estimates are
+    reproducible bit for bit under any process count. Trials run as numpy
+    lanes in one of three kernels, one draw per round, so the round number
+    is every live lane's draw count (_run_lanes). Over fields of at most 512
     elements expectation_monte_carlo first builds the code's flat table
     (_flat_table: the flat each flat of the column matroid moves to with
     each column), once per call, and a draw is one gather in it. The build
@@ -43,8 +44,9 @@ computes the expectation of that stopping time:
     word, a reduction step one XOR) and every other code over at most 512
     elements table lanes (the field's operation tables, each lane one
     (k, k) basis). Larger fields run the scalar reference path.
-    _draw_count_array is the one batch entry, and every kernel matches
-    simulate_trial draw for draw.
+    _draw_count_array is the one batch entry and the one place that builds
+    a kernel's lane state and step, and every kernel matches simulate_trial
+    draw for draw.
 
 All exact values are fractions.Fraction; nothing is rounded until a caller
 asks for digits.
@@ -58,7 +60,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -388,7 +390,7 @@ def expectation_exact(C: LinearCode) -> Fraction:
     The m = k lattice where it is kept, else the kernel's columns on the
     dual side when n - k <= k, else the full-rank walk.
     """
-    return _exact_from_columns(C.field, columns_of(C.generator), C.k)
+    return _exact_from_columns(C.field, C.columns, C.k)
 
 
 def expectation_exact_dual(C: LinearCode) -> Fraction:
@@ -521,13 +523,15 @@ def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[Lis
 
 
 # Vector lanes: a block of trials advances one draw per round, each lane
-# with its own state for the columns drawn so far. The driver owns the keys,
-# the rejection sampling, the draw counters and the retiring, so the flat,
-# packed and table kernels read the same random stream; they differ only in
-# the independence step. The lanes match simulate_trial draw for draw (the
-# tests hold them equal). A block holds at most _LANE_CELLS basis cells, so memory stays
-# bounded whatever k is; trials are keyed by index, so blocking changes no
-# count. The level count reduces its children with the table lanes' step
+# with its own state for the columns drawn so far, so the round number is
+# every live lane's draw count. The driver (_run_lanes) owns the keys, the
+# rejection sampling, the round counter and the retiring, so the flat,
+# packed and table kernels read the same random stream; _draw_count_array
+# builds each kernel's state and independence step, and nothing else differs.
+# The lanes match simulate_trial draw for draw (the tests hold them equal).
+# A block holds at most _LANE_CELLS state cells, so memory stays bounded
+# whatever k is; trials are keyed by index, so blocking changes no count.
+# The level count reduces its children with the table lanes' step
 # (_reduce_insert), _LEVEL_BLOCK_CELLS basis cells at a time, and refuses a
 # level whose children would hold more than _LEVEL_CELLS basis cells.
 _LANE_CELLS = 1 << 22
@@ -615,97 +619,55 @@ def _run_lanes(
     k: int,
     seed: int,
     t0: int,
-    count: int,
     state: "np.ndarray",
     independent: Callable[["np.ndarray", "np.ndarray"], "np.ndarray"],
 ) -> "np.ndarray":
-    """Draw counts of trials t0 .. t0 + count - 1, as an int64 array.
+    """Draw counts of trials t0 .. t0 + len(state) - 1, as an int64 array.
 
-    state holds the lanes' states, one lane per index of the first axis:
-    the flat of each lane on the flat table, the slot words of packed
-    lanes, the (k, k) bases of table lanes. independent(state, col) adds
-    each lane's drawn column (an index in 0..n-1) to its state and says
-    which lanes grew: the flat moved, or the column reduced to a nonzero
-    residual and was inserted. A lane leaves every array in the round it
-    reaches rank k.
+    state holds the lanes' states, one lane per index of the first axis,
+    as _draw_count_array builds them. independent(state, col) adds each
+    lane's drawn column (an index in 0..n-1) to its state and says which
+    lanes grew: the flat moved, or the column reduced to a nonzero residual
+    and was inserted. Every live lane draws once a round, so the round
+    number is each lane's draw index: round r draws at counter r << 20
+    (retries at (r << 20) | attempt), and a lane that reaches rank k in
+    round r leaves every array with the draw count r + 1.
     """
+    count = len(state)
     trial_idx = np.arange(t0, t0 + count, dtype=np.uint64)
     with np.errstate(over="ignore"):
         keys = _mix64_np(np.uint64(_mix64(seed)) + trial_idx * np.uint64(_GOLDEN))
-    draws = np.zeros(count, dtype=np.uint64)
     rank = np.zeros(count, dtype=np.int64)
     lane = np.arange(count)
     out = np.zeros(count, dtype=np.int64)
     last = np.uint64(_MASK64 - (1 << 64) % n)  # larger values are rejected
-    shift = np.uint64(20)
+    draws = 0
     while lane.size:
-        ctr = draws << shift
+        ctr = draws << 20
         with np.errstate(over="ignore"):
-            val = _mix64_np(keys + ctr)
+            val = _mix64_np(keys + np.uint64(ctr))
         bad = np.flatnonzero(val > last)
-        attempt = np.uint64(0)
+        attempt = 0
         while bad.size:
-            attempt += np.uint64(1)
+            attempt += 1
             with np.errstate(over="ignore"):
-                val[bad] = _mix64_np(keys[bad] + (ctr[bad] | attempt))
+                val[bad] = _mix64_np(keys[bad] + np.uint64(ctr | attempt))
             bad = bad[val[bad] > last]
-        draws += np.uint64(1)
+        draws += 1
         rank += independent(state, val % np.uint64(n))
         done = np.flatnonzero(rank >= k)
         if done.size:
             # Retire: the live lanes past the new end fill the holes the
             # finished ones leave below it, so a round moves only as many
             # lanes as finish in it.
-            out[lane[done]] = draws[done]
+            out[lane[done]] = draws
             size = lane.size - done.size
             holes = done[done < size]
             movers = size + np.flatnonzero(rank[size:] < k)
-            for a in (keys, draws, rank, lane, state):
+            for a in (keys, rank, lane, state):
                 a[holes] = a[movers]
-            keys, draws, rank, lane, state = (a[:size] for a in (keys, draws, rank, lane, state))
+            keys, rank, lane, state = (a[:size] for a in (keys, rank, lane, state))
     return out
-
-
-def _packed_lanes(cols: Sequence[Tuple[int, ...]], n: int, k: int, seed: int, t0: int,
-                  count: int) -> "np.ndarray":
-    """Binary lanes (q = 2, k <= 64): a column is one uint64 word, bit i its i-th entry.
-
-    Slot b of a lane's basis holds 0 or a word whose lowest set bit is b,
-    so a draw reduces in k steps v ^= slot_b * bit_b(v) and a nonzero
-    residual goes into the slot of its lowest set bit.
-    """
-    words = np.array([sum(x << i for i, x in enumerate(col)) for col in cols], dtype=np.uint64)
-    one = np.uint64(1)
-
-    def independent(slots, col):
-        v = words[col]
-        for b in range(k):
-            v ^= slots[:, b] * (v >> np.uint64(b) & one)
-        grew = np.flatnonzero(v)
-        if grew.size:
-            r = v[grew]
-            low = np.frexp((r & (~r + one)).astype(np.float64))[1] - 1  # exact: a power of two
-            slots[grew, low] = r
-        return v != 0
-
-    return _run_lanes(n, k, seed, t0, count, np.zeros((count, k), dtype=np.uint64), independent)
-
-
-def _table_lanes(F: FieldSpec, cols: Sequence[Tuple[int, ...]], n: int, k: int, seed: int,
-                 t0: int, count: int) -> "np.ndarray":
-    """Lanes over the field's operation tables (q <= 512).
-
-    Each lane holds only a (k, k) basis, grown by _reduce_insert; its
-    diagonal says which slots are filled.
-    """
-    _, sub_t, mul_t, inv_t = F.op_tables()
-    cols_arr = np.array(cols, dtype=np.uint16)
-    xor = F.p == 2
-
-    def independent(basis, col):
-        return _reduce_insert(basis, cols_arr[col], sub_t, mul_t, inv_t, xor)
-
-    return _run_lanes(n, k, seed, t0, count, np.zeros((count, k, k), dtype=np.uint16), independent)
 
 
 # The flat table. The span of a lane's drawn columns is a flat of the column
@@ -841,23 +803,9 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
     return np.concatenate(rows)
 
 
-def _flat_lanes(table: "np.ndarray", n: int, k: int, seed: int, t0: int, count: int) -> "np.ndarray":
-    """Lanes on the flat table: a lane's one state is its flat, and a draw one gather."""
-
-    def independent(flat, col):
-        moved = table[flat, col]
-        grew = moved != flat
-        flat[:] = moved
-        return grew
-
-    return _run_lanes(n, k, seed, t0, count, np.zeros(count, dtype=table.dtype), independent)
-
-
 def _draw_count_array(
     F: FieldSpec,
     cols: Sequence[Tuple[int, ...]],
-    n: int,
-    k: int,
     seed: int,
     t0: int,
     count: int,
@@ -871,21 +819,61 @@ def _draw_count_array(
     trials and no level's residuals pass _FLAT_CELLS cells. Without one,
     binary codes with k <= 64 run the packed lanes, every other code over a
     field of at most _TABLE_LIMIT elements the table lanes, and the rest
-    the scalar reference path, trial by trial. Trial t draws what
-    simulate_trial(C, seed, t) draws whichever kernel runs (the tests hold
-    them equal).
+    the scalar reference path, trial by trial. The chosen branch builds its
+    lane state shape and its independence step once per call, and
+    _run_lanes runs them on blocks of at most _LANE_CELLS state cells. Trial
+    t draws what simulate_trial(C, seed, t) draws whichever kernel runs (the
+    tests hold them equal).
     """
+    n, k = len(cols), len(cols[0])
     if table is not None:
-        cells, lanes = 1, partial(_flat_lanes, table, n, k, seed)
+        # Flat lanes: a lane's one state is its flat, and a draw one gather.
+        shape, dtype = (), table.dtype
+
+        def independent(flat, col):
+            moved = table[flat, col]
+            grew = moved != flat
+            flat[:] = moved
+            return grew
+
     elif k < 1 or F.q > _TABLE_LIMIT:
         return np.array([_simulate_scalar(F, cols, n, k, _trial_key(seed, t0 + j))
                          for j in range(count)], dtype=np.int64)
     elif F.q == 2 and k <= 64:
-        cells, lanes = k, partial(_packed_lanes, cols, n, k, seed)
+        # Packed lanes: a column is one uint64 word, bit i its i-th entry.
+        # Slot b of a lane's basis holds 0 or a word whose lowest set bit is
+        # b, so a draw reduces in k steps v ^= slot_b * bit_b(v) and a
+        # nonzero residual goes into the slot of its lowest set bit.
+        shape, dtype = (k,), np.uint64
+        words = np.array([sum(x << i for i, x in enumerate(col)) for col in cols], dtype=np.uint64)
+        one = np.uint64(1)
+
+        def independent(slots, col):
+            v = words[col]
+            for b in range(k):
+                v ^= slots[:, b] * (v >> np.uint64(b) & one)
+            grew = np.flatnonzero(v)
+            if grew.size:
+                r = v[grew]
+                low = np.frexp((r & (~r + one)).astype(np.float64))[1] - 1  # exact: a power of two
+                slots[grew, low] = r
+            return v != 0
+
     else:
-        cells, lanes = k * k, partial(_table_lanes, F, cols, n, k, seed)
-    block = max(1, _LANE_CELLS // cells)
-    return np.concatenate([lanes(t, min(block, t0 + count - t))
+        # Table lanes over the field's operation tables: a lane holds only a
+        # (k, k) basis, grown by _reduce_insert, whose nonzero diagonal
+        # marks the filled slots.
+        shape, dtype = (k, k), np.uint16
+        _, sub_t, mul_t, inv_t = F.op_tables()
+        cols_arr = np.array(cols, dtype=np.uint16)
+        xor = F.p == 2
+
+        def independent(basis, col):
+            return _reduce_insert(basis, cols_arr[col], sub_t, mul_t, inv_t, xor)
+
+    block = max(1, _LANE_CELLS // math.prod(shape))
+    return np.concatenate([_run_lanes(n, k, seed, t, np.zeros((min(block, t0 + count - t), *shape), dtype),
+                                      independent)
                            for t in range(t0, t0 + count, block)] or [np.zeros(0, np.int64)])
 
 
@@ -903,8 +891,8 @@ def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
 
 
 def _mc_chunk(task) -> Tuple[int, int, int, int]:
-    F, cols, n, k, seed, t0, count, table = task
-    counts = _draw_count_array(F, cols, n, k, seed, t0, count, table)
+    F, cols, seed, t0, count, table = task
+    counts = _draw_count_array(F, cols, seed, t0, count, table)
     top = int(counts.max())
     if len(counts) * top * top < 1 << 63:  # the int64 sum of squares cannot overflow
         total_sq = int(np.dot(counts, counts))
@@ -947,7 +935,7 @@ def expectation_monte_carlo(C: LinearCode, trials: int, seed: int, jobs: int = 1
     F, cols = C.field, C.columns
     table = _flat_table(F, cols, C.k, trials)
     tasks = [
-        (F, cols, C.n, C.k, seed, t0, min(_CHUNK, trials - t0), table)
+        (F, cols, seed, t0, min(_CHUNK, trials - t0), table)
         for t0 in range(0, trials, _CHUNK)
     ]
     parts = _fan_out(_mc_chunk, tasks, jobs)

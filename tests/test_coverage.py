@@ -439,7 +439,7 @@ def test_single_column_code_always_one_draw():
 
 def _draws(C, seed, t0, count):
     """The lanes' draw counts of trials t0 .. t0 + count - 1, as a list."""
-    return _draw_count_array(C.field, columns_of(C.generator), C.n, C.k, seed, t0, count).tolist()
+    return _draw_count_array(C.field, columns_of(C.generator), seed, t0, count).tolist()
 
 
 def _reference_draws(C, seed, t0, count):
@@ -452,7 +452,7 @@ def _flat_draws(C, seed, t0, count):
     table = coverage._flat_table(C.field, C.columns, C.k, 1 << 20)
     if table is None:
         return None
-    return _draw_count_array(C.field, C.columns, C.n, C.k, seed, t0, count, table).tolist()
+    return _draw_count_array(C.field, C.columns, seed, t0, count, table).tolist()
 
 
 def test_draw_counts_match_per_trial_keying():
@@ -528,6 +528,48 @@ def test_lane_blocks_do_not_change_counts(monkeypatch, maker):
     assert _flat_draws(C, seed=8, t0=3, count=400) == whole
     monkeypatch.setattr(coverage, "_FLAT_BLOCK_CELLS", 30)
     assert np.array_equal(coverage._flat_table(C.field, C.columns, C.k, 1 << 20), table)
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        lambda: hamming_code(field_from_order(2), 3),  # packed lanes
+        lambda: reed_solomon(field_from_order(9), 9, 3),  # table lanes
+        lambda: simplex_code(field_from_order(3), 3),  # table lanes
+    ],
+)
+def test_rejected_draws_retry_alike_in_every_kernel(monkeypatch, maker):
+    # A 64-bit value is rejected with probability (2^64 mod n) / 2^64, so no
+    # real stream retries. Mapping every even mixer output to 2^64 - 1,
+    # which lies past the threshold whenever 2^64 mod n != 0 (n = 7, 9, 13
+    # here), makes about half of all draws retry, some several times.
+    C = maker()
+    assert (1 << 64) % C.n
+    plain = _reference_draws(C, 21, 0, 200)
+    real, real_np = coverage._mix64, coverage._mix64_np
+
+    def mix(x):
+        v = real(x)
+        return v if v & 1 else coverage._MASK64
+
+    def mix_np(x):
+        v = real_np(x)
+        return np.where(v & np.uint64(1) == 1, v, np.uint64(coverage._MASK64))
+
+    monkeypatch.setattr(coverage, "_mix64", mix)
+    monkeypatch.setattr(coverage, "_mix64_np", mix_np)
+    reference = _reference_draws(C, 21, 0, 200)
+    assert reference != plain
+    assert _draws(C, 21, 0, 200) == reference
+    assert _flat_draws(C, 21, 0, 200) == reference
+    # An empty batch is an empty int64 array on every kernel, the scalar
+    # path (k = 0) included.
+    F = C.field
+    for table in (None, coverage._flat_table(F, C.columns, C.k, 1 << 20)):
+        empty = _draw_count_array(F, C.columns, 21, 0, 0, table)
+        assert empty.dtype == np.int64 and empty.shape == (0,)
+    empty = _draw_count_array(F, ((),) * 3, 21, 0, 0)
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def _flat_ranks(table):
@@ -623,7 +665,7 @@ def test_flat_build_peak_stays_below_a_lane_chunk():
     F.op_tables()
     tracemalloc.start()
     try:
-        _draw_count_array(F, cols, C.n, C.k, 1, 0, coverage._CHUNK)
+        _draw_count_array(F, cols, 1, 0, coverage._CHUNK)
         lanes = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         table = coverage._flat_table(F, cols, C.k, 200_000)
@@ -655,6 +697,16 @@ def test_simulate_trial_reads_the_columns_once_per_code(monkeypatch):
     real = codes.columns_of
     monkeypatch.setattr(codes, "columns_of", lambda M: calls.append(M) or real(M))
     assert [simulate_trial(C, seed=5, trial=t) for t in range(20)] == _draws(C, 5, 0, 20)
+    assert len(calls) == 1
+
+
+def test_expectation_exact_reads_the_columns_once_per_code(monkeypatch):
+    C = simplex_code(field_from_order(3), 3)
+    calls = []
+    for module in (codes, coverage):
+        real = module.columns_of
+        monkeypatch.setattr(module, "columns_of", lambda M, real=real: calls.append(M) or real(M))
+    assert {expectation_exact(C) for _ in range(5)} == {expectation_simplex(3, 3)}
     assert len(calls) == 1
 
 
