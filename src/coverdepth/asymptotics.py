@@ -29,6 +29,7 @@ from typing import Iterable, List, NamedTuple, Optional
 
 from .coverage import (
     InvariantViolation,
+    _gaussian,
     expectation_hamming,
     expectation_simplex,
     harmonic,
@@ -82,7 +83,7 @@ def simplex_gap(F: FieldSpec, k: int) -> GapReport:
     smaller k the values are still exact but no prediction is attached.
     """
     q = F.q
-    n = (q**k - 1) // (q - 1)
+    n = _gaussian(k, 1, q)
     exact = expectation_simplex(q, k)
     bound = mds_bound(n, k)
     if k >= 3:
@@ -127,7 +128,7 @@ def hamming_gap_bound(F: FieldSpec, r: int) -> Decimal:
 def hamming_gap(F: FieldSpec, r: int) -> GapReport:
     """Gap report for the redundancy-r Hamming code over F."""
     q = F.q
-    n = (q**r - 1) // (q - 1)
+    n = _gaussian(r, 1, q)
     exact = expectation_hamming(q, r)
     bound = mds_bound(n, n - r)
     return GapReport(

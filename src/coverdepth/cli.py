@@ -32,6 +32,7 @@ from .coverage import (
     simulate_trial,
     _draw_count_array,
     _flat_table,
+    _gaussian,
     _rational_str,
 )
 from .gf import FieldSpec, field_from_order, is_prime_power, parse_field_spec
@@ -243,7 +244,7 @@ def cmd_figure1(args: argparse.Namespace) -> str:
     lines = ["k,q,simplex_value,bound_value"]
     for k in FIG_K:
         for q in FIG_Q:
-            n = (q**k - 1) // (q - 1)
+            n = _gaussian(k, 1, q)
             lines.append(",".join([
                 str(k),
                 str(q),

@@ -139,8 +139,7 @@ def shortened_subcode_dim(C: LinearCode, support: Iterable[int]) -> int:
     for i in s:
         if not 0 <= i < C.n:
             raise ValueError(f"coordinate {i} out of range 0..{C.n - 1}")
-    cols = columns_of(C.generator)
-    outside = [cols[j] for j in range(C.n) if j not in s]
+    outside = [C.columns[j] for j in range(C.n) if j not in s]
     return C.k - len(span_basis(C.field, outside, cap=C.k))
 
 
@@ -165,9 +164,7 @@ def information_set_count(C: LinearCode, s: int) -> SubsetCounter:
         raise ValueError(f"subset size {s} not in 0..{C.n}")
     count = 0
     if s >= C.k:
-        cols = columns_of(C.generator)
-        F = C.field
-        k = C.k
+        F, cols, k = C.field, C.columns, C.k
         for sub in combinations(range(C.n), s):
             if len(span_basis(F, (cols[j] for j in sub), cap=k)) == k:
                 count += 1
@@ -187,8 +184,7 @@ def shortened_dim_count(C: LinearCode, dimension: int, s: int) -> SubsetCounter:
     if not 0 <= dimension <= C.k:
         return SubsetCounter(C, s, 0)
     target = C.k - dimension
-    cols = columns_of(C.generator)
-    F = C.field
+    F, cols = C.field, C.columns
     count = 0
     for sub in combinations(range(C.n), s):
         if len(span_basis(F, (cols[j] for j in sub), cap=target + 1)) == target:
@@ -220,7 +216,7 @@ def information_set_profile(C: LinearCode) -> List[int]:
     to reach rank k, the branch dies. Validated against
     information_set_count in the tests.
     """
-    return _full_rank_profile(C.field, columns_of(C.generator), C.k)
+    return _full_rank_profile(C.field, C.columns, C.k)
 
 
 def _full_rank_profile(F: FieldSpec, cols: Sequence[Sequence[int]], k: int) -> List[int]:

@@ -25,11 +25,12 @@ computes the expectation of that stopping time:
     past 512 elements walks its independent subsets; the primal side, when
     n - k <= k, reads the kernel's columns the same way (_dual_terms), in
     every field. Only primal sides with n - k > k run the full-rank walk
-    (codes._full_rank_profile).
+    (codes._full_rank_profile), which recurses once per column, so more
+    columns than half the recursion limit raise BudgetExceededError.
     The primal side takes bare columns and also decides whether they span
     (_exact_from_columns), so search scores a candidate without a code.
-    expectation_hamming fills the defect sum from r closed-form counts;
-  * in closed form for the simplex family;
+    The simplex (m = k) and Hamming (m = r) closed forms are the primal and
+    dual readers on the projective histogram (_projective_histogram);
   * by Monte Carlo simulation with a counter-based generator whose output
     depends only on (seed, trial index, draw index), so estimates are
     reproducible bit for bit under any process count. Trials run as numpy
@@ -55,6 +56,7 @@ asks for digits.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -370,7 +372,8 @@ def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) 
     The primal reader decides both from one histogram when the lattice of
     GF(q)^k is kept. Otherwise, when n - k <= k, one reduction gives the
     rank and the kernel, whose columns the dual side counts (_dual_terms).
-    Past that, a rank check precedes the full-rank walk.
+    Past that, a rank check precedes the full-rank walk, and more columns
+    than half the recursion limit raise BudgetExceededError before it.
     """
     n, q = len(columns), F.q
     if _lattice_kept(q, k):
@@ -378,6 +381,8 @@ def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) 
     if n - k <= k:
         rank, H = rank_and_kernel(from_columns(F, columns))
         return _defect_sum(n, _dual_terms(H)) if rank == k else None
+    if 2 * n > sys.getrecursionlimit():  # the walk recurses once per column
+        raise BudgetExceededError(f"the full-rank walk over {n} columns would recurse too deep")
     if len(span_basis(F, columns, k)) < k:
         return None
     counts = _full_rank_profile(F, columns, k)
@@ -411,19 +416,26 @@ def expectation_exact_auto(C: LinearCode) -> Fraction:
     return expectation_exact(C)
 
 
+def _projective_histogram(q: int, m: int) -> Dict[Tuple[int, int], int]:
+    """subspace_histogram of the [m]_q projective points of GF(q)^m, without enumerating it.
+
+    A d-dimensional subspace holds [d]_q = (q^d - 1)/(q - 1) of the points,
+    so h[(d, [d]_q)] = [m, d]_q (Wei's support weight view of the simplex code).
+    """
+    return {(d, _gaussian(d, 1, q)): _gaussian(m, d, q) for d in range(m + 1)}
+
+
 def expectation_simplex(q: int, k: int) -> Fraction:
     """Closed form for the k-dimensional simplex code over GF(q).
 
-    E = k + sum_{i=1}^{k} (q^(i-1) - 1) / (q^k - q^(i-1)).
+    E = k + sum_{i=1}^{k} (q^(i-1) - 1) / (q^k - q^(i-1)), read by the
+    primal reader on the projective histogram (_projective_histogram).
     """
     if not is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
     if k < 1:
         raise ValueError("k must be at least 1")
-    total = Fraction(k)
-    for i in range(1, k + 1):
-        total += Fraction(q ** (i - 1) - 1, q**k - q ** (i - 1))
-    return total
+    return _primal_reader(_projective_histogram(q, k), _gaussian(k, 1, q), k, q)
 
 
 def expectation_hamming(q: int, r: int) -> Fraction:
@@ -431,20 +443,13 @@ def expectation_hamming(q: int, r: int) -> Fraction:
 
     The dual-side sum has only r terms: the number of independent
     t-subsets of all projective points is prod_{i<t} (q^r - q^i)/(q-1)
-    divided by t!.
+    divided by t!, read by the dual reader on the projective histogram.
     """
     if not is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
     if r < 2:
         raise ValueError("redundancy must be at least 2")
-    n = (q**r - 1) // (q - 1)
-    # Each prefix product is itself a subset count, so every floor division is exact.
-    terms = []
-    count = 1
-    for t in range(1, r + 1):
-        count = count * (q**r - q ** (t - 1)) // ((q - 1) * t)
-        terms.append((t, count))
-    return _defect_sum(n, terms)
+    return _defect_sum(_gaussian(r, 1, q), _dual_reader(_projective_histogram(q, r), r, q))
 
 
 # Counter-based randomness built on the splitmix64 finalizer. A draw is a

@@ -356,8 +356,7 @@ class FieldSpec:
             mul = np.zeros((q, q), dtype=np.int64)
             mul[1:, 1:] = e[(l[1:, None] + l[None, 1:]) % (q - 1)]
             inv = np.zeros(q, dtype=np.int64)
-            for a in range(1, q):
-                inv[a] = self.inv(a)
+            inv[1:] = e[(-l[1:]) % (q - 1)]
             self._np_tables = (
                 add.astype(np.uint16),
                 sub.astype(np.uint16),

@@ -50,6 +50,7 @@ from .coverage import (
     _PrimalBatch,
     _exact_from_columns,
     _fan_out,
+    _gaussian,
     _lattice_kept,
     _rational_str,
     mds_bound,
@@ -76,7 +77,7 @@ class CandidateMultiset:
             raise ValueError("k must be at least 1")
         if not self.points:
             raise ValueError("need at least one point")
-        point_count = _point_count(self.field, self.k)
+        point_count = _gaussian(self.k, 1, self.field.q)
         if any(not 0 <= i < point_count for i in self.points):
             raise ValueError("point index out of range")
         if any(a > b for a, b in zip(self.points, self.points[1:])):
@@ -136,11 +137,6 @@ def _check_params(k: int, n: int) -> None:
         raise ValueError(f"need n >= k, got n={n}, k={k}")
 
 
-def _point_count(F: FieldSpec, k: int) -> int:
-    """P = (q^k - 1)/(q - 1), the length of projective_points(F, k), without building it."""
-    return (F.q**k - 1) // (F.q - 1)
-
-
 def _check_budget(factors: Iterable[Tuple[int, int]], budget: int, unit: str) -> None:
     """Raise BudgetExceededError if the product of the a/b factors exceeds budget.
 
@@ -170,7 +166,7 @@ def _check_search_budget(F: FieldSpec, k: int, n: int, mode: str, budget: int) -
     """
     _check_budget([(n, 1)], budget, "columns per candidate")
     if mode == "projective":
-        _check_budget(_multisets(_point_count(F, k), n), budget, "multisets")
+        _check_budget(_multisets(_gaussian(k, 1, F.q), n), budget, "multisets")
     elif mode == "full":
         _check_budget(repeat((F.q**k - 1, 1), n), budget, "matrices")
     else:
@@ -350,7 +346,7 @@ def optimal_coverage(
     start = time.perf_counter()
     if mode == "projective":
         fold = _Fold()
-        tasks = [(F, k, n, first) for first in range(_point_count(F, k))]
+        tasks = [(F, k, n, first) for first in range(_gaussian(k, 1, F.q))]
         for part in _fan_out(_search_partition, tasks, jobs):
             fold.merge(part)
     else:

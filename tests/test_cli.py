@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from coverdepth.cli import main
 from coverdepth.coverage import expectation_hamming, expectation_simplex, mds_bound
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -222,6 +223,29 @@ def test_expect_past_the_level_budget_exits_two(q, r):
     assert proc.returncode == 2
     assert proc.stderr.startswith("budget exceeded: ")
     assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expect", "--field", "4", "--code", "simplex", "--k", "7"),
+        ("search", "--field", "1021", "--k", "1", "--n", "2000"),
+    ],
+    ids=["simplex-4-7", "search-1021-2000"],
+)
+def test_walk_past_the_recursion_limit_exits_two(argv):
+    # Neither primal lattice is kept (GF(4)^7, GF(1021)^1) and n - k > k, so
+    # the full-rank walk, which recurses once per column, would run out of
+    # stack on the 5,461 and 2,000 columns.
+    proc = run_cli(*argv, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("budget exceeded: ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_walk_below_the_recursion_limit_still_runs(capsys):
+    assert main(["search", "--field", "1021", "--k", "1", "--n", "400"]) == 0
+    assert json.loads(capsys.readouterr().out)["minimum"] == "1/1"
 
 
 @pytest.mark.parametrize(

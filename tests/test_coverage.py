@@ -20,7 +20,10 @@ from coverdepth.codes import (
     LinearCode,
     hamming_code,
     independent_subset_profile,
+    information_set_count,
     information_set_profile,
+    shortened_dim_count,
+    shortened_subcode_dim,
     linear_code,
     projective_points,
     reed_solomon,
@@ -142,6 +145,41 @@ def test_hamming_closed_form_matches_exact(q, r):
     assert value == expectation_exact(C)
 
 
+def _simplex_hand_sum(q, k):
+    """E = k + sum_{i=1}^{k} (q^(i-1) - 1) / (q^k - q^(i-1)), term by term."""
+    total = Fraction(k)
+    for i in range(1, k + 1):
+        total += Fraction(q ** (i - 1) - 1, q**k - q ** (i - 1))
+    return total
+
+
+def _hamming_hand_sum(q, r):
+    """The defect sum over the r counts of independent t-subsets of all
+    projective points of GF(q)^r: prod_{i<t} (q^r - q^i)/(q - 1) / t!."""
+    # Each prefix product is itself a subset count, so every floor division is exact.
+    terms, count = [], 1
+    for t in range(1, r + 1):
+        count = count * (q**r - q ** (t - 1)) // ((q - 1) * t)
+        terms.append((t, count))
+    return _defect_sum((q**r - 1) // (q - 1), terms)
+
+
+def test_closed_forms_equal_the_hand_derived_sums():
+    # Simplex k = 1..18 and every Hamming code of length at most 20,000 over
+    # ten fields: 233 codes. Longer Hamming codes spend minutes in H(n).
+    checked = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 32):
+        for k in range(1, 19):
+            assert expectation_simplex(q, k) == _simplex_hand_sum(q, k), (q, k)
+            checked += 1
+        r = 2
+        while (q**r - 1) // (q - 1) <= 20_000:
+            assert expectation_hamming(q, r) == _hamming_hand_sum(q, r), (q, r)
+            checked += 1
+            r += 1
+    assert checked == 233
+
+
 # [m, d]_q for d = 0..m, written out: the number of d-dimensional subspaces.
 _GAUSSIAN_ROWS = {
     (2, 0): (1,),
@@ -163,6 +201,7 @@ def test_subspace_histogram_of_all_points(q, m):
     hist = subspace_histogram(F, columns, m)
     rows = enumerate(_GAUSSIAN_ROWS[q, m])
     assert hist == {(d, (q**d - 1) // (q - 1)): count for d, count in rows}
+    assert hist == coverage._projective_histogram(q, m)
 
 
 def test_lattices_past_the_keep_limit_are_never_built():
@@ -708,6 +747,38 @@ def test_expectation_exact_reads_the_columns_once_per_code(monkeypatch):
         monkeypatch.setattr(module, "columns_of", lambda M, real=real: calls.append(M) or real(M))
     assert {expectation_exact(C) for _ in range(5)} == {expectation_simplex(3, 3)}
     assert len(calls) == 1
+
+
+def test_the_subset_counters_read_the_columns_once_per_code(monkeypatch):
+    C = reed_solomon(field_from_order(5), 5, 2)
+    calls = []
+    real = codes.columns_of
+    monkeypatch.setattr(codes, "columns_of", lambda M: calls.append(M) or real(M))
+    assert [shortened_dim_count(C, 0, s).value for s in range(6)] == [0, 0, 10, 10, 5, 1]
+    assert [information_set_count(C, s).value for s in range(6)] == information_set_profile(C)
+    assert shortened_subcode_dim(C, [0, 1, 2]) == 0
+    assert shortened_subcode_dim(C, [0, 1, 2, 3]) == 1
+    assert len(calls) == 1
+
+
+def test_unkept_primal_side_with_n_minus_k_above_k_runs_the_walk(monkeypatch):
+    # The subspaces of GF(16)^3 hold 78,353 member vectors, past the keep
+    # limit, and n - k > k on both codes: _exact_from_columns walks.
+    F = field_from_order(16)
+    assert not _lattice_kept(16, 3)
+    calls = []
+    real = coverage._full_rank_profile
+    monkeypatch.setattr(coverage, "_full_rank_profile", lambda *args: calls.append(args) or real(*args))
+    assert expectation_exact(reed_solomon(F, 8, 3)) == mds_bound(8, 3)
+    rng = random.Random(16)
+    cols = [tuple(rng.randrange(16) for _ in range(3)) for _ in range(8)]
+    cols.insert(3, (0, 0, 0))
+    cols.append(cols[1])
+    C = linear_code(from_columns(F, cols))
+    n, k = C.n, C.k
+    brute = _defect_sum(n, ((n - s, information_set_count(C, s).value) for s in range(k, n)))
+    assert expectation_exact(C) == expectation_exact_dual(C) == brute
+    assert len(calls) == 2
 
 
 def _tail_terms(C):
