@@ -75,21 +75,25 @@ def _need(args: argparse.Namespace, name: str):
     return value
 
 
-def _build_code(args: argparse.Namespace, spec: Optional[str] = None) -> cd.LinearCode:
-    spec = args.code if spec is None else spec
-    if spec.startswith("dual-of:"):
-        return cd.dual(_build_code(args, spec[len("dual-of:"):]))
+def _build_code(args: argparse.Namespace) -> cd.LinearCode:
+    spec, duals = args.code, 0
+    while spec.startswith("dual-of:"):
+        spec, duals = spec[len("dual-of:"):], duals + 1
     if spec.startswith("file:"):
-        text = Path(spec[len("file:"):]).read_text()
-        return cd.linear_code(parse_matrix(text))
-    F = parse_field_spec(_need(args, "field"))
-    if spec == "simplex":
-        return cd.simplex_code(F, _need(args, "k"))
-    if spec == "hamming":
-        return cd.hamming_code(F, _need(args, "r"))
-    if spec == "rs":
-        return cd.reed_solomon(F, _need(args, "n"), _need(args, "k"))
-    raise _UsageError(f"unknown code spec {spec!r}")
+        C = cd.linear_code(parse_matrix(Path(spec[len("file:"):]).read_text()))
+    else:
+        F = parse_field_spec(_need(args, "field"))
+        if spec == "simplex":
+            C = cd.simplex_code(F, _need(args, "k"))
+        elif spec == "hamming":
+            C = cd.hamming_code(F, _need(args, "r"))
+        elif spec == "rs":
+            C = cd.reed_solomon(F, _need(args, "n"), _need(args, "k"))
+        else:
+            raise _UsageError(f"unknown code spec {spec!r}")
+    for _ in range(duals):
+        C = cd.dual(C)
+    return C
 
 
 def _monte_carlo(args: argparse.Namespace, C: cd.LinearCode) -> Tuple[dict, List[str]]:

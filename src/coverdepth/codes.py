@@ -11,15 +11,16 @@ independent subsets level by level where the lattice is not kept (2^16
 member vectors). It runs the independent-subset walk here only on dual
 columns over fields past 512 elements, and the full-rank walk on bare
 columns only on primal sides with n - k > k; the tests hold the lattice
-readers and the level count to them. Two observations keep everything in
-one place:
+readers and the level count to them. Each walk refuses, with
+BudgetExceededError, to recurse deeper than half the recursion limit.
+Two observations keep everything in one place:
 
   * the subcode supported inside a coordinate set T has dimension
     k - rank(columns outside T), by rank-nullity applied to the projection
     that deletes the T coordinates;
   * consequently, counting size-s sets whose complement supports an
     l-dimensional subcode is the same as counting size-s column subsets of
-    rank k - l.
+    rank k - l; at l = 0, the information sets (information_set_count).
 
 Brute-force enumeration over all C(n, s) subsets is the reference semantics;
 the profile functions below prune the same enumeration and are validated
@@ -28,6 +29,7 @@ against the brute force in the tests (up to n = 16).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -37,6 +39,10 @@ from typing import Iterable, List, Sequence, Tuple
 from .gf import FieldSpec
 from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis, rank,
                      span_basis)
+
+
+class BudgetExceededError(RuntimeError):
+    """The requested enumeration is larger than the configured budget."""
 
 
 @dataclass
@@ -157,38 +163,28 @@ class SubsetCounter:
 def information_set_count(C: LinearCode, s: int) -> SubsetCounter:
     """Number of size-s position subsets whose columns have full rank k.
 
-    Reference implementation: direct enumeration of all C(n, s) subsets.
-    Repeated columns occupy distinct positions and are counted separately.
+    shortened_dim_count at dimension 0. Repeated columns occupy distinct
+    positions and are counted separately.
     """
-    if not 0 <= s <= C.n:
-        raise ValueError(f"subset size {s} not in 0..{C.n}")
-    count = 0
-    if s >= C.k:
-        F, cols, k = C.field, C.columns, C.k
-        for sub in combinations(range(C.n), s):
-            if len(span_basis(F, (cols[j] for j in sub), cap=k)) == k:
-                count += 1
-    return SubsetCounter(C, s, count)
+    return shortened_dim_count(C, 0, s)
 
 
 def shortened_dim_count(C: LinearCode, dimension: int, s: int) -> SubsetCounter:
     """Number of size-s position sets whose complement supports a subcode of
     the given dimension.
 
-    Equivalently: size-s column subsets of rank k - dimension. Dimensions
-    outside 0..k yield 0 rather than an error, which makes the duality
-    identity total at its boundary indices.
+    Equivalently: size-s column subsets of rank k - dimension, enumerated
+    unless that rank exceeds s. Dimensions outside 0..k yield 0 rather than
+    an error, which makes the duality identity total at its boundary indices.
     """
     if not 0 <= s <= C.n:
         raise ValueError(f"subset size {s} not in 0..{C.n}")
-    if not 0 <= dimension <= C.k:
-        return SubsetCounter(C, s, 0)
     target = C.k - dimension
-    F, cols = C.field, C.columns
-    count = 0
-    for sub in combinations(range(C.n), s):
-        if len(span_basis(F, (cols[j] for j in sub), cap=target + 1)) == target:
-            count += 1
+    if not 0 <= dimension <= C.k or target > s:
+        return SubsetCounter(C, s, 0)
+    F, cols, cap = C.field, C.columns, min(target + 1, C.k)
+    count = sum(len(span_basis(F, (cols[j] for j in sub), cap=cap)) == target
+                for sub in combinations(range(C.n), s))
     return SubsetCounter(C, s, count)
 
 
@@ -213,8 +209,9 @@ def information_set_profile(C: LinearCode) -> List[int]:
     One pruned walk over the subset tree instead of n separate enumerations.
     Two cuts keep it fast: once the partial selection already spans, every
     completion spans (counted with binomials); once too few columns remain
-    to reach rank k, the branch dies. Validated against
-    information_set_count in the tests.
+    to reach rank k, the branch dies. Validated against information_set_count
+    in the tests. Past half the recursion limit in columns it raises
+    BudgetExceededError, as it recurses once per column.
     """
     return _full_rank_profile(C.field, C.columns, C.k)
 
@@ -222,6 +219,8 @@ def information_set_profile(C: LinearCode) -> List[int]:
 def _full_rank_profile(F: FieldSpec, cols: Sequence[Sequence[int]], k: int) -> List[int]:
     """information_set_profile of bare columns that span GF(q)^k."""
     n = len(cols)
+    if 2 * n > sys.getrecursionlimit():
+        raise BudgetExceededError(f"the full-rank walk over {n} columns would recurse too deep")
     counts = [0] * (n + 1)
     basis: Basis = []
 
@@ -250,7 +249,8 @@ def independent_subset_profile(M: MatrixGF) -> List[int]:
     """counts[t] = number of linearly independent t-subsets of M's columns.
 
     Walks only the independent prefixes, so the cost is proportional to the
-    answer rather than to 2^n.
+    answer rather than to 2^n. It recurses once per column it stacks, rank(M)
+    deep, and raises BudgetExceededError past half the recursion limit.
     """
     F, n = M.field, M.cols
     cols = columns_of(M)
@@ -259,6 +259,8 @@ def independent_subset_profile(M: MatrixGF) -> List[int]:
     basis: Basis = []
 
     def walk(start: int, size: int) -> None:
+        if 2 * size > sys.getrecursionlimit():
+            raise BudgetExceededError(f"the independent-subset walk would stack {size} columns")
         for j in range(start, n):
             reduced = eliminate(F, basis, cols[j])
             if reduced is None:

@@ -25,8 +25,8 @@ computes the expectation of that stopping time:
     past 512 elements walks its independent subsets; the primal side, when
     n - k <= k, reads the kernel's columns the same way (_dual_terms), in
     every field. Only primal sides with n - k > k run the full-rank walk
-    (codes._full_rank_profile), which recurses once per column, so more
-    columns than half the recursion limit raise BudgetExceededError.
+    (codes._full_rank_profile). Each walk guards its own recursion and
+    raises BudgetExceededError past half the recursion limit.
     The primal side takes bare columns and also decides whether they span
     (_exact_from_columns), so search scores a candidate without a code.
     The simplex (m = k) and Hamming (m = r) closed forms are the primal and
@@ -56,7 +56,6 @@ asks for digits.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -69,7 +68,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .codes import LinearCode, _full_rank_profile, independent_subset_profile
+from .codes import BudgetExceededError, LinearCode, _full_rank_profile, independent_subset_profile
 from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis,
                      rank_and_kernel, span_basis)
 from .gf import _TABLE_LIMIT, FieldSpec, is_prime_power
@@ -79,10 +78,6 @@ Rational = Union[int, Fraction]
 
 class InvariantViolation(RuntimeError):
     """A quantity provably constrained by theory came out the wrong side."""
-
-
-class BudgetExceededError(RuntimeError):
-    """The requested enumeration is larger than the configured budget."""
 
 
 def to_decimal(value: Rational, digits: int = 50) -> Decimal:
@@ -372,8 +367,8 @@ def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) 
     The primal reader decides both from one histogram when the lattice of
     GF(q)^k is kept. Otherwise, when n - k <= k, one reduction gives the
     rank and the kernel, whose columns the dual side counts (_dual_terms).
-    Past that, a rank check precedes the full-rank walk, and more columns
-    than half the recursion limit raise BudgetExceededError before it.
+    Past that, a rank check precedes the full-rank walk, which refuses
+    sides too long for its recursion (BudgetExceededError).
     """
     n, q = len(columns), F.q
     if _lattice_kept(q, k):
@@ -381,8 +376,6 @@ def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) 
     if n - k <= k:
         rank, H = rank_and_kernel(from_columns(F, columns))
         return _defect_sum(n, _dual_terms(H)) if rank == k else None
-    if 2 * n > sys.getrecursionlimit():  # the walk recurses once per column
-        raise BudgetExceededError(f"the full-rank walk over {n} columns would recurse too deep")
     if len(span_basis(F, columns, k)) < k:
         return None
     counts = _full_rank_profile(F, columns, k)

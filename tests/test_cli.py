@@ -109,6 +109,14 @@ def test_expect_dual_of_simplex_is_hamming():
     assert a.stdout == b.stdout
 
 
+def test_expect_deeply_nested_dual_of_spec(capsys):
+    # An even number of duals gives back the simplex code; the prefixes are
+    # stripped in a loop, so their number is not bounded by the stack.
+    spec = "dual-of:" * 1200 + "simplex"
+    assert main(["expect", "--field", "2", "--code", spec, "--k", "3"]) == 0
+    assert capsys.readouterr().out.startswith("value 47/12 ")
+
+
 def test_expect_extension_field():
     proc = run_cli("expect", "--field", "2^3", "--code", "simplex", "--k", "2")
     assert proc.returncode == 0
@@ -230,13 +238,16 @@ def test_expect_past_the_level_budget_exits_two(q, r):
     [
         ("expect", "--field", "4", "--code", "simplex", "--k", "7"),
         ("search", "--field", "1021", "--k", "1", "--n", "2000"),
+        ("expect", "--field", "1031", "--code", "rs", "--n", "1032", "--k", "2", "--method", "dual"),
     ],
-    ids=["simplex-4-7", "search-1021-2000"],
+    ids=["simplex-4-7", "search-1021-2000", "rs-1031-dual"],
 )
 def test_walk_past_the_recursion_limit_exits_two(argv):
     # Neither primal lattice is kept (GF(4)^7, GF(1021)^1) and n - k > k, so
     # the full-rank walk, which recurses once per column, would run out of
-    # stack on the 5,461 and 2,000 columns.
+    # stack on the 5,461 and 2,000 columns. The dual side of RS [1032,2] over
+    # GF(1031) walks the independent subsets of 1,030 kernel rows, one frame
+    # per column it stacks.
     proc = run_cli(*argv, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("budget exceeded: ")

@@ -4,7 +4,9 @@ from math import comb
 
 import pytest
 
+from coverdepth import codes
 from coverdepth.codes import (
+    BudgetExceededError,
     LinearCode,
     SubsetCounter,
     dual,
@@ -141,11 +143,18 @@ def test_information_set_profile_simplex_frozen():
 
 
 def test_profile_matches_per_size_counts(code_suite):
-    for C in code_suite[:12]:
+    for C in code_suite:
         profile = information_set_profile(C)
         assert len(profile) == C.n + 1
         for s in range(C.n + 1):
-            assert profile[s] == information_set_count(C, s).value
+            count = information_set_count(C, s).value
+            assert profile[s] == count == shortened_dim_count(C, 0, s).value
+
+
+def test_information_set_profile_refuses_past_the_recursion_limit():
+    # 1,365 columns: the walk would recurse once per column.
+    with pytest.raises(BudgetExceededError, match="1365 columns"):
+        information_set_profile(simplex_code(field_from_order(4), 6))
 
 
 def test_counts_error_cases():
@@ -168,6 +177,24 @@ def test_shortened_dim_count_out_of_range_dimension_is_zero():
     C = hamming_code(field_from_order(2), 3)
     assert shortened_dim_count(C, -1, 3).value == 0
     assert shortened_dim_count(C, C.k + 1, 3).value == 0
+
+
+def test_shortened_dim_count_past_the_subset_size_enumerates_nothing(monkeypatch):
+    # No size-s subset reaches rank k - l > s, so nothing is spanned.
+    calls = []
+
+    def counting_span_basis(*args, **kwargs):
+        calls.append(args)
+        return span_basis(*args, **kwargs)
+
+    monkeypatch.setattr(codes, "span_basis", counting_span_basis)
+    C = hamming_code(field_from_order(2), 3)
+    for l in range(C.k):
+        for s in range(C.k - l):
+            assert shortened_dim_count(C, l, s).value == 0
+    assert calls == []
+    assert shortened_dim_count(C, 0, C.k).value > 0
+    assert calls
 
 
 def test_shortened_dim_counts_partition_all_subsets():
