@@ -37,17 +37,19 @@ computes the expectation of that stopping time:
     lanes in one of three kernels, one draw per round, so the round number
     is every live lane's draw count (_run_lanes). Over fields of at most 512
     elements expectation_monte_carlo first builds the code's flat table
-    (_flat_table: the flat each flat of the column matroid moves to with
-    each column), once per call, and a draw is one gather in it. The build
-    gives up, before a level is reduced, once the flats would outnumber the
-    call's trials or a level's residuals would pass _FLAT_CELLS cells; then
-    binary codes with k <= 64 run packed lanes (a column is one 64-bit
-    word, a reduction step one XOR) and every other code over at most 512
-    elements table lanes (the field's operation tables, each lane one
-    (k, k) basis). Larger fields run the scalar reference path.
-    _draw_count_array is the one batch entry and the one place that builds
+    (_flat_table: the row offset of the flat each flat of the column
+    matroid moves to with each column), once per call, and a draw is one
+    take from it. The build gives up, before a level is reduced, once the
+    flats would outnumber the call's trials or a level's flats times n * k
+    would pass _FLAT_CELLS; then binary codes with k <= 64 run packed lanes
+    (a column is one 64-bit word, a reduction step one XOR) and every other
+    code over at most 512 elements table lanes (the field's operation
+    tables, each lane one (k, k) basis). Larger fields run the scalar
+    reference path.
+    _draw_count_blocks is the one batch entry and the one place that builds
     a kernel's lane state and step, and every kernel matches simulate_trial
-    draw for draw.
+    draw for draw. The trials split into at most one task per worker, and
+    each task reduces its counts block by block.
 
 All exact values are fractions.Fraction; nothing is rounded until a caller
 asks for digits.
@@ -469,13 +471,18 @@ def _trial_key(seed: int, trial: int) -> int:
     return _mix64((_mix64(seed) + trial * _GOLDEN) & _MASK64)
 
 
-def _mix64_np(x: "np.ndarray") -> "np.ndarray":
+def _mix64_np(x: "np.ndarray", scratch: Optional["np.ndarray"] = None) -> "np.ndarray":
+    """_mix64 of every entry of the uint64 array x, written over x; returns x.
+
+    scratch, a uint64 array of x's shape, holds the shifted copies (new
+    arrays where it is None). Callers use the returned array.
+    """
     with np.errstate(over="ignore"):
-        x = x ^ (x >> np.uint64(30))
-        x = x * np.uint64(_MIX_A)
-        x = x ^ (x >> np.uint64(27))
-        x = x * np.uint64(_MIX_B)
-        x = x ^ (x >> np.uint64(31))
+        x ^= np.right_shift(x, np.uint64(30), out=scratch)
+        x *= np.uint64(_MIX_A)
+        x ^= np.right_shift(x, np.uint64(27), out=scratch)
+        x *= np.uint64(_MIX_B)
+        x ^= np.right_shift(x, np.uint64(31), out=scratch)
     return x
 
 
@@ -524,11 +531,14 @@ def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[Lis
 # with its own state for the columns drawn so far, so the round number is
 # every live lane's draw count. The driver (_run_lanes) owns the keys, the
 # rejection sampling, the round counter and the retiring, so the flat,
-# packed and table kernels read the same random stream; _draw_count_array
-# builds each kernel's state and independence step, and nothing else differs.
-# The lanes match simulate_trial draw for draw (the tests hold them equal).
-# A block holds at most _LANE_CELLS state cells, so memory stays bounded
-# whatever k is; trials are keyed by index, so blocking changes no count.
+# packed and table kernels read the same random stream; _draw_count_blocks
+# builds each kernel's state and step, and nothing else differs. The lanes
+# match simulate_trial draw for draw (the tests hold them equal). A block
+# holds at most _LANE_CELLS state cells, so memory stays bounded whatever k
+# is; trials are keyed by index, so blocking changes no count. The driver
+# allocates its lane arrays once per call and reuses them round after round
+# and block after block: a round writes its keys, draws and moves into them
+# instead of into new arrays.
 # The level count reduces its children with the table lanes' step
 # (_reduce_insert), _LEVEL_BLOCK_CELLS basis cells at a time, and refuses a
 # level whose children would hold more than _LEVEL_CELLS basis cells.
@@ -614,67 +624,85 @@ def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> Lis
 
 def _run_lanes(
     n: int,
-    k: int,
     seed: int,
     t0: int,
+    count: int,
     state: "np.ndarray",
-    independent: Callable[["np.ndarray", "np.ndarray"], "np.ndarray"],
-) -> "np.ndarray":
-    """Draw counts of trials t0 .. t0 + len(state) - 1, as an int64 array.
+    advance: Callable[["np.ndarray", "np.ndarray", "np.ndarray"], "np.ndarray"],
+) -> Iterator["np.ndarray"]:
+    """Draw counts of trials t0 .. t0 + count - 1, one int64 array per block of len(state) trials.
 
     state holds the lanes' states, one lane per index of the first axis,
-    as _draw_count_array builds them. independent(state, col) adds each
-    lane's drawn column (an index in 0..n-1) to its state and says which
-    lanes grew: the flat moved, or the column reduced to a nonzero residual
-    and was inserted. Every live lane draws once a round, so the round
-    number is each lane's draw index: round r draws at counter r << 20
-    (retries at (r << 20) | attempt), and a lane that reaches rank k in
+    as _draw_count_blocks builds them. Every array a block uses is
+    allocated once here and reused by the next block, the yielded counts
+    included: read them before asking for the next block.
+    advance(state, col, done) adds each lane's drawn column (an int64 index
+    in 0..n-1, which it may overwrite) to its state, writes into the bool
+    array done which lanes now span all k dimensions, and returns done. Every live lane draws once
+    a round, so the round number is each lane's draw index: round r draws
+    at counter r << 20 (retries at (r << 20) | attempt), and a lane done in
     round r leaves every array with the draw count r + 1.
     """
-    count = len(state)
-    trial_idx = np.arange(t0, t0 + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        keys = _mix64_np(np.uint64(_mix64(seed)) + trial_idx * np.uint64(_GOLDEN))
-    rank = np.zeros(count, dtype=np.int64)
-    lane = np.arange(count)
-    out = np.zeros(count, dtype=np.int64)
+    size = len(state)
+    keys_buf, val_buf, scratch = (np.empty(size, dtype=np.uint64) for _ in range(3))
+    out = np.empty(size, dtype=np.int64)
+    order, lane_buf = np.arange(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    finished_buf = np.empty(size, dtype=bool)
+    start = np.uint64(_mix64(seed))
     last = np.uint64(_MASK64 - (1 << 64) % n)  # larger values are rejected
-    draws = 0
-    while lane.size:
-        ctr = draws << 20
+    modulus = np.uint64(n)
+    for t in range(t0, t0 + count, size):
+        live = block = min(size, t0 + count - t)
+        keys = keys_buf[:block]
+        keys[:] = order[:block]
         with np.errstate(over="ignore"):
-            val = _mix64_np(keys + np.uint64(ctr))
-        bad = np.flatnonzero(val > last)
-        attempt = 0
-        while bad.size:
-            attempt += 1
+            keys += np.uint64(t)
+            keys *= np.uint64(_GOLDEN)
+            keys += start
+        keys = _mix64_np(keys, scratch[:block])
+        lane, lanes = lane_buf[:block], state[:block]
+        lane[:] = order[:block]
+        lanes.fill(0)
+        draws = 0
+        while live:
+            ctr = draws << 20
             with np.errstate(over="ignore"):
-                val[bad] = _mix64_np(keys[bad] + np.uint64(ctr | attempt))
-            bad = bad[val[bad] > last]
-        draws += 1
-        rank += independent(state, val % np.uint64(n))
-        done = np.flatnonzero(rank >= k)
-        if done.size:
-            # Retire: the live lanes past the new end fill the holes the
-            # finished ones leave below it, so a round moves only as many
-            # lanes as finish in it.
-            out[lane[done]] = draws
-            size = lane.size - done.size
-            holes = done[done < size]
-            movers = size + np.flatnonzero(rank[size:] < k)
-            for a in (keys, rank, lane, state):
-                a[holes] = a[movers]
-            keys, rank, lane, state = (a[:size] for a in (keys, rank, lane, state))
-    return out
+                val = _mix64_np(np.add(keys, np.uint64(ctr), out=val_buf[:live]), scratch[:live])
+            attempt = 0
+            while val.max() > last:
+                attempt += 1
+                bad = np.flatnonzero(val > last)
+                with np.errstate(over="ignore"):
+                    val[bad] = _mix64_np(keys[bad] + np.uint64(ctr | attempt))
+            draws += 1
+            # val % n in place: unsigned division by a scalar is much faster
+            # in numpy than the remainder.
+            val -= np.multiply(np.floor_divide(val, modulus, out=scratch[:live]), modulus, out=scratch[:live])
+            finished = advance(lanes, val.view(np.int64), finished_buf[:live])
+            done = np.flatnonzero(finished)
+            if done.size:
+                # Retire: the live lanes past the new end fill the holes the
+                # finished ones leave below it, so a round moves only as many
+                # lanes as finish in it.
+                out[lane[done]] = draws
+                live -= done.size
+                holes = done[done < live]
+                movers = live + np.flatnonzero(~finished[live:])
+                for a in (keys, lane, lanes):
+                    a[holes] = a[movers]
+                keys, lane, lanes = (a[:live] for a in (keys, lane, lanes))
+        yield out[:block]
 
 
 # The flat table. The span of a lane's drawn columns is a flat of the column
 # matroid, so a draw only moves the lane from its flat to the flat the drawn
 # column closes it to. _flat_table numbers the flats level by level (rank 0
-# first, the top flat last) and tabulates that move; its build reads each
-# level's residuals _FLAT_BLOCK_CELLS cells at a time and stops, before a
-# level is reduced, once the flats would outnumber the trials they serve or
-# the level's residuals would pass _FLAT_CELLS cells.
+# first, the top flat last) and tabulates that move as row offsets; its
+# build reads each level's flats _FLAT_BLOCK_CELLS // (n * k) at a time and
+# stops, before a level is reduced, once the flats would outnumber the
+# trials they serve or the level's flats times n * k would pass _FLAT_CELLS.
+# A rank-r flat's residuals hold only n * (k - r) cells, so n * k per flat
+# bounds them at every level.
 _FLAT_CELLS = 1 << 22
 _FLAT_BLOCK_CELLS = 1 << 16
 
@@ -707,73 +735,95 @@ def _group(keys: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
     return first, ids.reshape(-1)
 
 
-def _normalised(v: "np.ndarray", mul_t: "np.ndarray", inv_t: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-    """(w, lead): each nonzero row of v over its first nonzero entry, whose index is lead."""
+def _normalised(v: "np.ndarray", mul: "np.ndarray", inv_t: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """(w, lead): each nonzero row of v over its first nonzero entry, whose index is lead.
+
+    mul is the raveled multiplication table: a * b is mul[a * q + b].
+    """
     lead = (v != 0).argmax(axis=-1)
-    if len(inv_t) == 2:  # GF(2): every first nonzero entry is already 1
+    q = len(inv_t)
+    if q == 2:  # GF(2): every first nonzero entry is already 1
         return v, lead
-    return mul_t[inv_t[np.take_along_axis(v, lead[..., None], axis=-1)], v], lead
+    scale = inv_t[np.take_along_axis(v, lead[..., None], axis=-1)]
+    return mul.take(np.multiply(scale, q, dtype=np.intp) + v), lead
 
 
-def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray", sub_t: "np.ndarray",
-                   mul_t: "np.ndarray", inv_t: "np.ndarray", xor: bool) -> "np.ndarray":
-    """Residuals of the flats spanned by each parent flat and one column outside it.
+def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray", sub: "np.ndarray",
+                   mul: "np.ndarray", inv_t: "np.ndarray", xor: bool) -> "np.ndarray":
+    """Residuals of the flats spanned by each parent flat and one column outside it, one coordinate shorter.
 
     Child c takes parent[c]'s residuals and eliminates, from each, its entry
     at the pivot of column col[c]'s normalised residual, so the projection's
-    kernel grows by that column.
+    kernel grows by that column. That entry is then zero in every column,
+    so the child drops it: the last coordinate takes its place. sub and mul
+    are the raveled subtraction and multiplication tables.
     """
-    count, n, k = len(parent), resid.shape[1], resid.shape[2]
-    out = np.empty((count, n, k), dtype=resid.dtype)
-    block = max(1, _FLAT_BLOCK_CELLS // (n * k))
+    count, n, w = len(parent), resid.shape[1], resid.shape[2]
+    q = len(inv_t)
+    out = np.empty((count, n, w - 1), dtype=resid.dtype)
+    block = max(1, _FLAT_BLOCK_CELLS // (n * w))
     for c0 in range(0, count, block):
         r = resid[parent[c0:c0 + block]]
-        w, lead = _normalised(r[np.arange(len(r)), col[c0:c0 + block]], mul_t, inv_t)
-        step = mul_t[np.take_along_axis(r, lead[:, None, None], axis=2), w[:, None, :]]
-        out[c0:c0 + block] = r ^ step if xor else sub_t[r, step]
+        v, lead = _normalised(r[np.arange(len(r)), col[c0:c0 + block]], mul, inv_t)
+        at = lead[:, None, None]
+        coef = np.take_along_axis(r, at, axis=2)
+        np.put_along_axis(r, at, r[:, :, -1:], axis=2)
+        np.put_along_axis(v, at[:, 0], v[:, -1:], axis=1)
+        r, v = r[:, :, :-1], v[:, None, :-1]
+        step = mul.take(np.multiply(coef, q, dtype=np.intp) + v)
+        if xor:
+            np.bitwise_xor(r, step, out=out[c0:c0 + block])
+        else:
+            sub.take(np.multiply(r, q, dtype=np.intp) + step, out=out[c0:c0 + block], mode="clip")
     return out
 
 
 def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: int) -> Optional["np.ndarray"]:
-    """T[f, j]: the flat that flat f and column j span; None past a cap or where q > 512.
+    """T[f, j] * n: the row offset of the flat f and column j span; None past a cap or where q > 512.
 
     The n columns, each of length k, must span GF(q)^k, as a code's do.
+    The table is int32, one row per flat, and holds row offsets, so a lane
+    reads its next row offset from the raveled table at its row offset
+    plus the drawn column.
 
     Flats are numbered level by level: 0 is the flat of the zero columns,
-    the last one holds every column. Each flat keeps its residuals, an
-    (n, k) array: the columns under a linear projection whose kernel is the
-    flat's span. Column j lies in f iff its residual is zero, and then
-    T[f, j] = f. The nonzero residuals of f fall into classes of
-    proportional ones (equal after normalising), and each class adds its
+    the last one holds every column. Each flat of rank r keeps its
+    residuals, an (n, k - r) array: the columns under a linear projection
+    whose kernel is the flat's span. Column j lies in f iff its residual is
+    zero, and then T[f, j] = f. The nonzero residuals of f fall into classes
+    of proportional ones (equal after normalising), and each class adds its
     columns to f's column set to make one child. Children reached from
     several parents are merged by that column set, one bit per column, and
     take their residuals from one representative parent (_flat_children).
     Before a level is reduced, the build returns None once the flats would
-    number more than limit or the level's residuals more than _FLAT_CELLS
-    cells.
+    number more than limit or the level's flats times n * k more than
+    _FLAT_CELLS.
     """
     n, q = len(cols), F.q
     if k < 1 or q > _TABLE_LIMIT or n * k > _FLAT_CELLS:
         return None
     dtype = np.uint8 if q <= 256 else np.uint16
-    _, sub_t, mul_t, inv_t = (table.astype(dtype) for table in F.op_tables())
+    _, sub, mul, inv_t = (table.astype(dtype) for table in F.op_tables())
+    sub, mul = sub.reshape(-1), mul.reshape(-1)
     xor, ebits = F.p == 2, (q - 1).bit_length()
     words = (n + 63) // 64
     bit = np.zeros((n, words), dtype=np.uint64)
     bit[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (np.arange(n, dtype=np.uint64) % np.uint64(64))
     resid = np.array(cols, dtype=dtype).reshape(1, n, k)
     masks = np.bitwise_or.reduce(bit[~resid[0].any(axis=1)], axis=0)[None]
-    rows, size = [], 1
+    # The table grows level by level in place (a resize reallocates it), so
+    # its rows are never held twice.
+    table, size = np.empty((0, n), dtype=np.int32), 1
     block = max(1, _FLAT_BLOCK_CELLS // (n * k))
-    key_bits = [max(1, (block - 1).bit_length())] + [ebits] * k
     for r in range(k):
         count = len(resid)
+        key_bits = [max(1, (block - 1).bit_length())] + [ebits] * (k - r)
         # step[f, j]: the candidate child of flat f and column j, -1 where j lies in f.
         step = np.full((count, n), -1, dtype=np.int32)
         classes, found = [], 0
         for p0 in range(0, count, block):
             pp, jj = np.nonzero(resid[p0:p0 + block].any(axis=2))
-            w, _ = _normalised(resid[p0 + pp, jj], mul_t, inv_t)
+            w, _ = _normalised(resid[p0 + pp, jj], mul, inv_t)
             first, ids = _group(_packed_keys([pp, *w.T], key_bits))
             m = masks[p0 + pp[first]]
             for word in range(words):
@@ -788,17 +838,102 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
         first, child = _group(class_masks)
         if size + len(first) > limit or (r + 1 < k and len(first) * n * k > _FLAT_CELLS):
             return None
-        row = (size + child).astype(np.int32).take(step)
-        np.copyto(row, np.arange(size - count, size, dtype=np.int32)[:, None], where=step < 0)
-        rows.append(row)
-        del step, child
+        table.resize((size, n), refcheck=False)
+        row = table[size - count:]
+        ((size + child) * n).astype(np.int32).take(step, out=row, mode="clip")
+        np.copyto(row, (np.arange(size - count, size, dtype=np.int32) * n)[:, None], where=step < 0)
+        del step, child, row
         if r + 1 < k:
-            resid = _flat_children(resid, parent[first], col[first], sub_t, mul_t, inv_t, xor)
+            resid = _flat_children(resid, parent[first], col[first], sub, mul, inv_t, xor)
             masks = class_masks[first]
         size += len(first)
     del resid
-    rows.append(np.full((1, n), size - 1, dtype=np.int32))
-    return np.concatenate(rows)
+    table.resize((size, n), refcheck=False)
+    table[-1] = (size - 1) * n
+    return table
+
+
+def _draw_count_blocks(
+    F: FieldSpec,
+    cols: Sequence[Tuple[int, ...]],
+    seed: int,
+    t0: int,
+    count: int,
+    table: Optional["np.ndarray"],
+    block: int,
+) -> Iterator["np.ndarray"]:
+    """Draw counts of trials t0 .. t0 + count - 1, in int64 arrays of at most block trials.
+
+    The only batch entry. Given the code's flat table, the flat lanes run:
+    expectation_monte_carlo passes one wherever _flat_table builds it, that
+    is over fields of at most _TABLE_LIMIT elements while the flats number
+    at most the call's trials and no level's flats times n * k pass
+    _FLAT_CELLS. Without one,
+    binary codes with k <= 64 run the packed lanes, every other code over a
+    field of at most _TABLE_LIMIT elements the table lanes, and the rest
+    the scalar reference path, trial by trial. The chosen branch builds its
+    lane state and its step once per call, and _run_lanes runs them on
+    blocks of at most _LANE_CELLS state cells, reusing one set of lane
+    arrays: a yielded array is overwritten by the next block. Trial t draws
+    what simulate_trial(C, seed, t) draws whichever kernel runs (the tests
+    hold them equal).
+    """
+    n, k = len(cols), len(cols[0])
+    if k < 1 or F.q > _TABLE_LIMIT:
+        for t in range(t0, t0 + count, block):
+            yield np.array([_simulate_scalar(F, cols, n, k, _trial_key(seed, j))
+                            for j in range(t, min(t + block, t0 + count))], dtype=np.int64)
+        return
+
+    def lanes(*shape: int, dtype) -> "np.ndarray":
+        """The zeroed states of one block's lanes, each of the given shape."""
+        return np.zeros((max(1, min(block, count, _LANE_CELLS // math.prod(shape))), *shape), dtype)
+
+    if table is not None:
+        # Flat lanes: a lane's one state is its flat's row offset in the
+        # table, a draw one take from the raveled table at that offset plus
+        # the column, and a lane is done at the top flat, the last row.
+        state = lanes(dtype=table.dtype)
+        moves, top = table.reshape(-1), table[-1, 0]
+
+        def advance(row, col, done):
+            moves.take(np.add(row, col, out=col), out=row, mode="clip")
+            return np.equal(row, top, out=done)
+
+    elif F.q == 2 and k <= 64:
+        # Packed lanes: a column is one uint64 word, bit i its i-th entry.
+        # Slot b of a lane's basis holds 0 or a word whose lowest set bit is
+        # b, so a draw reduces in k steps v ^= slot_b * bit_b(v) and a
+        # nonzero residual goes into the slot of its lowest set bit.
+        state = lanes(k, dtype=np.uint64)
+        words = np.array([sum(x << i for i, x in enumerate(col)) for col in cols], dtype=np.uint64)
+        one = np.uint64(1)
+
+        def advance(slots, col, done):
+            v = words[col]
+            for b in range(k):
+                v ^= slots[:, b] * (v >> np.uint64(b) & one)
+            grew = np.flatnonzero(v)
+            if grew.size:
+                r = v[grew]
+                low = np.frexp((r & (~r + one)).astype(np.float64))[1] - 1  # exact: a power of two
+                slots[grew, low] = r
+            return np.all(slots, axis=1, out=done)
+
+    else:
+        # Table lanes over the field's operation tables: a lane holds only a
+        # (k, k) basis, grown by _reduce_insert, whose nonzero diagonal
+        # marks the filled slots.
+        state = lanes(k, k, dtype=np.uint16)
+        _, sub_t, mul_t, inv_t = F.op_tables()
+        cols_arr = np.array(cols, dtype=np.uint16)
+        xor = F.p == 2
+
+        def advance(basis, col, done):
+            _reduce_insert(basis, cols_arr[col], sub_t, mul_t, inv_t, xor)
+            return np.all(np.diagonal(basis, axis1=1, axis2=2), axis=1, out=done)
+
+    yield from _run_lanes(n, seed, t0, count, state, advance)
 
 
 def _draw_count_array(
@@ -809,70 +944,9 @@ def _draw_count_array(
     count: int,
     table: Optional["np.ndarray"] = None,
 ) -> "np.ndarray":
-    """Draw counts of trials t0 .. t0 + count - 1 as an int64 array: the only batch entry.
-
-    Given the code's flat table, the flat lanes run: expectation_monte_carlo
-    passes one wherever _flat_table builds it, that is over fields of at
-    most _TABLE_LIMIT elements while the flats number at most the call's
-    trials and no level's residuals pass _FLAT_CELLS cells. Without one,
-    binary codes with k <= 64 run the packed lanes, every other code over a
-    field of at most _TABLE_LIMIT elements the table lanes, and the rest
-    the scalar reference path, trial by trial. The chosen branch builds its
-    lane state shape and its independence step once per call, and
-    _run_lanes runs them on blocks of at most _LANE_CELLS state cells. Trial
-    t draws what simulate_trial(C, seed, t) draws whichever kernel runs (the
-    tests hold them equal).
-    """
-    n, k = len(cols), len(cols[0])
-    if table is not None:
-        # Flat lanes: a lane's one state is its flat, and a draw one gather.
-        shape, dtype = (), table.dtype
-
-        def independent(flat, col):
-            moved = table[flat, col]
-            grew = moved != flat
-            flat[:] = moved
-            return grew
-
-    elif k < 1 or F.q > _TABLE_LIMIT:
-        return np.array([_simulate_scalar(F, cols, n, k, _trial_key(seed, t0 + j))
-                         for j in range(count)], dtype=np.int64)
-    elif F.q == 2 and k <= 64:
-        # Packed lanes: a column is one uint64 word, bit i its i-th entry.
-        # Slot b of a lane's basis holds 0 or a word whose lowest set bit is
-        # b, so a draw reduces in k steps v ^= slot_b * bit_b(v) and a
-        # nonzero residual goes into the slot of its lowest set bit.
-        shape, dtype = (k,), np.uint64
-        words = np.array([sum(x << i for i, x in enumerate(col)) for col in cols], dtype=np.uint64)
-        one = np.uint64(1)
-
-        def independent(slots, col):
-            v = words[col]
-            for b in range(k):
-                v ^= slots[:, b] * (v >> np.uint64(b) & one)
-            grew = np.flatnonzero(v)
-            if grew.size:
-                r = v[grew]
-                low = np.frexp((r & (~r + one)).astype(np.float64))[1] - 1  # exact: a power of two
-                slots[grew, low] = r
-            return v != 0
-
-    else:
-        # Table lanes over the field's operation tables: a lane holds only a
-        # (k, k) basis, grown by _reduce_insert, whose nonzero diagonal
-        # marks the filled slots.
-        shape, dtype = (k, k), np.uint16
-        _, sub_t, mul_t, inv_t = F.op_tables()
-        cols_arr = np.array(cols, dtype=np.uint16)
-        xor = F.p == 2
-
-        def independent(basis, col):
-            return _reduce_insert(basis, cols_arr[col], sub_t, mul_t, inv_t, xor)
-
-    block = max(1, _LANE_CELLS // math.prod(shape))
-    return np.concatenate([_run_lanes(n, k, seed, t, np.zeros((min(block, t0 + count - t), *shape), dtype),
-                                      independent)
-                           for t in range(t0, t0 + count, block)] or [np.zeros(0, np.int64)])
+    """Draw counts of trials t0 .. t0 + count - 1 as one int64 array (see _draw_count_blocks)."""
+    blocks = _draw_count_blocks(F, cols, seed, t0, count, table, max(1, count))
+    return np.concatenate([b.copy() for b in blocks] or [np.zeros(0, np.int64)])
 
 
 def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
@@ -888,15 +962,24 @@ def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
         return list(pool.map(fn, tasks))
 
 
-def _mc_chunk(task) -> Tuple[int, int, int, int]:
+def _mc_task(task) -> Tuple[int, int, int, int]:
+    """(sum, sum of squares, min, max) of the draw counts of one task's trials.
+
+    The trials run in blocks of at most _CHUNK lanes, each reduced before
+    the next is drawn.
+    """
     F, cols, seed, t0, count, table = task
-    counts = _draw_count_array(F, cols, seed, t0, count, table)
-    top = int(counts.max())
-    if len(counts) * top * top < 1 << 63:  # the int64 sum of squares cannot overflow
-        total_sq = int(np.dot(counts, counts))
-    else:
-        total_sq = sum(c * c for c in counts.tolist())
-    return int(counts.sum()), total_sq, int(counts.min()), top
+    total = total_sq = 0
+    low, high = math.inf, 0
+    for counts in _draw_count_blocks(F, cols, seed, t0, count, table, _CHUNK):
+        top = int(counts.max())
+        if len(counts) * top * top < 1 << 63:  # the int64 sum of squares cannot overflow
+            total_sq += int(np.dot(counts, counts))
+        else:
+            total_sq += sum(c * c for c in counts.tolist())
+        total += int(counts.sum())
+        low, high = min(low, int(counts.min())), max(high, top)
+    return total, total_sq, low, high
 
 
 @dataclass(frozen=True)
@@ -921,10 +1004,11 @@ def expectation_monte_carlo(C: LinearCode, trials: int, seed: int, jobs: int = 1
     """Estimate the expected draw count from `trials` independent trials.
 
     Trials are keyed by their index, so the estimate for a given
-    (code, trials, seed) is identical for every value of jobs. The code's
-    flat table, where it builds within its caps, is built once here and
-    sent with every chunk. With a single trial the standard error is
-    reported as 0.0.
+    (code, trials, seed) is identical for every value of jobs. The trials
+    are split, on _CHUNK boundaries, into min(jobs, ceil(trials / _CHUNK))
+    contiguous tasks, one per worker, so the code's flat table, where it
+    builds within its caps, is built once here and sent once to each
+    worker. With a single trial the standard error is reported as 0.0.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -932,11 +1016,11 @@ def expectation_monte_carlo(C: LinearCode, trials: int, seed: int, jobs: int = 1
         raise ValueError("jobs must be positive")
     F, cols = C.field, C.columns
     table = _flat_table(F, cols, C.k, trials)
-    tasks = [
-        (F, cols, seed, t0, min(_CHUNK, trials - t0), table)
-        for t0 in range(0, trials, _CHUNK)
-    ]
-    parts = _fan_out(_mc_chunk, tasks, jobs)
+    chunks = -(-trials // _CHUNK)
+    split = min(jobs, chunks)
+    ends = [min(trials, chunks * i // split * _CHUNK) for i in range(split + 1)]
+    tasks = [(F, cols, seed, t0, t1 - t0, table) for t0, t1 in zip(ends, ends[1:])]
+    parts = _fan_out(_mc_task, tasks, jobs)
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     if trials > 1:

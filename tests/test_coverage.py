@@ -318,7 +318,7 @@ def test_level_counts_of_mds_duals(q, n, k):
 
 @pytest.mark.parametrize(
     "maker",
-    [lambda: reed_solomon(field_from_order(9), 10, 5), lambda: _binary_code(8, 11, seed=11)],
+    [lambda: reed_solomon(field_from_order(9), 10, 5), lambda: _random_code(2, 8, 11, seed=11)],
 )
 def test_level_blocks_do_not_change_counts(monkeypatch, maker):
     # 30 cells make blocks of one child at m = 5 and of 3 children at m = 3
@@ -500,18 +500,18 @@ def test_draw_counts_match_per_trial_keying():
     assert _draws(C, seed=11, t0=5, count=4) == _reference_draws(C, seed=11, t0=5, count=4)
 
 
-def _binary_code(k, n, seed):
-    """A binary [n, k] code: k unit columns, one zero column, one repeated
-    column and n - k - 2 random nonzero columns, in random order."""
+def _random_code(q, k, n, seed):
+    """An [n, k] code over GF(q): k unit columns, one zero column, one
+    repeated column and n - k - 2 random nonzero columns, in random order."""
     rng = random.Random(seed)
     cols = [tuple(int(i == j) for i in range(k)) for j in range(k)]
     while len(cols) < n - 2:
-        col = tuple(rng.randrange(2) for _ in range(k))
+        col = tuple(rng.randrange(q) for _ in range(k))
         if any(col):
             cols.append(col)
     cols += [rng.choice(cols), (0,) * k]
     rng.shuffle(cols)
-    return linear_code(from_columns(field_from_order(2), cols))
+    return linear_code(from_columns(field_from_order(q), cols))
 
 
 @pytest.mark.parametrize(
@@ -524,12 +524,12 @@ def _binary_code(k, n, seed):
         lambda: reed_solomon(field_from_order(5), 5, 2),
         # Binary codes run the packed lanes up to k = 64 and the table lanes
         # past it.
-        lambda: _binary_code(64, 134, seed=64),
-        lambda: _binary_code(65, 136, seed=65),
+        lambda: _random_code(2, 64, 134, seed=64),
+        lambda: _random_code(2, 65, 136, seed=65),
         # A zero and a repeated column; n = 12 is not a power of two, so the
         # rejection threshold is live, while n = 16 rejects nothing.
-        lambda: _binary_code(4, 12, seed=12),
-        lambda: _binary_code(5, 16, seed=16),
+        lambda: _random_code(2, 4, 12, seed=12),
+        lambda: _random_code(2, 5, 16, seed=16),
         # In characteristic 2 the table lanes reduce by XOR instead of a
         # subtraction-table gather.
         lambda: reed_solomon(field_from_order(8), 9, 4),
@@ -591,8 +591,8 @@ def test_rejected_draws_retry_alike_in_every_kernel(monkeypatch, maker):
         v = real(x)
         return v if v & 1 else coverage._MASK64
 
-    def mix_np(x):
-        v = real_np(x)
+    def mix_np(x, scratch=None):
+        v = real_np(x, scratch)
         return np.where(v & np.uint64(1) == 1, v, np.uint64(coverage._MASK64))
 
     monkeypatch.setattr(coverage, "_mix64", mix)
@@ -614,7 +614,7 @@ def test_rejected_draws_retry_alike_in_every_kernel(monkeypatch, maker):
 def _flat_ranks(table):
     """The rank of every flat of a flat table, from the moves out of flat 0."""
     ranks = [0] * len(table)
-    for f, row in enumerate(table.tolist()):
+    for f, row in enumerate((table // table.shape[1]).tolist()):
         for g in row:
             if g != f:
                 ranks[g] = ranks[f] + 1
@@ -666,7 +666,7 @@ def test_flat_caps_are_checked_before_a_level_is_reduced(monkeypatch):
 
 
 @pytest.mark.parametrize("maker", [lambda: reed_solomon(field_from_order(9), 8, 3),
-                                   lambda: _binary_code(4, 12, seed=12)])
+                                   lambda: _random_code(2, 4, 12, seed=12)])
 def test_past_either_flat_cap_the_lanes_give_the_same_estimate(monkeypatch, maker):
     C = maker()
     table = coverage._flat_table(C.field, C.columns, C.k, 1 << 20)
@@ -713,6 +713,105 @@ def test_flat_build_peak_stays_below_a_lane_chunk():
         tracemalloc.stop()
     assert len(table) == 26_334
     assert build <= lanes, (build, lanes)
+
+
+@pytest.mark.parametrize("q,k,n,seed", [(2, 5, 12, 1), (3, 4, 10, 2), (4, 3, 9, 3), (9, 2, 7, 4),
+                                        (9, 3, 8, 5)])
+def test_flat_table_matches_brute_force_closures(monkeypatch, q, k, n, seed):
+    # Each code has a zero column and a repeated column. The closure of a
+    # column set is every column whose addition leaves its span_basis rank
+    # unchanged; flat f holds the columns j with T[f, j] = f.
+    C = _random_code(q, k, n, seed)
+    F, cols = C.field, C.columns
+
+    def rank(idx):
+        return len(span_basis(F, [cols[i] for i in idx]))
+
+    def closure(idx):
+        r = rank(idx)
+        return frozenset(i for i in range(n) if rank([*idx, i]) == r)
+
+    table = coverage._flat_table(F, cols, k, 1 << 20)
+    assert table.dtype == np.int32 and table.shape[1] == n and not (table % n).any()
+    flats = table // n
+    members = [frozenset(np.flatnonzero(row == f).tolist()) for f, row in enumerate(flats)]
+    assert len(set(members)) == len(members)
+    assert members[0] == closure([]) and members[-1] == frozenset(range(n))
+    for f, flat in enumerate(members):
+        for j in range(n):
+            assert members[flats[f, j]] == closure([*flat, j]), (f, j)
+    # Every flat is reached from the closure of nothing, and the flats are
+    # numbered level by level.
+    seen, todo = {members[0]}, [members[0]]
+    while todo:
+        flat = todo.pop()
+        for j in range(n):
+            reached = closure([*flat, j])
+            if reached not in seen:
+                seen.add(reached)
+                todo.append(reached)
+    assert seen == set(members)
+    ranks = [rank(flat) for flat in members]
+    assert ranks == sorted(ranks)
+    monkeypatch.setattr(coverage, "_FLAT_BLOCK_CELLS", 30)
+    assert np.array_equal(coverage._flat_table(F, cols, k, 1 << 20), table)
+
+
+@pytest.mark.parametrize(
+    "maker,kernel",
+    [
+        (lambda: simplex_code(field_from_order(2), 3), "flat"),
+        (lambda: _random_code(2, 4, 12, seed=12), "packed"),
+        (lambda: reed_solomon(field_from_order(9), 8, 3), "table"),
+    ],
+)
+def test_monte_carlo_estimate_does_not_depend_on_the_split(monkeypatch, maker, kernel):
+    C = maker()
+    if kernel != "flat":
+        monkeypatch.setattr(coverage, "_flat_table", lambda *args: None)
+    assert (coverage._flat_table(C.field, C.columns, C.k, 100) is not None) == (kernel == "flat")
+    whole = expectation_monte_carlo(C, trials=100, seed=5)
+    counts = _draws(C, seed=5, t0=0, count=100)
+    assert whole.mean == sum(counts) / 100
+    assert (whole.min_draws, whole.max_draws) == (min(counts), max(counts))
+    tasks = []
+    real = coverage._fan_out
+    monkeypatch.setattr(coverage, "_fan_out", lambda fn, ts, j: tasks.append(len(ts)) or real(fn, ts, j))
+    # Blocks of 7 lanes: 15 chunks, one task per worker, each task several
+    # blocks and the last block short.
+    monkeypatch.setattr(coverage, "_CHUNK", 7)
+    for jobs in (1, 2, 3):
+        assert expectation_monte_carlo(C, trials=100, seed=5, jobs=jobs) == whole
+    assert tasks == [1, 2, 3]
+
+
+def test_one_chunk_of_trials_starts_no_pool(monkeypatch):
+    C = simplex_code(field_from_order(2), 3)
+    expected = [expectation_monte_carlo(C, trials=t, seed=9) for t in (1, coverage._CHUNK)]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(coverage, "ProcessPoolExecutor", no_pool)
+    assert [expectation_monte_carlo(C, trials=t, seed=9, jobs=2) for t in (1, coverage._CHUNK)] == expected
+
+
+def test_monte_carlo_memory_stays_within_a_few_lane_blocks():
+    # The counts of all trials would take 8 bytes each; a task reduces each
+    # block of _CHUNK lanes before it draws the next, through lane arrays
+    # allocated once.
+    C = simplex_code(field_from_order(2), 3)
+    trials = 1_000_000
+    expectation_monte_carlo(C, trials=10, seed=1)  # builds the field's tables
+    tracemalloc.start()
+    try:
+        expectation_monte_carlo(C, trials=trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 16 * 8 * coverage._CHUNK
+    assert bound < 8 * trials
+    assert peak < bound, peak
 
 
 @pytest.mark.parametrize("spec,trials", [(("--field", "16", "--code", "rs", "--n", "16", "--k", "8"), 40_000),
@@ -798,7 +897,7 @@ def _tail(terms, t):
 
 
 @pytest.mark.parametrize(
-    "C", [simplex_code(field_from_order(2), 3), _binary_code(4, 12, seed=12)], ids=["simplex", "12-4"]
+    "C", [simplex_code(field_from_order(2), 3), _random_code(2, 4, 12, seed=12)], ids=["simplex", "12-4"]
 )
 def test_draws_follow_the_exact_distribution(C):
     from scipy.stats import chi2
