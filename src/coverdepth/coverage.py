@@ -43,9 +43,11 @@ computes the expectation of that stopping time:
     flats would outnumber the call's trials or a level's flats times n * k
     would pass _FLAT_CELLS; then binary codes with k <= 64 run packed lanes
     (a column is one 64-bit word, a reduction step one XOR) and every other
-    code over at most 512 elements table lanes (the field's operation
-    tables, each lane one (k, k) basis). Larger fields run the scalar
-    reference path.
+    code over at most 512 elements table lanes (each lane one (k, k) basis).
+    Larger fields run the scalar reference path.
+    Every numpy routine here (membership, the level count, the flat build,
+    the table lanes) does its GF(q) arithmetic, and picks its element dtype,
+    through the field's one VecOps (FieldSpec.vec_ops).
     _draw_count_blocks is the one batch entry and the one place that builds
     a kernel's lane state and step, and every kernel matches simulate_trial
     draw for draw. The trials split into at most one task per worker, and
@@ -73,7 +75,7 @@ import numpy as np
 from .codes import BudgetExceededError, LinearCode, _full_rank_profile, independent_subset_profile
 from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis,
                      rank_and_kernel, span_basis)
-from .gf import _TABLE_LIMIT, FieldSpec, is_prime_power
+from .gf import _TABLE_LIMIT, FieldSpec, VecOps, is_prime_power
 
 Rational = Union[int, Fraction]
 
@@ -200,8 +202,8 @@ def _lattice_kept(q: int, m: int) -> bool:
     return sum(_gaussian(m, d, q) * q**d for d in range(m + 1)) <= _KEPT_MEMBERS
 
 
-def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "np.ndarray"]]:
-    """Which rows of X lie in each subspace of GF(q)^m, block by block.
+def _membership(ops: VecOps, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "np.ndarray"]]:
+    """Which rows of X (elements of the field of ops) lie in each subspace of GF(q)^m, block by block.
 
     A d-dimensional subspace is taken by its reduced echelon basis: a pivot
     set P and free entries in row i at the non-pivot columns after P[i].
@@ -210,8 +212,7 @@ def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "n
     with member[u, j] True iff X[j] lies in the block's u-th subspace; the
     blocks together list every subspace exactly once.
     """
-    add_t, _, mul_t, _ = F.op_tables()
-    q, s = F.q, len(X)
+    q, s = ops.q, len(X)
     for d in range(m + 1):
         for pivots in combinations(range(m), d):
             rest = [j for j in range(m) if j not in pivots]
@@ -224,12 +225,12 @@ def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "n
             step = max(1, _BLOCK_CELLS // max(1, s * len(rest)))
             for start in range(0, total, step):
                 fill = np.arange(start, min(total, start + step), dtype=np.int64)
-                rows = np.zeros((len(fill), d, len(rest)), dtype=np.uint16)
+                rows = np.zeros((len(fill), d, len(rest)), dtype=ops.dtype)
                 for f, (i, a) in enumerate(free):
                     rows[:, i, a] = fill // q**f % q
-                span = np.zeros((len(fill), s, len(rest)), dtype=np.uint16)
+                span = np.zeros((len(fill), s, len(rest)), dtype=ops.dtype)
                 for i, p in enumerate(pivots):
-                    span = add_t[span, mul_t[X[None, :, p, None], rows[:, i, None, :]]]
+                    span = ops.add(span, ops.mul(X[None, :, p, None], rows[:, i, None, :]))
                 yield d, (span == target).all(axis=2)
 
 
@@ -244,7 +245,8 @@ def _incidence(
     q = F.q
     if not _lattice_kept(q, m):
         raise ValueError(f"the subspace lattice of GF({q})^{m} is too large to keep")
-    blocks = list(_membership(F, m, np.array(columns, dtype=np.uint16).reshape(len(columns), m)))
+    ops = F.vec_ops()
+    blocks = list(_membership(ops, m, np.array(columns, dtype=ops.dtype).reshape(len(columns), m)))
     dims = tuple(d for d, member in blocks for _ in range(len(member)))
     return dims, np.concatenate([member for _, member in blocks])
 
@@ -547,15 +549,13 @@ _LEVEL_CELLS = 1 << 25
 _LEVEL_BLOCK_CELLS = 1 << 16
 
 
-def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", sub_t: "np.ndarray", mul_t: "np.ndarray",
-                   inv_t: "np.ndarray", xor: bool) -> "np.ndarray":
+def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", ops: VecOps) -> "np.ndarray":
     """Reduce row i of v against basis i, insert it where it is independent; say which grew.
 
     Slot r of a (k, k) basis is filled iff its diagonal entry is nonzero:
     a filled slot holds a row with a 1 at r and zeros before it, an empty
-    one zeros. v and basis change in place. In characteristic 2 (xor)
-    subtraction is XOR, so a reduction step gathers from the
-    multiplication table alone.
+    one zeros. v and basis hold elements of the field of ops and change in
+    place.
     """
     grew = np.zeros(len(v), dtype=bool)
     for r in range(v.shape[1]):
@@ -563,14 +563,10 @@ def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", sub_t: "np.ndarray", mu
         slot = basis[:, r, r] != 0
         (sel,) = (nz & slot).nonzero()
         if sel.size:
-            step = mul_t[v[sel, r, None], basis[sel, r, :]]
-            if xor:
-                v[sel] ^= step
-            else:
-                v[sel] = sub_t[v[sel], step]
+            v[sel] = ops.sub(v[sel], ops.mul(v[sel, r, None], basis[sel, r, :]))
         (sel,) = (nz & ~slot).nonzero()
         if sel.size:
-            basis[sel, r, :] = mul_t[inv_t[v[sel, r, None]], v[sel]]
+            basis[sel, r, :] = ops.mul(ops.inv[v[sel, r, None]], v[sel])
             grew[sel] = True
             v[sel] = 0
     return grew
@@ -586,12 +582,10 @@ def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> Lis
     is only counted. Before a level is reduced its children are counted,
     and past _LEVEL_CELLS basis cells the count raises BudgetExceededError.
     """
-    n = len(columns)
-    dtype = np.uint8 if F.q <= 256 else np.uint16
-    _, sub_t, mul_t, inv_t = (table.astype(dtype) for table in F.op_tables())
-    cols = np.array(columns, dtype=dtype).reshape(n, m)
+    n, ops = len(columns), F.vec_ops()
+    cols = np.array(columns, dtype=ops.dtype).reshape(n, m)
     last = np.full(1, -1, dtype=np.int32)
-    basis = np.zeros((1, m, m), dtype=dtype)
+    basis = np.zeros((1, m, m), dtype=ops.dtype)
     block = max(1, _LEVEL_BLOCK_CELLS // max(1, m * m))
     counts = [1]
     for t in range(1, m + 1):
@@ -603,14 +597,14 @@ def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> Lis
         keep = t < m
         if keep:  # untouched rows of np.empty take no memory
             next_last = np.empty(total, dtype=np.int32)
-            next_basis = np.empty((total, m, m), dtype=dtype)
+            next_basis = np.empty((total, m, m), dtype=ops.dtype)
         size = 0
         for start in range(0, total, block):
             child = np.arange(start, min(total, start + block), dtype=np.int64)
             parent = np.searchsorted(ends, child, side="right")
             col = child - ends[parent] + n
             b = basis[parent]
-            grew = _reduce_insert(b, cols[col], sub_t, mul_t, inv_t, F.p == 2)
+            grew = _reduce_insert(b, cols[col], ops)
             c = int(np.count_nonzero(grew))
             if keep and c:
                 next_last[size:size + c] = col[grew]
@@ -735,46 +729,33 @@ def _group(keys: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
     return first, ids.reshape(-1)
 
 
-def _normalised(v: "np.ndarray", mul: "np.ndarray", inv_t: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-    """(w, lead): each nonzero row of v over its first nonzero entry, whose index is lead.
-
-    mul is the raveled multiplication table: a * b is mul[a * q + b].
-    """
+def _normalised(v: "np.ndarray", ops: VecOps) -> Tuple["np.ndarray", "np.ndarray"]:
+    """(w, lead): each nonzero row of v over its first nonzero entry, whose index is lead."""
     lead = (v != 0).argmax(axis=-1)
-    q = len(inv_t)
-    if q == 2:  # GF(2): every first nonzero entry is already 1
+    if ops.q == 2:  # GF(2): every first nonzero entry is already 1
         return v, lead
-    scale = inv_t[np.take_along_axis(v, lead[..., None], axis=-1)]
-    return mul.take(np.multiply(scale, q, dtype=np.intp) + v), lead
+    return ops.mul(ops.inv[np.take_along_axis(v, lead[..., None], axis=-1)], v), lead
 
 
-def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray", sub: "np.ndarray",
-                   mul: "np.ndarray", inv_t: "np.ndarray", xor: bool) -> "np.ndarray":
+def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray", ops: VecOps) -> "np.ndarray":
     """Residuals of the flats spanned by each parent flat and one column outside it, one coordinate shorter.
 
     Child c takes parent[c]'s residuals and eliminates, from each, its entry
     at the pivot of column col[c]'s normalised residual, so the projection's
     kernel grows by that column. That entry is then zero in every column,
-    so the child drops it: the last coordinate takes its place. sub and mul
-    are the raveled subtraction and multiplication tables.
+    so the child drops it: the last coordinate takes its place.
     """
     count, n, w = len(parent), resid.shape[1], resid.shape[2]
-    q = len(inv_t)
     out = np.empty((count, n, w - 1), dtype=resid.dtype)
     block = max(1, _FLAT_BLOCK_CELLS // (n * w))
     for c0 in range(0, count, block):
         r = resid[parent[c0:c0 + block]]
-        v, lead = _normalised(r[np.arange(len(r)), col[c0:c0 + block]], mul, inv_t)
+        v, lead = _normalised(r[np.arange(len(r)), col[c0:c0 + block]], ops)
         at = lead[:, None, None]
         coef = np.take_along_axis(r, at, axis=2)
         np.put_along_axis(r, at, r[:, :, -1:], axis=2)
         np.put_along_axis(v, at[:, 0], v[:, -1:], axis=1)
-        r, v = r[:, :, :-1], v[:, None, :-1]
-        step = mul.take(np.multiply(coef, q, dtype=np.intp) + v)
-        if xor:
-            np.bitwise_xor(r, step, out=out[c0:c0 + block])
-        else:
-            sub.take(np.multiply(r, q, dtype=np.intp) + step, out=out[c0:c0 + block], mode="clip")
+        ops.sub(r[:, :, :-1], ops.mul(coef, v[:, None, :-1]), out=out[c0:c0 + block])
     return out
 
 
@@ -802,14 +783,11 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
     n, q = len(cols), F.q
     if k < 1 or q > _TABLE_LIMIT or n * k > _FLAT_CELLS:
         return None
-    dtype = np.uint8 if q <= 256 else np.uint16
-    _, sub, mul, inv_t = (table.astype(dtype) for table in F.op_tables())
-    sub, mul = sub.reshape(-1), mul.reshape(-1)
-    xor, ebits = F.p == 2, (q - 1).bit_length()
+    ops, ebits = F.vec_ops(), (q - 1).bit_length()
     words = (n + 63) // 64
     bit = np.zeros((n, words), dtype=np.uint64)
     bit[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (np.arange(n, dtype=np.uint64) % np.uint64(64))
-    resid = np.array(cols, dtype=dtype).reshape(1, n, k)
+    resid = np.array(cols, dtype=ops.dtype).reshape(1, n, k)
     masks = np.bitwise_or.reduce(bit[~resid[0].any(axis=1)], axis=0)[None]
     # The table grows level by level in place (a resize reallocates it), so
     # its rows are never held twice.
@@ -823,7 +801,7 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
         classes, found = [], 0
         for p0 in range(0, count, block):
             pp, jj = np.nonzero(resid[p0:p0 + block].any(axis=2))
-            w, _ = _normalised(resid[p0 + pp, jj], mul, inv_t)
+            w, _ = _normalised(resid[p0 + pp, jj], ops)
             first, ids = _group(_packed_keys([pp, *w.T], key_bits))
             m = masks[p0 + pp[first]]
             for word in range(words):
@@ -844,7 +822,7 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
         np.copyto(row, (np.arange(size - count, size, dtype=np.int32) * n)[:, None], where=step < 0)
         del step, child, row
         if r + 1 < k:
-            resid = _flat_children(resid, parent[first], col[first], sub, mul, inv_t, xor)
+            resid = _flat_children(resid, parent[first], col[first], ops)
             masks = class_masks[first]
         size += len(first)
     del resid
@@ -868,15 +846,15 @@ def _draw_count_blocks(
     expectation_monte_carlo passes one wherever _flat_table builds it, that
     is over fields of at most _TABLE_LIMIT elements while the flats number
     at most the call's trials and no level's flats times n * k pass
-    _FLAT_CELLS. Without one,
-    binary codes with k <= 64 run the packed lanes, every other code over a
-    field of at most _TABLE_LIMIT elements the table lanes, and the rest
-    the scalar reference path, trial by trial. The chosen branch builds its
-    lane state and its step once per call, and _run_lanes runs them on
-    blocks of at most _LANE_CELLS state cells, reusing one set of lane
-    arrays: a yielded array is overwritten by the next block. Trial t draws
-    what simulate_trial(C, seed, t) draws whichever kernel runs (the tests
-    hold them equal).
+    _FLAT_CELLS. Without one, binary codes with k <= 64 run the packed
+    lanes, every other code over a field of at most _TABLE_LIMIT elements
+    the table lanes on the field's VecOps, and the rest the scalar reference
+    path, trial by trial. The chosen branch builds its lane state and its
+    step once per call, and _run_lanes runs them on blocks of at most
+    _LANE_CELLS state cells, reusing one set of lane arrays: a yielded
+    array is overwritten by the next block. Trial t draws what
+    simulate_trial(C, seed, t) draws whichever kernel runs (the tests hold
+    them equal).
     """
     n, k = len(cols), len(cols[0])
     if k < 1 or F.q > _TABLE_LIMIT:
@@ -921,16 +899,15 @@ def _draw_count_blocks(
             return np.all(slots, axis=1, out=done)
 
     else:
-        # Table lanes over the field's operation tables: a lane holds only a
+        # Table lanes over the field's vector arithmetic: a lane holds only a
         # (k, k) basis, grown by _reduce_insert, whose nonzero diagonal
         # marks the filled slots.
-        state = lanes(k, k, dtype=np.uint16)
-        _, sub_t, mul_t, inv_t = F.op_tables()
-        cols_arr = np.array(cols, dtype=np.uint16)
-        xor = F.p == 2
+        ops = F.vec_ops()
+        state = lanes(k, k, dtype=ops.dtype)
+        cols_arr = np.array(cols, dtype=ops.dtype)
 
         def advance(basis, col, done):
-            _reduce_insert(basis, cols_arr[col], sub_t, mul_t, inv_t, xor)
+            _reduce_insert(basis, cols_arr[col], ops)
             return np.all(np.diagonal(basis, axis1=1, axis2=2), axis=1, out=done)
 
     yield from _run_lanes(n, seed, t0, count, state, advance)

@@ -13,12 +13,13 @@ encodings, so the search just walks candidate encodings upward. The choice
 is deterministic: two fields built from the same (p, m) anywhere, on any
 machine, produce identical arithmetic.
 
-Scope bounds: q <= 2^31 and m <= 16. Dense numpy operation tables (used by
-the vectorized simulation engine) are available for q <= 512; scalar
-multiplication uses exp/log tables for q <= 2^16 and falls back to direct
-polynomial arithmetic above that. Primality, prime-power detection and
-the prime factors of q - 1 (for the generator search) all read one
-smallest-prime-factor trial division.
+Scope bounds: q <= 2^31 and m <= 16. Dense numpy operation tables, and the
+one vector arithmetic built on them (FieldSpec.vec_ops, which the exact
+engine's numpy routines and the simulation lanes read), are available for
+q <= 512; scalar multiplication uses exp/log tables for q <= 2^16 and falls
+back to direct polynomial arithmetic above that. Primality, prime-power
+detection and the prime factors of q - 1 (for the generator search) all
+read one smallest-prime-factor trial division.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ class FieldSpec:
     processes.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_np_tables")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_np_tables", "_vec_ops")
 
     def __init__(self, p: int, m: int = 1, modulus: Optional[Sequence[int]] = None):
         if not isinstance(p, int) or not _is_prime(p):
@@ -174,6 +175,7 @@ class FieldSpec:
         self._exp = None
         self._log = None
         self._np_tables = None
+        self._vec_ops = None
 
     def __repr__(self) -> str:
         return f"GF({self.q})"
@@ -329,7 +331,7 @@ class FieldSpec:
         return self._exp, self._log
 
     def op_tables(self):
-        """Dense (add, sub, mul, inv) numpy tables for vectorized arithmetic.
+        """Dense (add, sub, mul, inv) numpy tables, from which vec_ops is built.
 
         add/sub/mul are q-by-q uint16 arrays indexed [a, b]; inv is a length-q
         vector with inv[0] = 0 as a placeholder that callers must not consume.
@@ -357,13 +359,47 @@ class FieldSpec:
             mul[1:, 1:] = e[(l[1:, None] + l[None, 1:]) % (q - 1)]
             inv = np.zeros(q, dtype=np.int64)
             inv[1:] = e[(-l[1:]) % (q - 1)]
-            self._np_tables = (
-                add.astype(np.uint16),
-                sub.astype(np.uint16),
-                mul.astype(np.uint16),
-                inv.astype(np.uint16),
-            )
+            self._np_tables = tuple(t.astype(np.uint16) for t in (add, sub, mul, inv))
         return self._np_tables
+
+    def vec_ops(self) -> "VecOps":
+        """The field's one VecOps, built from op_tables on first use; q <= 512."""
+        if self._vec_ops is None:
+            self._vec_ops = VecOps(self)
+        return self._vec_ops
+
+
+class VecOps:
+    """GF(q) arithmetic on numpy arrays of elements (dtype uint8 up to 256 elements, else uint16).
+
+    add, sub and mul(a, b, out=None) broadcast a against b and take each
+    result from a raveled q-by-q table at a * q + b; in characteristic 2 add
+    and sub are one XOR. Without out an element out of range raises
+    IndexError; with out the take clips. inv[a] is the inverse of a nonzero a.
+    """
+
+    __slots__ = ("q", "dtype", "inv", "_add", "_sub", "_mul")
+
+    def __init__(self, F: FieldSpec):
+        self.q, self.dtype = F.q, np.dtype(np.uint8 if F.q <= 256 else np.uint16)
+        add, sub, mul, self.inv = (t.astype(self.dtype, copy=False) for t in F.op_tables())
+        self._add, self._sub = (None, None) if F.p == 2 else (add.reshape(-1), sub.reshape(-1))
+        self._mul = mul.reshape(-1)
+
+    def _apply(self, table, a, b, out):
+        if table is None:  # characteristic 2: sum and difference are XOR
+            return np.bitwise_xor(a, b, out=out)
+        index = np.multiply(a, self.q, dtype=np.intp) + b
+        return table.take(index) if out is None else table.take(index, out=out, mode="clip")
+
+    def add(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._apply(self._add, a, b, out)
+
+    def sub(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._apply(self._sub, a, b, out)
+
+    def mul(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        return self._apply(self._mul, a, b, out)
 
 
 def field_new(p: int, m: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldSpec:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import statistics
 import tracemalloc
@@ -53,7 +54,7 @@ from coverdepth.coverage import (
     subspace_histogram,
     to_decimal,
 )
-from coverdepth.gf import field_from_order
+from coverdepth.gf import FieldSpec, field_from_order
 from coverdepth.matrix import (
     columns_of,
     from_columns,
@@ -290,7 +291,8 @@ def test_large_field_primal_side_reads_the_kernel(monkeypatch):
     assert expectation_exact(reed_solomon(field_from_order(1021), 6, 4)) == mds_bound(6, 4)
 
 
-_LEVEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32)
+# 257 and 512 run the level count on uint16 elements.
+_LEVEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 257, 512)
 
 
 @pytest.mark.parametrize("q", _LEVEL_FIELDS)
@@ -538,6 +540,10 @@ def _random_code(q, k, n, seed):
         # words), and the 121 columns of the GF(3) simplex code two mask words.
         lambda: reed_solomon(field_from_order(256), 10, 8),
         lambda: simplex_code(field_from_order(3), 5),
+        # Past 256 elements the flat build and the table lanes hold uint16
+        # elements, by table gathers over GF(509) and by XOR over GF(512).
+        lambda: reed_solomon(field_from_order(509), 9, 3),
+        lambda: reed_solomon(field_from_order(512), 8, 4),
     ],
 )
 def test_vector_and_scalar_draws_agree(maker):
@@ -713,6 +719,34 @@ def test_flat_build_peak_stays_below_a_lane_chunk():
         tracemalloc.stop()
     assert len(table) == 26_334
     assert build <= lanes, (build, lanes)
+
+
+def _vector_results(F, C):
+    """Every numpy routine over F on the columns of C, a [q, 3] code: the
+    histogram, the level count, the flat table and the flat and table lanes."""
+    table = coverage._flat_table(F, C.columns, C.k, 1 << 20)
+    return (subspace_histogram(F, C.columns, C.k), coverage._level_counts(F, C.columns, C.k),
+            table.tolist(), _draw_count_array(F, C.columns, 7, 0, 200, table).tolist(),
+            _draw_count_array(F, C.columns, 7, 0, 200).tolist())
+
+
+@pytest.mark.parametrize("q", [5, 8])
+def test_every_vector_routine_reads_the_fields_one_arithmetic(monkeypatch, q):
+    # Once F.vec_ops() is built, no routine reads the op tables again: with
+    # op_tables raising, each gives what an equal fresh field gives. A
+    # pickled field, as _fan_out sends it to a worker, builds its own.
+    C = reed_solomon(field_from_order(q), q, 3)
+    expected = _vector_results(field_from_order(q), C)
+    assert expected[3] == expected[4] == [simulate_trial(C, 7, t) for t in range(200)]
+    C.field.vec_ops()
+
+    def refuse(self):
+        raise RuntimeError("the op tables were read again")
+
+    monkeypatch.setattr(FieldSpec, "op_tables", refuse)
+    assert _vector_results(C.field, C) == expected
+    with pytest.raises(RuntimeError, match="read again"):
+        pickle.loads(pickle.dumps(C.field)).vec_ops()
 
 
 @pytest.mark.parametrize("q,k,n,seed", [(2, 5, 12, 1), (3, 4, 10, 2), (4, 3, 9, 3), (9, 2, 7, 4),

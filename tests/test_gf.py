@@ -39,17 +39,28 @@ def test_field_axioms_exhaustive(q):
     assert sorted(inv[nz]) == list(nz)
 
 
-@pytest.mark.parametrize("q", AXIOM_ORDERS)
+@pytest.mark.parametrize("q", AXIOM_ORDERS + [256, 257, 512])
 def test_tables_match_scalar_ops(q):
+    # The op tables and the vector arithmetic against the scalar ops over
+    # all q^2 pairs (a[i], b[i]), each vector op in one call.
     F = field_from_order(q)
-    add, sub, mul, inv = F.op_tables()
-    for a in range(q):
-        for b in range(q):
-            assert add[a, b] == F.add(a, b)
-            assert sub[a, b] == F.sub(a, b)
-            assert mul[a, b] == F.mul(a, b)
-        if a:
-            assert inv[a] == F.inv(a)
+    tables = dict(zip(("add", "sub", "mul"), F.op_tables()))
+    ops = F.vec_ops()
+    assert ops is F.vec_ops()
+    assert ops.dtype == (np.uint8 if q <= 256 else np.uint16)
+    a, b = (x.astype(ops.dtype) for x in np.divmod(np.arange(q * q), q))
+    for name, table in tables.items():
+        scalar = list(map(getattr(F, name), a.tolist(), b.tolist()))
+        assert table[a, b].tolist() == scalar, name
+        assert getattr(ops, name)(a, b).tolist() == scalar, name
+        out = np.empty(q * q, dtype=ops.dtype)
+        assert getattr(ops, name)(a, b, out=out) is out and out.tolist() == scalar, name
+    inverses = [F.inv(x) for x in range(1, q)]
+    assert F.op_tables()[3][1:].tolist() == inverses
+    assert ops.inv[1:].tolist() == inverses
+    # Without out, an element out of range raises instead of clipping.
+    with pytest.raises(IndexError):
+        ops.mul(np.array([q - 1]), np.array([q]))
 
 
 @pytest.mark.parametrize("p", [3, 7, 251, 509])
