@@ -35,19 +35,23 @@ computes the expectation of that stopping time:
     depends only on (seed, trial index, draw index), so estimates are
     reproducible bit for bit under any process count. Trials run as numpy
     lanes in one of three kernels, one draw per round, so the round number
-    is every live lane's draw count (_run_lanes). Over fields of at most 512
-    elements expectation_monte_carlo first builds the code's flat table
-    (_flat_table: the row offset of the flat each flat of the column
-    matroid moves to with each column), once per call, and a draw is one
-    take from it. The build gives up, before a level is reduced, once the
-    flats would outnumber the call's trials or a level's flats times n * k
-    would pass _FLAT_CELLS; then binary codes with k <= 64 run packed lanes
-    (a column is one 64-bit word, a reduction step one XOR) and every other
-    code over at most 512 elements table lanes (each lane one (k, k) basis).
-    Larger fields run the scalar reference path.
+    is every live lane's draw count (_run_lanes). Over fields of at most
+    2^16 elements (gf._LOG_LIMIT) expectation_monte_carlo first builds the
+    code's flat table (_flat_table: the row offset of the flat each flat of
+    the column matroid moves to with each column), once per call, and a
+    draw is one take from it. The build sorts once per block of flats and
+    once per level, and keeps binary residuals with k <= 64 as one packed
+    word per column. It gives up, before a level is reduced, once the flats
+    would outnumber the call's trials or a level's flats times n * k would
+    pass _FLAT_CELLS; then binary codes with k <= 64 run packed lanes (a
+    column is one 64-bit word, a reduction step one XOR) and every other
+    code over at most 2^16 elements table lanes (each lane one (k, k)
+    basis). Larger fields run the scalar reference path.
     Every numpy routine here (membership, the level count, the flat build,
     the table lanes) does its GF(q) arithmetic, and picks its element dtype,
-    through the field's one VecOps (FieldSpec.vec_ops).
+    through the field's one VecOps (FieldSpec.vec_ops): q-by-q tables up to
+    512 elements, log tables past that. The exact routes read it only up to
+    512 elements (_TABLE_LIMIT).
     _draw_count_blocks is the one batch entry and the one place that builds
     a kernel's lane state and step, and every kernel matches simulate_trial
     draw for draw. The trials split into at most one task per worker, and
@@ -75,7 +79,7 @@ import numpy as np
 from .codes import BudgetExceededError, LinearCode, _full_rank_profile, independent_subset_profile
 from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis,
                      rank_and_kernel, span_basis)
-from .gf import _TABLE_LIMIT, FieldSpec, VecOps, is_prime_power
+from .gf import _LOG_LIMIT, _TABLE_LIMIT, FieldSpec, VecOps, is_prime_power
 
 Rational = Union[int, Fraction]
 
@@ -695,8 +699,8 @@ def _run_lanes(
 # build reads each level's flats _FLAT_BLOCK_CELLS // (n * k) at a time and
 # stops, before a level is reduced, once the flats would outnumber the
 # trials they serve or the level's flats times n * k would pass _FLAT_CELLS.
-# A rank-r flat's residuals hold only n * (k - r) cells, so n * k per flat
-# bounds them at every level.
+# A rank-r flat's residuals hold only n * (k - r) cells (n words when
+# packed), so n * k per flat bounds them at every level.
 _FLAT_CELLS = 1 << 22
 _FLAT_BLOCK_CELLS = 1 << 16
 
@@ -717,50 +721,69 @@ def _packed_keys(parts: Sequence["np.ndarray"], bits: Sequence[int]) -> "np.ndar
     return np.stack(words, axis=1)
 
 
-def _group(keys: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-    """(first, ids) of the rows of (N, W) uint64 keys: equal rows share an id in 0..G-1.
+def _runs(keys: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
+    """(order, new): the rows of (N, W) uint64 keys in sorted order, and which sorted rows start a run.
 
-    first[g] is the index of a row with id g.
+    Rows sort lexicographically, column 0 first, by one argsort of a
+    single column or one lexsort of several; new[i] says that sorted row i
+    differs from row i - 1, so the runs are the groups of equal rows.
     """
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
     if keys.shape[1] == 1:
-        _, first, ids = np.unique(keys[:, 0], return_index=True, return_inverse=True)
+        order = keys[:, 0].argsort()
+        rows = keys[order, 0]
+        np.not_equal(rows[1:], rows[:-1], out=new[1:])
     else:
-        _, first, ids = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    return first, ids.reshape(-1)
+        order = np.lexsort(keys.T[::-1])
+        rows = keys[order]
+        np.any(rows[1:] != rows[:-1], axis=1, out=new[1:])
+    return order, new
 
 
 def _normalised(v: "np.ndarray", ops: VecOps) -> Tuple["np.ndarray", "np.ndarray"]:
-    """(w, lead): each nonzero row of v over its first nonzero entry, whose index is lead."""
-    lead = (v != 0).argmax(axis=-1)
+    """(w, lead): each nonzero row of the 2-D v over its first nonzero entry, whose index is lead."""
+    lead = (v != 0).argmax(axis=1)
     if ops.q == 2:  # GF(2): every first nonzero entry is already 1
         return v, lead
-    return ops.mul(ops.inv[np.take_along_axis(v, lead[..., None], axis=-1)], v), lead
+    return ops.mul(ops.inv[v[np.arange(len(v)), lead]][:, None], v), lead
 
 
 def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray", ops: VecOps) -> "np.ndarray":
     """Residuals of the flats spanned by each parent flat and one column outside it, one coordinate shorter.
 
     Child c takes parent[c]'s residuals and eliminates, from each, its entry
-    at the pivot of column col[c]'s normalised residual, so the projection's
-    kernel grows by that column. That entry is then zero in every column,
-    so the child drops it: the last coordinate takes its place.
+    at the pivot of column col[c]'s residual (its first nonzero entry), so
+    the projection's kernel grows by that column. That entry is then zero
+    in every column, so the child drops it. Residuals of field elements,
+    (count, n, w), move their last coordinate into its place; packed binary
+    residuals, (count, n) unsigned words with coordinate i at bit i, shift
+    the bits above it down by one.
     """
-    count, n, w = len(parent), resid.shape[1], resid.shape[2]
-    out = np.empty((count, n, w - 1), dtype=resid.dtype)
-    block = max(1, _FLAT_BLOCK_CELLS // (n * w))
+    count, n = len(parent), resid.shape[1]
+    out = np.empty((count, n) if resid.ndim == 2 else (count, n, resid.shape[2] - 1), dtype=resid.dtype)
+    block = max(1, _FLAT_BLOCK_CELLS // resid[0].size)
     for c0 in range(0, count, block):
         r = resid[parent[c0:c0 + block]]
-        v, lead = _normalised(r[np.arange(len(r)), col[c0:c0 + block]], ops)
-        at = lead[:, None, None]
-        coef = np.take_along_axis(r, at, axis=2)
-        np.put_along_axis(r, at, r[:, :, -1:], axis=2)
-        np.put_along_axis(v, at[:, 0], v[:, -1:], axis=1)
-        ops.sub(r[:, :, :-1], ops.mul(coef, v[:, None, :-1]), out=out[c0:c0 + block])
+        each = np.arange(len(r))
+        v = r[each, col[c0:c0 + block]]
+        if resid.ndim == 2:
+            v = v[:, None]
+            pivot = v & (~v + 1)
+            r ^= v * ((r & pivot) != 0)
+            below = pivot - 1
+            np.bitwise_or(r & below, (r >> 1) & ~below, out=out[c0:c0 + block])
+            continue
+        v, lead = _normalised(v, ops)
+        coef = r[each, :, lead]
+        r[each, :, lead] = r[:, :, -1]
+        v[each, lead] = v[:, -1]
+        ops.sub(r[:, :, :-1], ops.mul(coef[:, :, None], v[:, None, :-1]), out=out[c0:c0 + block])
     return out
 
 
 def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: int) -> Optional["np.ndarray"]:
-    """T[f, j] * n: the row offset of the flat f and column j span; None past a cap or where q > 512.
+    """T[f, j] * n: the row offset of the flat f and column j span; None past a cap or where q > 2^16.
 
     The n columns, each of length k, must span GF(q)^k, as a code's do.
     The table is int32, one row per flat, and holds row offsets, so a lane
@@ -768,66 +791,100 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
     plus the drawn column.
 
     Flats are numbered level by level: 0 is the flat of the zero columns,
-    the last one holds every column. Each flat of rank r keeps its
-    residuals, an (n, k - r) array: the columns under a linear projection
-    whose kernel is the flat's span. Column j lies in f iff its residual is
-    zero, and then T[f, j] = f. The nonzero residuals of f fall into classes
-    of proportional ones (equal after normalising), and each class adds its
-    columns to f's column set to make one child. Children reached from
-    several parents are merged by that column set, one bit per column, and
+    the last one holds every column, and each level's flats are ordered by
+    their column sets, one bit per column. Each flat of rank r < k - 1
+    keeps its residuals: the columns under a linear projection whose kernel
+    is the flat's span, k - r coordinates each (over GF(2) with k <= 64,
+    one unsigned word per column, coordinate i at bit i; otherwise an
+    (n, k - r) array of field elements). Column j lies in f iff its
+    residual is zero, and then T[f, j] = f. The nonzero residuals of f fall
+    into classes of proportional ones (equal after normalising; a packed
+    word is its own class key), and each class adds its columns to f's
+    column set to make one child. A block of flats sorts its (flat,
+    residual) keys once, and a level sorts its children's column sets
+    once: children reached from several parents are merged by that set and
     take their residuals from one representative parent (_flat_children).
-    Before a level is reduced, the build returns None once the flats would
-    number more than limit or the level's flats times n * k more than
-    _FLAT_CELLS.
+    A rank k - 1 flat needs no residuals: every column outside it closes it
+    to the top flat. Before a level is reduced, the build returns None once
+    the flats would number more than limit or the level's flats times
+    n * k more than _FLAT_CELLS.
     """
     n, q = len(cols), F.q
-    if k < 1 or q > _TABLE_LIMIT or n * k > _FLAT_CELLS:
+    if k < 1 or q > _LOG_LIMIT or n * k > _FLAT_CELLS:
         return None
-    ops, ebits = F.vec_ops(), (q - 1).bit_length()
+    ops, ebits, packed = F.vec_ops(), (q - 1).bit_length(), q == 2 and k <= 64
     words = (n + 63) // 64
     bit = np.zeros((n, words), dtype=np.uint64)
     bit[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (np.arange(n, dtype=np.uint64) % np.uint64(64))
-    resid = np.array(cols, dtype=ops.dtype).reshape(1, n, k)
-    masks = np.bitwise_or.reduce(bit[~resid[0].any(axis=1)], axis=0)[None]
+    if packed:  # the narrowest unsigned words that hold k bits
+        resid = np.array([[sum(x << i for i, x in enumerate(col)) for col in cols]],
+                         dtype=np.min_scalar_type((1 << k) - 1))
+    else:
+        resid = np.array(cols, dtype=ops.dtype).reshape(1, n, k)
+    masks = np.bitwise_or.reduce(bit[~resid[0].reshape(n, -1).any(axis=1)], axis=0)[None]
     # The table grows level by level in place (a resize reallocates it), so
-    # its rows are never held twice.
+    # its rows are never held twice. A level's rows first index its offsets:
+    # f's own local number where column j lies in f, count plus the class of
+    # (f, j) where it does not.
     table, size = np.empty((0, n), dtype=np.int32), 1
     block = max(1, _FLAT_BLOCK_CELLS // (n * k))
-    for r in range(k):
-        count = len(resid)
-        key_bits = [max(1, (block - 1).bit_length())] + [ebits] * (k - r)
-        # step[f, j]: the candidate child of flat f and column j, -1 where j lies in f.
-        step = np.full((count, n), -1, dtype=np.int32)
-        classes, found = [], 0
-        for p0 in range(0, count, block):
-            pp, jj = np.nonzero(resid[p0:p0 + block].any(axis=2))
-            w, _ = _normalised(resid[p0 + pp, jj], ops)
-            first, ids = _group(_packed_keys([pp, *w.T], key_bits))
-            m = masks[p0 + pp[first]]
-            for word in range(words):
-                np.bitwise_or.at(m[:, word], ids, bit[jj, word])
-            kept, merged = _group(m)  # a child of several flats in the block is kept once
-            step[p0 + pp, jj] = merged[ids] + found
-            rep = first[kept]
-            classes.append((m[kept], (p0 + pp[rep]).astype(np.int32), jj[rep].astype(np.int32)))
-            found += len(kept)
-        class_masks, parent, col = (np.concatenate(a) for a in zip(*classes))
-        del classes
-        first, child = _group(class_masks)
-        if size + len(first) > limit or (r + 1 < k and len(first) * n * k > _FLAT_CELLS):
-            return None
+    pbits = max(1, (block - 1).bit_length())
+    for r in range(k - 1):
+        count = len(masks)
         table.resize((size, n), refcheck=False)
-        row = table[size - count:]
-        ((size + child) * n).astype(np.int32).take(step, out=row, mode="clip")
-        np.copyto(row, (np.arange(size - count, size, dtype=np.int32) * n)[:, None], where=step < 0)
-        del step, child, row
-        if r + 1 < k:
-            resid = _flat_children(resid, parent[first], col[first], ops)
-            masks = class_masks[first]
-        size += len(first)
+        rows = table[size - count:]
+        rows[:] = np.arange(count, dtype=np.int32)[:, None]
+        classes, found = [], count
+        for p0 in range(0, count, block):
+            sub = resid[p0:p0 + block]
+            sub = sub.reshape(len(sub) * n, -1)  # row f * n + j: the residual of column j in flat p0 + f
+            outside = sub[:, 0].copy()
+            for i in range(1, sub.shape[1]):
+                outside |= sub[:, i]
+            pair = np.flatnonzero(outside)
+            v = sub[pair] if packed else _normalised(sub[pair], ops)[0]
+            widths = [k - r] if packed else [ebits] * (k - r)
+            order, new = _runs(_packed_keys([pair // n, *v.T], [pbits, *widths]))
+            pair = pair[order]
+            rows.reshape(-1)[p0 * n + pair] = np.cumsum(new, dtype=np.int32) + (found - 1)
+            (start,) = new.nonzero()
+            rep = pair[start]
+            m = masks[p0 + rep // n] | np.bitwise_or.reduceat(bit[pair % n], start, axis=0)
+            classes.append((m, (p0 * n + rep).astype(np.int32)))
+            found += len(start)
+        class_masks, reps = (np.concatenate(a) for a in zip(*classes))
+        del classes
+        order, new = _runs(class_masks)
+        first = order[new]
+        if size + len(first) > limit or len(first) * n * k > _FLAT_CELLS:
+            return None
+        masks, reps = class_masks[first], reps[first]
+        del class_masks, first
+        offset = np.empty(count + len(order), dtype=np.int32)  # by flat, then by class
+        offset[:count] = np.arange(size - count, size, dtype=np.int32) * n
+        ids = np.cumsum(new, dtype=np.int32)
+        ids += size - 1
+        ids *= n
+        offset[count:][order] = ids
+        del order, new, ids
+        for p0 in range(0, count, block):
+            offset.take(rows[p0:p0 + block], out=rows[p0:p0 + block], mode="clip")
+        del offset, rows
+        if r + 2 < k:
+            resid = _flat_children(resid, reps // n, reps % n, ops)
+        size += len(masks)
     del resid
-    table.resize((size, n), refcheck=False)
-    table[-1] = (size - 1) * n
+    # The hyperplanes' rows: the flat itself where its mask holds the
+    # column, the top flat elsewhere.
+    if size + 1 > limit:
+        return None
+    count = len(masks)
+    table.resize((size + 1, n), refcheck=False)
+    rows = table[size - count:]
+    rows.fill(size * n)
+    inside = np.unpackbits(masks.astype("<u8", copy=False).view(np.uint8), axis=1, count=n, bitorder="little")
+    own = np.arange(size - count, size, dtype=np.int32) * n
+    np.copyto(rows[:-1], own[:, None], where=inside.view(bool))
     return table
 
 
@@ -844,20 +901,20 @@ def _draw_count_blocks(
 
     The only batch entry. Given the code's flat table, the flat lanes run:
     expectation_monte_carlo passes one wherever _flat_table builds it, that
-    is over fields of at most _TABLE_LIMIT elements while the flats number
-    at most the call's trials and no level's flats times n * k pass
+    is over fields of at most _LOG_LIMIT (2^16) elements while the flats
+    number at most the call's trials and no level's flats times n * k pass
     _FLAT_CELLS. Without one, binary codes with k <= 64 run the packed
-    lanes, every other code over a field of at most _TABLE_LIMIT elements
-    the table lanes on the field's VecOps, and the rest the scalar reference
-    path, trial by trial. The chosen branch builds its lane state and its
-    step once per call, and _run_lanes runs them on blocks of at most
-    _LANE_CELLS state cells, reusing one set of lane arrays: a yielded
-    array is overwritten by the next block. Trial t draws what
-    simulate_trial(C, seed, t) draws whichever kernel runs (the tests hold
-    them equal).
+    lanes, every other code over a field of at most _LOG_LIMIT elements the
+    table lanes on the field's VecOps, and the rest (larger fields, and
+    k < 1) the scalar reference path, trial by trial. The chosen branch
+    builds its lane state and its step once per call, and _run_lanes runs
+    them on blocks of at most _LANE_CELLS state cells, reusing one set of
+    lane arrays: a yielded array is overwritten by the next block. Trial t
+    draws what simulate_trial(C, seed, t) draws whichever kernel runs (the
+    tests hold them equal).
     """
     n, k = len(cols), len(cols[0])
-    if k < 1 or F.q > _TABLE_LIMIT:
+    if k < 1 or F.q > _LOG_LIMIT:
         for t in range(t0, t0 + count, block):
             yield np.array([_simulate_scalar(F, cols, n, k, _trial_key(seed, j))
                             for j in range(t, min(t + block, t0 + count))], dtype=np.int64)

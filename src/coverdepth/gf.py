@@ -13,13 +13,14 @@ encodings, so the search just walks candidate encodings upward. The choice
 is deterministic: two fields built from the same (p, m) anywhere, on any
 machine, produce identical arithmetic.
 
-Scope bounds: q <= 2^31 and m <= 16. Dense numpy operation tables, and the
-one vector arithmetic built on them (FieldSpec.vec_ops, which the exact
-engine's numpy routines and the simulation lanes read), are available for
-q <= 512; scalar multiplication uses exp/log tables for q <= 2^16 and falls
-back to direct polynomial arithmetic above that. Primality, prime-power
-detection and the prime factors of q - 1 (for the generator search) all
-read one smallest-prime-factor trial division.
+Scope bounds: q <= 2^31 and m <= 16. Dense numpy operation tables are
+available for q <= 512. The one vector arithmetic (FieldSpec.vec_ops, which
+the exact engine's numpy routines and the simulation lanes read) is built
+on them up to 512 elements and on exp/log tables up to 2^16; scalar
+multiplication uses exp/log tables for q <= 2^16 and falls back to direct
+polynomial arithmetic above that. Primality, prime-power detection and the
+prime factors of q - 1 (for the generator search) all read one
+smallest-prime-factor trial division.
 """
 
 from __future__ import annotations
@@ -74,6 +75,22 @@ def _undigits(coeffs: Sequence[int], p: int) -> int:
     out = 0
     for c in reversed(coeffs):
         out = out * p + c
+    return out
+
+
+def _digitwise_np(a: np.ndarray, b: np.ndarray, sign: int, p: int, m: int) -> np.ndarray:
+    """a + sign * b over GF(p^m), base-p digit by digit (sign 1 or -1), as an intp array.
+
+    a and b broadcast. Digit i of a + sign * b is a // p^i + sign * (b // p^i)
+    modulo p: the higher digits of each quotient are multiples of p.
+    """
+    a, b = np.asarray(a, dtype=np.intp), np.asarray(b, dtype=np.intp)
+    if m == 1:
+        return (a + sign * b) % p
+    out, shift = 0, 1
+    for _ in range(m):
+        out = out + ((a // shift + sign * (b // shift)) % p) * shift
+        shift *= p
     return out
 
 
@@ -343,15 +360,7 @@ class FieldSpec:
                 raise ValueError(f"operation tables are limited to q <= {_TABLE_LIMIT}")
             A = np.arange(q, dtype=np.int64)[:, None]
             B = np.arange(q, dtype=np.int64)[None, :]
-            add = np.zeros((q, q), dtype=np.int64)
-            sub = np.zeros((q, q), dtype=np.int64)
-            shift = 1
-            for _ in range(self.m):
-                da = (A // shift) % p
-                db = (B // shift) % p
-                add += ((da + db) % p) * shift
-                sub += ((da - db) % p) * shift
-                shift *= p
+            add, sub = (_digitwise_np(A, B, sign, p, self.m) for sign in (1, -1))
             exp, log = self._logtables()
             e = np.asarray(exp, dtype=np.int64)
             l = np.asarray(log, dtype=np.int64)
@@ -363,7 +372,7 @@ class FieldSpec:
         return self._np_tables
 
     def vec_ops(self) -> "VecOps":
-        """The field's one VecOps, built from op_tables on first use; q <= 512."""
+        """The field's one VecOps, built on first use and kept; q <= 2^16."""
         if self._vec_ops is None:
             self._vec_ops = VecOps(self)
         return self._vec_ops
@@ -372,34 +381,66 @@ class FieldSpec:
 class VecOps:
     """GF(q) arithmetic on numpy arrays of elements (dtype uint8 up to 256 elements, else uint16).
 
-    add, sub and mul(a, b, out=None) broadcast a against b and take each
-    result from a raveled q-by-q table at a * q + b; in characteristic 2 add
-    and sub are one XOR. Without out an element out of range raises
-    IndexError; with out the take clips. inv[a] is the inverse of a nonzero a.
+    add, sub and mul(a, b, out=None) broadcast a against b; inv[a] is the
+    inverse of a nonzero a. In characteristic 2 add and sub are one XOR.
+    Up to 512 elements (_TABLE_LIMIT) every other op is one take from a
+    raveled q-by-q table of op_tables at a * q + b. Past that, up to 2^16
+    elements (_LOG_LIMIT), mul adds two logarithms and takes from an exp
+    table doubled so the sum needs no reduction, where log 0 points into a
+    tail of zeros; add and sub in other characteristics work modulo p,
+    digit by digit in extension fields. An element out of range raises
+    IndexError from a q-by-q table take without out (with out, that take
+    clips) and from every log take.
     """
 
-    __slots__ = ("q", "dtype", "inv", "_add", "_sub", "_mul")
+    __slots__ = ("q", "p", "m", "dtype", "inv", "_add", "_sub", "_mul", "_log", "_exp")
 
     def __init__(self, F: FieldSpec):
-        self.q, self.dtype = F.q, np.dtype(np.uint8 if F.q <= 256 else np.uint16)
-        add, sub, mul, self.inv = (t.astype(self.dtype, copy=False) for t in F.op_tables())
-        self._add, self._sub = (None, None) if F.p == 2 else (add.reshape(-1), sub.reshape(-1))
-        self._mul = mul.reshape(-1)
+        q, self.p, self.m = F.q, F.p, F.m
+        if q > _LOG_LIMIT:
+            raise ValueError(f"vector arithmetic is limited to q <= {_LOG_LIMIT}")
+        self.q, self.dtype = q, np.dtype(np.uint8 if q <= 256 else np.uint16)
+        self._add = self._sub = self._mul = self._log = self._exp = None
+        if q <= _TABLE_LIMIT:
+            add, sub, mul, self.inv = (t.astype(self.dtype, copy=False) for t in F.op_tables())
+            if F.p != 2:
+                self._add, self._sub = add.reshape(-1), sub.reshape(-1)
+            self._mul = mul.reshape(-1)
+            return
+        exp, log = F._logtables()
+        e = np.asarray(exp, dtype=self.dtype)
+        self._log = np.asarray(log, dtype=np.intp)
+        self._log[0] = 2 * (q - 1)  # any sum with log 0 lands in the zero tail
+        self._exp = np.concatenate([e, e, np.zeros(2 * q - 1, dtype=self.dtype)])
+        self.inv = np.zeros(q, dtype=self.dtype)
+        self.inv[1:] = e[-self._log[1:] % (q - 1)]
 
-    def _apply(self, table, a, b, out):
-        if table is None:  # characteristic 2: sum and difference are XOR
-            return np.bitwise_xor(a, b, out=out)
+    def _take(self, table, a, b, out):
         index = np.multiply(a, self.q, dtype=np.intp) + b
         return table.take(index) if out is None else table.take(index, out=out, mode="clip")
 
+    def _sum(self, table, a, b, sign, out):
+        if self.p == 2:
+            return np.bitwise_xor(a, b, out=out)
+        if table is not None:
+            return self._take(table, a, b, out)
+        digits = _digitwise_np(a, b, sign, self.p, self.m)
+        if out is None:
+            return digits.astype(self.dtype)
+        np.copyto(out, digits, casting="unsafe")
+        return out
+
     def add(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._apply(self._add, a, b, out)
+        return self._sum(self._add, a, b, 1, out)
 
     def sub(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._apply(self._sub, a, b, out)
+        return self._sum(self._sub, a, b, -1, out)
 
     def mul(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        return self._apply(self._mul, a, b, out)
+        if self._mul is not None:
+            return self._take(self._mul, a, b, out)
+        index = self._log.take(a) + self._log.take(b)
+        return self._exp.take(index, out=out, mode="clip")
 
 
 def field_new(p: int, m: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldSpec:

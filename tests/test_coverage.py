@@ -57,6 +57,7 @@ from coverdepth.coverage import (
 from coverdepth.gf import FieldSpec, field_from_order
 from coverdepth.matrix import (
     columns_of,
+    eliminate,
     from_columns,
     identity,
     kernel_basis,
@@ -544,6 +545,12 @@ def _random_code(q, k, n, seed):
         # elements, by table gathers over GF(509) and by XOR over GF(512).
         lambda: reed_solomon(field_from_order(509), 9, 3),
         lambda: reed_solomon(field_from_order(512), 8, 4),
+        # Past 512 elements the field's vector arithmetic reads log tables:
+        # a prime field sums modulo p, GF(1024) by XOR and GF(729) digit by
+        # digit.
+        lambda: reed_solomon(field_from_order(1021), 8, 3),
+        lambda: reed_solomon(field_from_order(1024), 12, 4),
+        lambda: reed_solomon(field_from_order(729), 9, 3),
     ],
 )
 def test_vector_and_scalar_draws_agree(maker):
@@ -562,8 +569,10 @@ def test_vector_and_scalar_draws_agree(maker):
 def test_lane_blocks_do_not_change_counts(monkeypatch, maker):
     # 200 cells split the 400 trials into blocks of 3 table lanes at k = 8
     # (k * k cells each), of 18 packed lanes at k = 11 (k cells each) and of
-    # 200 flat lanes (one cell each). 30 cells make the flat table's build
-    # read one flat at a time.
+    # 200 flat lanes (one cell each). 3 * n * k cells make the flat table's
+    # build read three flats at a time, so every level past rank 0 spans
+    # several blocks, from field elements for RS [16,8] and from packed
+    # words for Hamming [15,11].
     C = maker()
     whole = _draws(C, seed=8, t0=3, count=400)
     table = coverage._flat_table(C.field, C.columns, C.k, 1 << 20)
@@ -571,7 +580,7 @@ def test_lane_blocks_do_not_change_counts(monkeypatch, maker):
     monkeypatch.setattr(coverage, "_LANE_CELLS", 200)
     assert _draws(C, seed=8, t0=3, count=400) == whole
     assert _flat_draws(C, seed=8, t0=3, count=400) == whole
-    monkeypatch.setattr(coverage, "_FLAT_BLOCK_CELLS", 30)
+    monkeypatch.setattr(coverage, "_FLAT_BLOCK_CELLS", 3 * C.n * C.k)
     assert np.array_equal(coverage._flat_table(C.field, C.columns, C.k, 1 << 20), table)
 
 
@@ -646,10 +655,20 @@ def test_mds_flats_are_the_small_subsets(q, n, k):
 
 
 def test_flat_caps_are_checked_before_a_level_is_reduced(monkeypatch):
-    # RS [8,3]/GF(9) has 1, 8 and 28 flats of rank 0, 1 and 2 and one of
-    # rank 3; a flat's residuals are 8 * 3 = 24 cells.
-    C = reed_solomon(field_from_order(9), 8, 3)
-    F, cols, sizes = C.field, C.columns, [1, 8, 28, 1]
+    # Level r holds sizes[r] flats of rank r, and a flat's residuals count
+    # n * k cells. Residuals are built for the flats of ranks 1 .. k - 2
+    # only: a hyperplane closes to the top flat with every column outside
+    # it. RS [8,3]/GF(9) builds from field elements, the binary [12,4] code
+    # from packed words.
+    for C in (reed_solomon(field_from_order(9), 8, 3), _random_code(2, 4, 12, seed=12)):
+        with monkeypatch.context() as patch:
+            _check_flat_caps(patch, C)
+
+
+def _check_flat_caps(patch, C):
+    F, cols, k, cells = C.field, C.columns, C.k, C.n * C.k
+    table = coverage._flat_table(F, cols, k, 1 << 20)
+    sizes = [count for _, count in sorted(Counter(_flat_ranks(table)).items())]
     reduced = []
     real = coverage._flat_children
 
@@ -657,18 +676,21 @@ def test_flat_caps_are_checked_before_a_level_is_reduced(monkeypatch):
         reduced.append(len(parent))
         return real(resid, parent, *args)
 
-    monkeypatch.setattr(coverage, "_flat_children", counted)
-    assert len(coverage._flat_table(F, cols, 3, 38)) == 38
-    assert sum(reduced) == 36
-    for r in range(1, 4):  # one flat too many at level r
+    patch.setattr(coverage, "_flat_children", counted)
+    assert np.array_equal(coverage._flat_table(F, cols, k, len(table)), table)
+    assert sum(reduced) == sum(sizes[1:k - 1])
+    for r in range(1, k + 1):  # one flat too many at level r
         reduced.clear()
-        assert coverage._flat_table(F, cols, 3, sum(sizes[:r + 1]) - 1) is None
-        assert sum(reduced) == sum(sizes[1:r])
-    for r in range(3):  # one residual cell too many at level r
+        assert coverage._flat_table(F, cols, k, sum(sizes[:r + 1]) - 1) is None
+        assert sum(reduced) == sum(sizes[1:min(r, k - 1)])
+    # One residual cell too many at level r, and so at the first level t
+    # that holds as many flats.
+    for r in range(k):
         reduced.clear()
-        monkeypatch.setattr(coverage, "_FLAT_CELLS", sizes[r] * 24 - 1)
-        assert coverage._flat_table(F, cols, 3, 38) is None
-        assert sum(reduced) == sum(sizes[1:r])
+        patch.setattr(coverage, "_FLAT_CELLS", sizes[r] * cells - 1)
+        assert coverage._flat_table(F, cols, k, len(table)) is None
+        t = next(t for t in range(r + 1) if sizes[t] >= sizes[r])
+        assert sum(reduced) == sum(sizes[1:min(t, k - 1)])
 
 
 @pytest.mark.parametrize("maker", [lambda: reed_solomon(field_from_order(9), 8, 3),
@@ -704,21 +726,25 @@ def test_past_either_flat_cap_the_lanes_give_the_same_estimate(monkeypatch, make
 
 
 def test_flat_build_peak_stays_below_a_lane_chunk():
-    # tracemalloc sees numpy's buffers; the field's tables are built first.
-    C = reed_solomon(field_from_order(16), 16, 8)
-    F, cols = C.field, C.columns
-    F.op_tables()
-    tracemalloc.start()
-    try:
-        _draw_count_array(F, cols, 1, 0, coverage._CHUNK)
-        lanes = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        table = coverage._flat_table(F, cols, C.k, 200_000)
-        build = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(table) == 26_334
-    assert build <= lanes, (build, lanes)
+    # tracemalloc sees numpy's buffers; the field's arithmetic is built
+    # first. RS [16,8] builds from field elements and runs table lanes
+    # without the table, Hamming [15,11] builds from packed words and runs
+    # packed lanes.
+    for C, flats in ((reed_solomon(field_from_order(16), 16, 8), 26_334),
+                     (hamming_code(field_from_order(2), 4), 24_968)):
+        F, cols = C.field, C.columns
+        F.vec_ops()
+        tracemalloc.start()
+        try:
+            _draw_count_array(F, cols, 1, 0, coverage._CHUNK)
+            lanes = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            table = coverage._flat_table(F, cols, C.k, 200_000)
+            build = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == flats
+        assert build <= lanes, (C, build, lanes)
 
 
 def _vector_results(F, C):
@@ -750,20 +776,29 @@ def test_every_vector_routine_reads_the_fields_one_arithmetic(monkeypatch, q):
 
 
 @pytest.mark.parametrize("q,k,n,seed", [(2, 5, 12, 1), (3, 4, 10, 2), (4, 3, 9, 3), (9, 2, 7, 4),
-                                        (9, 3, 8, 5)])
+                                        (9, 3, 8, 5), (2, 1, 4, 6), (2, 2, 6, 7), (2, 6, 20, 8),
+                                        (2, 4, 70, 9)])
 def test_flat_table_matches_brute_force_closures(monkeypatch, q, k, n, seed):
-    # Each code has a zero column and a repeated column. The closure of a
-    # column set is every column whose addition leaves its span_basis rank
-    # unchanged; flat f holds the columns j with T[f, j] = f.
+    # Each code has a zero column and a repeated column; the binary ones
+    # build from packed residual words, k = 1 from no residuals at all, and
+    # the 70 columns need two mask words. The closure of a column set is
+    # every column whose addition leaves its span_basis rank unchanged, that
+    # is, that eliminate reduces to zero against its span_basis; flat f
+    # holds the columns j with T[f, j] = f.
     C = _random_code(q, k, n, seed)
     F, cols = C.field, C.columns
 
     def rank(idx):
         return len(span_basis(F, [cols[i] for i in idx]))
 
+    closures = {}
+
     def closure(idx):
-        r = rank(idx)
-        return frozenset(i for i in range(n) if rank([*idx, i]) == r)
+        key = frozenset(idx)
+        if key not in closures:
+            basis = span_basis(F, [cols[i] for i in key])
+            closures[key] = frozenset(i for i in range(n) if eliminate(F, basis, cols[i]) is None)
+        return closures[key]
 
     table = coverage._flat_table(F, cols, k, 1 << 20)
     assert table.dtype == np.int32 and table.shape[1] == n and not (table % n).any()
@@ -787,6 +822,11 @@ def test_flat_table_matches_brute_force_closures(monkeypatch, q, k, n, seed):
     assert seen == set(members)
     ranks = [rank(flat) for flat in members]
     assert ranks == sorted(ranks)
+    # Inside a level the flats are ordered by their column masks, the
+    # 64-column words compared first to last.
+    words = [[sum(1 << (j - w) for j in flat if w <= j < w + 64) for w in range(0, n, 64)]
+             for flat in members]
+    assert all(words[f] < words[f + 1] for f in range(len(members) - 1) if ranks[f] == ranks[f + 1])
     monkeypatch.setattr(coverage, "_FLAT_BLOCK_CELLS", 30)
     assert np.array_equal(coverage._flat_table(F, cols, k, 1 << 20), table)
 
@@ -965,7 +1005,9 @@ def test_draws_follow_the_exact_distribution(C):
 
 
 def test_large_field_falls_back_to_scalar():
-    C = reed_solomon(field_from_order(1021), 5, 2)
+    # Past 2^16 elements there is no vector arithmetic, so no flat table.
+    C = reed_solomon(field_from_order(65537), 5, 2)
+    assert coverage._flat_table(C.field, C.columns, C.k, 1 << 20) is None
     assert _draws(C, seed=1, t0=0, count=20) == _reference_draws(C, seed=1, t0=0, count=20)
 
 

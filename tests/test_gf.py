@@ -63,6 +63,34 @@ def test_tables_match_scalar_ops(q):
         ops.mul(np.array([q - 1]), np.array([q]))
 
 
+@pytest.mark.parametrize("q", [521, 729, 1024, 4096, 65521])
+def test_vector_ops_past_the_table_limit_match_scalar_ops(q):
+    # Past 512 elements there are no q-by-q tables: mul and inv read log
+    # tables, add and sub work by XOR (GF(1024), GF(4096)), modulo p
+    # (GF(521), GF(65521)) or digit by digit (GF(729) = GF(3^6)). Checked on
+    # 20,000 random pairs plus every pair with a 0 or a 1 on either side.
+    F = field_from_order(q)
+    ops = F.vec_ops()
+    assert ops is F.vec_ops() and ops.dtype == np.uint16
+    rng = random.Random(q)
+    every, zeros, ones = np.arange(q), np.zeros(q, np.int64), np.ones(q, np.int64)
+    a = np.concatenate([[rng.randrange(q) for _ in range(20_000)], zeros, ones, every, every])
+    b = np.concatenate([[rng.randrange(q) for _ in range(20_000)], every, every, zeros, ones])
+    a, b = a.astype(ops.dtype), b.astype(ops.dtype)
+    for name in ("add", "sub", "mul"):
+        scalar = list(map(getattr(F, name), a.tolist(), b.tolist()))
+        result = getattr(ops, name)(a, b)
+        assert result.dtype == ops.dtype and result.tolist() == scalar, name
+        out = np.empty(len(a), dtype=ops.dtype)
+        assert getattr(ops, name)(a, b, out=out) is out and out.tolist() == scalar, name
+    assert ops.inv.dtype == ops.dtype and ops.inv[1:].tolist() == list(map(F.inv, range(1, q)))
+    with pytest.raises(IndexError):
+        ops.mul(np.array([q - 1]), np.array([q]))
+    # A pickled field, as a worker receives it, builds its own arithmetic.
+    G = pickle.loads(pickle.dumps(F))
+    assert G.vec_ops() is not ops and G.vec_ops().mul(a, b).tolist() == ops.mul(a, b).tolist()
+
+
 @pytest.mark.parametrize("p", [3, 7, 251, 509])
 def test_prime_field_log_tables_match_the_digit_list_step(p):
     # Prime fields step their exp table by one modular multiplication; the
