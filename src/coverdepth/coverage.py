@@ -19,14 +19,14 @@ computes the expectation of that stopping time:
     vectors). Nothing is cached between calls: each read tests its distinct
     columns against every subspace (_incidence).
     Where a lattice is not kept, the dual side counts I(t) level by level
-    in numpy for q <= 512 (_level_counts: one level of independent
-    t-subsets at a time, each state the table lanes' basis of its columns,
-    refused with BudgetExceededError past _LEVEL_CELLS basis cells) and
-    past 512 elements walks its independent subsets; the primal side, when
-    n - k <= k, reads the kernel's columns the same way (_dual_terms), in
-    every field. Only primal sides with n - k > k run the full-rank walk
-    (codes._full_rank_profile). Each walk guards its own recursion and
-    raises BudgetExceededError past half the recursion limit.
+    in numpy (_level_counts: one level of independent t-subsets at a time,
+    each state the table lanes' basis of its columns, refused with
+    BudgetExceededError past _LEVEL_CELLS basis cells); the primal side,
+    when n - k <= k, reads the kernel's columns the same way (_dual_terms).
+    Only primal sides with n - k > k run the full-rank walk
+    (codes._full_rank_profile), and only dual sides over fields past 2^16
+    elements the independent-subset walk. Each walk guards its own
+    recursion and raises BudgetExceededError past half the recursion limit.
     The primal side takes bare columns and also decides whether they span
     (_exact_from_columns), so search scores a candidate without a code.
     The simplex (m = k) and Hamming (m = r) closed forms are the primal and
@@ -48,10 +48,9 @@ computes the expectation of that stopping time:
     code over at most 2^16 elements table lanes (each lane one (k, k)
     basis). Larger fields run the scalar reference path.
     Every numpy routine here (membership, the level count, the flat build,
-    the table lanes) does its GF(q) arithmetic, and picks its element dtype,
-    through the field's one VecOps (FieldSpec.vec_ops): q-by-q tables up to
-    512 elements, log tables past that. The exact routes read it only up to
-    512 elements (_TABLE_LIMIT).
+    the table lanes) does its GF(q) arithmetic through the field's one
+    VecOps (FieldSpec.vec_ops), so each serves every field up to 2^16
+    elements (gf._LOG_LIMIT) and no other.
     _draw_count_blocks is the one batch entry and the one place that builds
     a kernel's lane state and step, and every kernel matches simulate_trial
     draw for draw. The trials split into at most one task per worker, and
@@ -79,7 +78,7 @@ import numpy as np
 from .codes import BudgetExceededError, LinearCode, _full_rank_profile, independent_subset_profile
 from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis,
                      rank_and_kernel, span_basis)
-from .gf import _LOG_LIMIT, _TABLE_LIMIT, FieldSpec, VecOps, is_prime_power
+from .gf import _LOG_LIMIT, FieldSpec, VecOps, is_prime_power
 
 Rational = Union[int, Fraction]
 
@@ -190,9 +189,9 @@ def _mobius(c: int, q: int) -> int:
 
 # Each call that reads a lattice enumerates every subspace of GF(q)^m, so
 # only lattices whose subspaces together have at most _KEPT_MEMBERS vectors
-# are read ("kept"). An unkept side walks, which never ends on long codes
-# such as the [121, 5] simplex over GF(3), so the limit keeps GF(3)^5
-# (53,968). Membership: _BLOCK_CELLS cells at a time.
+# are read ("kept"); past GF(179) that is GF(q)^1 alone, for q < 2^16.
+# Unkept, long codes such as the [121, 5] simplex over GF(3) pass the level
+# budget or walk without end, so the limit keeps GF(3)^5 (53,968). Membership: _BLOCK_CELLS cells at a time.
 _KEPT_MEMBERS = 1 << 16
 _BLOCK_CELLS = 1 << 18
 
@@ -200,14 +199,14 @@ _BLOCK_CELLS = 1 << 18
 @lru_cache(maxsize=1024)
 def _lattice_kept(q: int, m: int) -> bool:
     """Whether the lattice of GF(q)^m is small enough to enumerate on every call that reads it."""
-    # GF(q)^m alone has q^m members, so the sum below only runs for small q^m.
-    if q > _TABLE_LIMIT or q**m > _KEPT_MEMBERS:
+    # Membership reads VecOps (q <= 2^16), and the sum runs only for small q^m.
+    if q > _LOG_LIMIT or q**m > _KEPT_MEMBERS:
         return False
     return sum(_gaussian(m, d, q) * q**d for d in range(m + 1)) <= _KEPT_MEMBERS
 
 
-def _membership(ops: VecOps, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "np.ndarray"]]:
-    """Which rows of X (elements of the field of ops) lie in each subspace of GF(q)^m, block by block.
+def _membership(F: FieldSpec, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "np.ndarray"]]:
+    """Which rows of X (elements of F) lie in each subspace of GF(q)^m, block by block.
 
     A d-dimensional subspace is taken by its reduced echelon basis: a pivot
     set P and free entries in row i at the non-pivot columns after P[i].
@@ -216,13 +215,14 @@ def _membership(ops: VecOps, m: int, X: "np.ndarray") -> Iterator[Tuple[int, "np
     with member[u, j] True iff X[j] lies in the block's u-th subspace; the
     blocks together list every subspace exactly once.
     """
-    q, s = ops.q, len(X)
+    q, s = F.q, len(X)
     for d in range(m + 1):
         for pivots in combinations(range(m), d):
             rest = [j for j in range(m) if j not in pivots]
             if not pivots or not rest:  # {0} holds the zero vector, GF(q)^m every vector
                 yield d, (~X.any(axis=1) if rest else np.ones(s, dtype=bool))[None]
                 continue
+            ops = F.vec_ops()  # m >= 2: GF(q)^1 is read without building it
             free = [(i, a) for i, p in enumerate(pivots) for a, j in enumerate(rest) if j > p]
             target = X[:, rest]
             total = q ** len(free)
@@ -249,8 +249,8 @@ def _incidence(
     q = F.q
     if not _lattice_kept(q, m):
         raise ValueError(f"the subspace lattice of GF({q})^{m} is too large to keep")
-    ops = F.vec_ops()
-    blocks = list(_membership(ops, m, np.array(columns, dtype=ops.dtype).reshape(len(columns), m)))
+    X = np.array(columns, dtype=np.min_scalar_type(q - 1)).reshape(len(columns), m)  # VecOps' dtype
+    blocks = list(_membership(F, m, X))
     dims = tuple(d for d, member in blocks for _ in range(len(member)))
     return dims, np.concatenate([member for _, member in blocks])
 
@@ -355,17 +355,15 @@ def _dual_terms(H: MatrixGF) -> List[Tuple[int, int]]:
     """(t, I(t)) for t = 1..m over the columns of the m x n matrix H.
 
     The dual reader where the lattice of GF(q)^m is kept, else the level
-    count for q <= 512, else the independent-subset walk.
+    count over fields with vector arithmetic (q <= 2^16), else the
+    independent-subset walk.
     """
     F, m = H.field, H.rows
     if m == 0:  # a code of length n = k: no dual terms
         return []
     if _lattice_kept(F.q, m):
         return _dual_reader(subspace_histogram(F, columns_of(H), m), m, F.q)
-    if F.q <= _TABLE_LIMIT:
-        counts = _level_counts(F, columns_of(H), m)
-    else:
-        counts = independent_subset_profile(H)
+    counts = _level_counts(F, columns_of(H), m) if F.q <= _LOG_LIMIT else independent_subset_profile(H)
     return [(t, counts[t]) for t in range(1, m + 1)]
 
 
@@ -577,7 +575,7 @@ def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", ops: VecOps) -> "np.nda
 
 
 def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> List[int]:
-    """I(0..m): how many t-subsets of the columns, each in GF(q)^m, are independent; q <= 512.
+    """I(0..m): how many t-subsets of the columns, each in GF(q)^m, are independent; q <= 2^16.
 
     Level t holds one state per independent t-subset: the index of its last
     column and the reduced basis of its columns (_reduce_insert's slots).

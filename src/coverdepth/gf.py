@@ -13,10 +13,11 @@ encodings, so the search just walks candidate encodings upward. The choice
 is deterministic: two fields built from the same (p, m) anywhere, on any
 machine, produce identical arithmetic.
 
-Scope bounds: q <= 2^31 and m <= 16. Dense numpy operation tables are
-available for q <= 512. The one vector arithmetic (FieldSpec.vec_ops, which
-the exact engine's numpy routines and the simulation lanes read) is built
-on them up to 512 elements and on exp/log tables up to 2^16; scalar
+Scope bounds: q <= 2^31 and m <= 16. Dense numpy operation tables exist
+for q <= 512 (_TABLE_LIMIT, read only in this module). The one vector
+arithmetic (FieldSpec.vec_ops), which every numpy routine of the exact
+engine and the simulation reads, serves every q <= 2^16 (_LOG_LIMIT): on
+those tables up to 512 elements, on exp/log tables past that. Scalar
 multiplication uses exp/log tables for q <= 2^16 and falls back to direct
 polynomial arithmetic above that. Primality, prime-power detection and the
 prime factors of q - 1 (for the generator search) all read one
@@ -399,7 +400,7 @@ class VecOps:
         q, self.p, self.m = F.q, F.p, F.m
         if q > _LOG_LIMIT:
             raise ValueError(f"vector arithmetic is limited to q <= {_LOG_LIMIT}")
-        self.q, self.dtype = q, np.dtype(np.uint8 if q <= 256 else np.uint16)
+        self.q, self.dtype = q, np.min_scalar_type(q - 1)
         self._add = self._sub = self._mul = self._log = self._exp = None
         if q <= _TABLE_LIMIT:
             add, sub, mul, self.inv = (t.astype(self.dtype, copy=False) for t in F.op_tables())

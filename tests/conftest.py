@@ -5,10 +5,11 @@ that freeze counts or compare engines rely on that stability.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 
-from coverdepth import LinearCode, field_from_order, linear_code, matrix
+from coverdepth import LinearCode, coverage, field_from_order, linear_code, matrix
 from coverdepth.matrix import rank
 
 SUITE_SEED = 0x5EED
@@ -45,3 +46,29 @@ def build_suite(seed: int = SUITE_SEED, size: int = SUITE_SIZE):
 @pytest.fixture(scope="session")
 def code_suite():
     return build_suite()
+
+
+@contextmanager
+def lowered_keep_limit(members: int):
+    """coverage._KEPT_MEMBERS set to members inside the block, then restored.
+
+    _lattice_kept caches its decisions, so its cache is cleared on entry and
+    again on exit, after the limit is restored: no decision taken under the
+    lowered limit outlives the block.
+    """
+    saved = coverage._KEPT_MEMBERS
+    coverage._KEPT_MEMBERS = members
+    coverage._lattice_kept.cache_clear()
+    try:
+        yield
+    finally:
+        coverage._KEPT_MEMBERS = saved
+        coverage._lattice_kept.cache_clear()
+
+
+@pytest.fixture
+def gf1021_line_unkept():
+    """The keep limit lowered to 1,000 member vectors for one test, so the
+    lattice of GF(1021)^1 (1,022 member vectors) is not kept."""
+    with lowered_keep_limit(1000):
+        yield

@@ -215,21 +215,31 @@ def test_expect_hamming_r6_is_bounded():
     assert proc.stdout.startswith(f"value {expectation_hamming(2, 6)} ")
 
 
-@pytest.mark.parametrize("q,r", [(2, 7), (3, 6)])
-def test_expect_past_the_level_budget_exits_two(q, r):
-    # Neither dual lattice is kept (GF(2)^7, GF(3)^6), and the level count
-    # refuses the independent 4-subsets of the 127 binary points and the
-    # 3-subsets of the 364 ternary points. The walk ran without end on both.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--field", "2", "--code", "hamming", "--r", "7"),
+        ("--field", "3", "--code", "hamming", "--r", "6"),
+        ("--field", "1031", "--code", "rs", "--n", "30", "--k", "20"),
+    ],
+    ids=["2-7", "3-6", "rs-1031-30-20"],
+)
+def test_expect_past_the_level_budget_exits_two(argv):
+    # Neither dual lattice is kept (GF(2)^7, GF(3)^6, GF(1031)^10), and the
+    # level count refuses the independent 4-subsets of the 127 binary
+    # points, the 3-subsets of the 364 ternary points and the 6-subsets of
+    # the RS [30,20] kernel's 30 columns. The walk ran without end on the
+    # Hamming codes and past 40 s on RS [30,20].
     cap = 1 << 30
 
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
     start = time.perf_counter()
-    proc = run_cli("expect", "--field", str(q), "--code", "hamming", "--r", str(r),
-                   timeout=60, preexec_fn=limit_memory)
+    proc = run_cli("expect", *argv, timeout=60, preexec_fn=limit_memory)
     assert proc.returncode == 2
     assert proc.stderr.startswith("budget exceeded: ")
+    assert "Traceback" not in proc.stderr
     assert time.perf_counter() - start < 10
 
 
@@ -237,17 +247,21 @@ def test_expect_past_the_level_budget_exits_two(q, r):
     "argv",
     [
         ("expect", "--field", "4", "--code", "simplex", "--k", "7"),
-        ("search", "--field", "1021", "--k", "1", "--n", "2000"),
+        ("search", "--field", "65537", "--k", "1", "--n", "2000"),
         ("expect", "--field", "1031", "--code", "rs", "--n", "1032", "--k", "2", "--method", "dual"),
+        ("expect", "--field", "65537", "--code", "rs", "--n", "1032", "--k", "2", "--method", "dual"),
     ],
-    ids=["simplex-4-7", "search-1021-2000", "rs-1031-dual"],
+    ids=["simplex-4-7", "search-65537-2000", "rs-1031-dual", "rs-65537-dual"],
 )
 def test_walk_past_the_recursion_limit_exits_two(argv):
-    # Neither primal lattice is kept (GF(4)^7, GF(1021)^1) and n - k > k, so
+    # Neither primal lattice is kept (GF(4)^7, GF(65537)^1) and n - k > k, so
     # the full-rank walk, which recurses once per column, would run out of
-    # stack on the 5,461 and 2,000 columns. The dual side of RS [1032,2] over
-    # GF(1031) walks the independent subsets of 1,030 kernel rows, one frame
-    # per column it stacks.
+    # stack on the 5,461 and 2,000 columns. The dual side of RS [1032,2]
+    # has 1,030 kernel rows: over GF(1031) the level count refuses their
+    # independent 1-subsets (over 2^25 basis cells) before it reduces any,
+    # and over GF(65537), which has no vector arithmetic, the walk of its
+    # independent subsets refuses once it would stack more frames than half
+    # the recursion limit.
     proc = run_cli(*argv, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("budget exceeded: ")
@@ -255,7 +269,7 @@ def test_walk_past_the_recursion_limit_exits_two(argv):
 
 
 def test_walk_below_the_recursion_limit_still_runs(capsys):
-    assert main(["search", "--field", "1021", "--k", "1", "--n", "400"]) == 0
+    assert main(["search", "--field", "65537", "--k", "1", "--n", "400"]) == 0
     assert json.loads(capsys.readouterr().out)["minimum"] == "1/1"
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_invertible
+from conftest import lowered_keep_limit, random_invertible
 from coverdepth import codes, coverage
 from coverdepth.cli import main
 from coverdepth.codes import (
@@ -209,10 +209,13 @@ def test_subspace_histogram_of_all_points(q, m):
 def test_lattices_past_the_keep_limit_are_never_built():
     # The subspaces of GF(2)^6 hold 26,387 member vectors, those of GF(5)^4
     # 41,056, GF(3)^5 53,968 and GF(2)^7 387,987: all but the last are kept,
-    # and GF(2)^7 walks.
+    # and GF(2)^7 walks. Past GF(179) only the line GF(q)^1 is kept, with
+    # its q + 1 member vectors, up to GF(65521).
     F = field_from_order(2)
     assert _lattice_kept(2, 6) and _lattice_kept(5, 4) and _lattice_kept(3, 5)
     assert not _lattice_kept(2, 7)
+    assert _lattice_kept(1021, 1) and _lattice_kept(65521, 1) and not _lattice_kept(181, 2)
+    assert not _lattice_kept(65536, 1) and not _lattice_kept(65537, 1)
     with pytest.raises(ValueError, match="too large to keep"):
         subspace_histogram(F, projective_points(F, 7), 7)
 
@@ -253,21 +256,22 @@ def test_repeated_columns_past_q_to_the_m_are_counted_once():
 
 def _forbid_walks(monkeypatch):
     def no_walk(*args):
-        raise AssertionError("walked a code over a field of at most 512 elements")
+        raise AssertionError("walked a code over a field with vector arithmetic (at most 2^16 elements)")
 
     monkeypatch.setattr(coverage, "_full_rank_profile", no_walk)
     monkeypatch.setattr(coverage, "independent_subset_profile", no_walk)
 
 
 def test_codes_past_the_lattice_bound_count_levels(monkeypatch, capsys):
-    # Neither side's lattice is kept (GF(16)^8, GF(9)^5), so the kernel's
-    # columns are counted level by level, and no walk runs.
+    # Neither side's lattice is kept (GF(16)^8, GF(9)^5, GF(1031)^6 and
+    # GF(1031)^14), so the kernel's columns are counted level by level, and
+    # no walk runs.
     def no_lattice(*args):
         raise AssertionError("lattice built past its size bound")
 
     monkeypatch.setattr(coverage, "subspace_histogram", no_lattice)
     _forbid_walks(monkeypatch)
-    for q, n, k in ((16, 16, 8), (9, 10, 5)):
+    for q, n, k in ((16, 16, 8), (9, 10, 5), (1031, 20, 14)):
         argv = ["expect", "--field", str(q), "--code", "rs", "--n", str(n), "--k", str(k)]
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith(f"value {mds_bound(n, k)} ")
@@ -283,8 +287,8 @@ def test_hamming_r5_never_walks(monkeypatch):
 
 
 def test_large_field_primal_side_reads_the_kernel(monkeypatch):
-    # GF(1021) is past the operation tables, yet with n - k = 2 <= k the
-    # primal side reads the kernel's columns instead of the full-rank walk.
+    # GF(1021)^4 is not kept, yet with n - k = 2 <= k the primal side reads
+    # the kernel's columns instead of the full-rank walk.
     def no_walk(*args):
         raise AssertionError("ran the full-rank walk with n - k <= k")
 
@@ -292,8 +296,55 @@ def test_large_field_primal_side_reads_the_kernel(monkeypatch):
     assert expectation_exact(reed_solomon(field_from_order(1021), 6, 4)) == mds_bound(6, 4)
 
 
-# 257 and 512 run the level count on uint16 elements.
-_LEVEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 257, 512)
+@pytest.mark.parametrize("q,route", [(512, "levels"), (1031, "levels"), (65521, "levels"),
+                                     (65537, "walk")])
+def test_one_field_boundary_for_unkept_dual_sides(monkeypatch, q, route):
+    # GF(q)^2 is not kept past GF(179); its dual side is counted by level
+    # on every field with vector arithmetic (q <= 2^16) and walked past it.
+    # Four columns, one zero and one repeated, in GF(q)^2.
+    F = field_from_order(q)
+    H = from_columns(F, [(1, 0), (0, 0), (1, q - 1), (1, q - 1)])
+    assert not _lattice_kept(q, 2)
+    ran = []
+    for name, label in (("_level_counts", "levels"), ("independent_subset_profile", "walk")):
+        real = getattr(coverage, name)
+        monkeypatch.setattr(coverage, name,
+                            lambda *args, real=real, label=label: ran.append(label) or real(*args))
+    assert coverage._dual_terms(H) == [(1, 3), (2, 2)]
+    assert ran == [route]
+
+
+@pytest.mark.parametrize("q", [2, 1021, 1 << 15])
+def test_line_histograms_build_no_vector_arithmetic(monkeypatch, q):
+    # GF(q)^1 and GF(q)^0 have no subspaces but {0} and the whole space, so
+    # reading them needs no field arithmetic: with vec_ops raising, the
+    # histograms, both reads of a [6,1] code and the dual read of a [3,2]
+    # MDS code still run.
+    def refuse(self):
+        raise AssertionError("built the vector arithmetic for a line")
+
+    F = field_from_order(q)
+    monkeypatch.setattr(FieldSpec, "vec_ops", refuse)
+    assert subspace_histogram(F, [(1,), (0,), (q - 1,), (1,)], 1) == {(0, 1): 1, (1, 4): 1}
+    assert subspace_histogram(F, [(), ()], 0) == {(0, 2): 1}
+    ones = linear_code(matrix(F, [[1] * 6]))
+    assert expectation_exact(ones) == expectation_exact_auto(ones) == 1
+    assert expectation_exact_dual(linear_code(matrix(F, [[1, 0, 1], [0, 1, 1]]))) == mds_bound(3, 2)
+
+
+def test_a_lowered_keep_limit_leaves_no_decision_behind():
+    # The tests' lowered_keep_limit clears _lattice_kept's cache on exit, so
+    # the decision taken under the lowered limit is gone afterwards.
+    assert _lattice_kept(1021, 1)
+    with lowered_keep_limit(1000):
+        assert not _lattice_kept(1021, 1)
+    assert coverage._KEPT_MEMBERS == 1 << 16 and _lattice_kept(1021, 1)
+
+
+# 257 and 512 run the level count on uint16 elements and q-by-q tables;
+# past 512, products read log tables and sums work modulo p (521, 65521),
+# digit by digit (729) or by XOR (1024).
+_LEVEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 257, 512, 521, 729, 1024, 65521)
 
 
 @pytest.mark.parametrize("q", _LEVEL_FIELDS)

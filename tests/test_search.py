@@ -551,10 +551,10 @@ def test_batched_raw_matrices_are_exact_from_columns(q, k, n):
     assert 0 < len(want) < len(vectors) ** n
 
 
-def test_verify_reduction_scores_each_matrix_on_an_unkept_lattice(monkeypatch):
-    # At the default keep limit, k = 1 over a field past 512 elements is the
-    # only unkept lattice small enough to enumerate: its 1021 raw matrices
-    # and its one projective candidate are each scored alone.
+def test_verify_reduction_scores_each_matrix_on_an_unkept_lattice(monkeypatch, gf1021_line_unkept):
+    # Below the default keep limit, GF(1021)^1 is an unkept lattice small
+    # enough to enumerate: its 1021 raw matrices and its one projective
+    # candidate are each scored alone.
     F = field_from_order(1021)
     assert not _lattice_kept(1021, 1)
     calls = []
@@ -563,10 +563,12 @@ def test_verify_reduction_scores_each_matrix_on_an_unkept_lattice(monkeypatch):
     assert len(calls) == 1021 + 1
 
 
-def test_full_mode_scores_each_matrix_on_an_unkept_lattice(monkeypatch):
-    # Each of the 1020 raw matrices of GF(1021)^1 goes through _score once;
-    # every one spans and they all share the single projective point.
+def test_full_mode_scores_each_matrix_on_an_unkept_lattice(monkeypatch, gf1021_line_unkept):
+    # Below the default keep limit, each of the 1020 raw matrices of the
+    # unkept GF(1021)^1 goes through _score once; every one spans and they
+    # all share the single projective point.
     F = field_from_order(1021)
+    assert not _lattice_kept(1021, 1)
     proj = optimal_coverage(F, 1, 1)
     calls = []
     monkeypatch.setattr(search, "_score", _counting_score(calls))
