@@ -53,7 +53,7 @@ computes the expectation of that stopping time:
     elements (gf._LOG_LIMIT) and no other.
     _draw_count_blocks is the one batch entry and the one place that builds
     a kernel's lane state and step, and every kernel matches simulate_trial
-    draw for draw. The trials split into at most one task per worker, and
+    draw for draw. The trials split into at most one task per process, and
     each task reduces its counts block by block.
 
 All exact values are fractions.Fraction; nothing is rounded until a caller
@@ -63,13 +63,14 @@ asks for digits.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -191,7 +192,8 @@ def _mobius(c: int, q: int) -> int:
 # only lattices whose subspaces together have at most _KEPT_MEMBERS vectors
 # are read ("kept"); past GF(179) that is GF(q)^1 alone, for q < 2^16.
 # Unkept, long codes such as the [121, 5] simplex over GF(3) pass the level
-# budget or walk without end, so the limit keeps GF(3)^5 (53,968). Membership: _BLOCK_CELLS cells at a time.
+# budget or walk without end, so the limit keeps GF(3)^5 (53,968). Membership reads
+# _BLOCK_CELLS cells at a time, and a search's tail table (_PrimalBatch) holds at most as many.
 _KEPT_MEMBERS = 1 << 16
 _BLOCK_CELLS = 1 << 18
 
@@ -283,56 +285,90 @@ def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> 
     return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
 
 
-# A batched read holds (candidates, subspaces) integer arrays of at most
-# _BATCH_CELLS cells; its totals stay int64 while they provably fit.
+# A read holds (subspaces, candidates) integer arrays of at most _BATCH_CELLS
+# cells; its totals stay int64 while they provably fit.
 _BATCH_CELLS = 1 << 14
 _INT64_LIMIT = 1 << 63
 
 
 class _PrimalBatch:
-    """The primal reader for many n-column candidates drawn from one list of columns.
+    """The primal reader of every n-column candidate over one list of columns, from one tail table.
 
     Over the proper subspaces U of GF(q)^k, with L = lcm(1..n), a candidate
     spans iff no n_U equals n, and then E = base + (n/L) * sum_U W[U, n_U]
     with W[U, j] = -mu(k - dim U) * L/(n - j): the primal reader with every
     term over one denominator. A subspace holding none of the columns has
-    n_U = 0 in every candidate and adds its -mu to base instead of a table
-    row. n_U is a sum of rows of the columns' incidence matrix, so a chunk
-    of candidates costs n row additions and one table gather. The integer
-    totals are int64 while sum |mu| * L < 2^63 bounds them, and Python ints
-    otherwise, so minima and ties are decided exactly.
+    n_U = 0 in every candidate and adds its -mu to base instead of a row.
+    A candidate is a prefix p of n - tail column indices plus a tail t, so
+    n_U = c_U(p) + s_U(t). The table lists every tail in enumeration order
+    (every tuple if ordered, else every sorted one) with its counts s_U(t)
+    and total A(t) = sum_U W[U, s_U(t)]; tail is the longest below n whose
+    counts fit in _BLOCK_CELLS cells. A candidate's total is A(t) plus
+    W[U, s_U(t) + c_U(p)] - W[U, s_U(t)] over the U that p touches, and it
+    spans iff none of those reaches n (an untouched U holds at most tail < n
+    columns): one gather over the touched subspaces. The totals are int64
+    while sum |mu| * L < 2^63 bounds them, and Python ints otherwise, so
+    minima and ties are decided exactly.
     """
 
-    def __init__(self, F: FieldSpec, columns: Sequence[Sequence[int]], k: int, n: int):
+    def __init__(self, F: FieldSpec, columns: Sequence[Sequence[int]], k: int, n: int, ordered: bool):
         dims, inc = _incidence(F, columns, k)
-        dims, inc = dims[:-1], inc[:-1].T  # the proper subspaces: GF(q)^k itself comes last
-        used = np.flatnonzero(inc.any(axis=0))
+        dims, inc = dims[:-1], inc[:-1]  # the proper subspaces: GF(q)^k itself comes last
+        used = np.flatnonzero(inc.any(axis=1))
         mu = [-_mobius(k - d, F.q) for d in dims]
-        self.n = n
+        self.n, self.ordered, self.width = n, ordered, len(columns)
         self.base = sum(mu) - sum(mu[u] for u in used)
         self.lcm = math.lcm(*range(1, n + 1)) if used.size else 1
-        self.incidence = inc[:, used].astype(np.int16 if n < 1 << 15 else np.int64)
         exact = np.int64 if sum(abs(mu[u]) for u in used) * self.lcm < _INT64_LIMIT else object
         self.weights = np.array([mu[u] * self.lcm // (n - j) if j < n else 0
                                  for u in used for j in range(n + 1)], dtype=exact)
-        self.offsets = np.arange(used.size, dtype=np.int64) * (n + 1)
+        self.incidence = inc[used].astype(np.int8 if n < 1 << 7 else np.int64)
+        self.tail = next((t for t in range(n - 1, 0, -1)
+                          if self._run(0, t) * max(1, used.size) <= _BLOCK_CELLS), 0)
+        count, t = self._run(0, self.tail), self.tail
+        tuples = (product(range(self.width), repeat=t) if ordered
+                  else combinations_with_replacement(range(self.width), t))
+        self.tails = np.fromiter(chain.from_iterable(tuples), dtype=np.min_scalar_type(self.width),
+                                 count=count * t).reshape(count, t)
+        self.counts = np.zeros((used.size, count), dtype=self.incidence.dtype)
+        for j in range(t):
+            self.counts += self.incidence[:, self.tails[:, j]]
+        offsets = np.arange(used.size)[:, None] * (n + 1)
+        step = max(1, _BATCH_CELLS // max(1, used.size))
+        self.totals = np.concatenate([self.weights.take(self.counts[:, i:i + step] + offsets).sum(axis=0)
+                                      for i in range(0, count, step)])
+        self.slots = offsets + np.arange(t + 1)  # where W[U, 0..tail] lies, by subspace
+        self.delta_rows = np.arange(used.size)[:, None] * (t + 1)
 
-    @property
-    def chunk(self) -> int:
-        """Candidates per batch, so that a batch's arrays hold at most _BATCH_CELLS cells."""
-        return max(1, _BATCH_CELLS // max(1, self.offsets.size))
+    def _run(self, first: int, t: int) -> int:
+        """How many t-point tails hold only indices >= first (first 0 if ordered)."""
+        size = self.width - first
+        return size**t if self.ordered else comb(size + t - 1, t)
 
-    def totals(self, combos: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
-        """(spans, totals) of the candidates in the rows of combos, a (c, n) index array.
+    def read(self, prefix: Tuple[int, ...]) -> Iterator[tuple]:
+        """(prefix, tails, rows, keys) chunks of the candidates prefix + tails[i], in enumeration order.
 
-        Where spans[i], candidate i has the exact expectation value(totals[i]).
+        The tails are every tail if ordered, else the sorted ones from
+        prefix[-1] on, a contiguous run of the table. rows lists a chunk's
+        spanning candidates and keys their totals, which value reads back.
         """
-        counts = np.zeros((len(combos), self.offsets.size), dtype=self.incidence.dtype)
-        if self.offsets.size:
-            for j in range(combos.shape[1]):
-                counts += self.incidence[combos[:, j]]
-        spans = ~(counts == self.n).any(axis=1)
-        return spans, self.weights[counts + self.offsets].sum(axis=1)
+        touched = self.incidence[:, prefix].sum(axis=1)
+        hit = touched.nonzero()[0]
+        inside = touched[hit, None]
+        slots = self.slots[hit]
+        delta = (self.weights.take(slots + inside) - self.weights.take(slots)).ravel()
+        at = self.delta_rows[:hit.size]
+        full = None  # only a subspace the prefix fills to within tail columns can hold all n
+        if inside.max(initial=0) >= self.n - self.tail:
+            full = (self.n - inside).astype(self.counts.dtype)
+        step = max(1, _BATCH_CELLS // max(1, hit.size))
+        end = len(self.tails)
+        start = 0 if self.ordered else end - self._run(prefix[-1], self.tail)
+        for lo in range(start, end, step):
+            counts = self.counts[hit, lo:lo + step]
+            keys = self.totals[lo:lo + step] + delta.take(counts + at).sum(axis=0)
+            rows = np.arange(len(keys)) if full is None else (~(counts == full).any(axis=0)).nonzero()[0]
+            yield prefix, self.tails[lo:lo + step], rows, keys[rows]
 
     def value(self, total) -> Fraction:
         return self.base + Fraction(self.n * int(total), self.lcm)
@@ -356,13 +392,17 @@ def _dual_terms(H: MatrixGF) -> List[Tuple[int, int]]:
 
     The dual reader where the lattice of GF(q)^m is kept, else the level
     count over fields with vector arithmetic (q <= 2^16), else the
-    independent-subset walk.
+    independent-subset walk. H is a kernel basis of full row rank m, so the
+    walk would stack m columns: past half the recursion limit it is refused
+    before it starts (BudgetExceededError).
     """
     F, m = H.field, H.rows
     if m == 0:  # a code of length n = k: no dual terms
         return []
     if _lattice_kept(F.q, m):
         return _dual_reader(subspace_histogram(F, columns_of(H), m), m, F.q)
+    if F.q > _LOG_LIMIT and 2 * m > sys.getrecursionlimit():  # H has full row rank: the walk stacks m columns
+        raise BudgetExceededError(f"the independent-subset walk would stack {m} columns")
     counts = _level_counts(F, columns_of(H), m) if F.q <= _LOG_LIMIT else independent_subset_profile(H)
     return [(t, counts[t]) for t in range(1, m + 1)]
 
@@ -981,17 +1021,28 @@ def _draw_count_array(
     return np.concatenate([b.copy() for b in blocks] or [np.zeros(0, np.int64)])
 
 
+def _share(fn: Callable, tasks: Sequence) -> list:
+    return [fn(t) for t in tasks]
+
+
 def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
     """fn over tasks, results in task order.
 
-    Runs in-process when jobs == 1 or there is a single task, otherwise on
-    a pool of `jobs` worker processes. Tasks and results cross the process
+    The tasks split into j = min(jobs, len(tasks)) shares tasks[i::j]: this
+    process runs share 0 while a pool of j - 1 worker processes runs the
+    others, so jobs counts the caller. Tasks and results cross the process
     boundary by pickle; a FieldSpec travels as (p, m, modulus).
     """
-    if jobs == 1 or len(tasks) == 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks))
+    j = min(jobs, len(tasks))
+    if j <= 1:
+        return _share(fn, tasks)
+    out = [None] * len(tasks)
+    with ProcessPoolExecutor(max_workers=j - 1) as pool:
+        shares = [pool.submit(_share, fn, tasks[i::j]) for i in range(1, j)]
+        out[0::j] = _share(fn, tasks[0::j])
+        for i, share in enumerate(shares, 1):
+            out[i::j] = share.result()
+    return out
 
 
 def _mc_task(task) -> Tuple[int, int, int, int]:
@@ -1038,9 +1089,10 @@ def expectation_monte_carlo(C: LinearCode, trials: int, seed: int, jobs: int = 1
     Trials are keyed by their index, so the estimate for a given
     (code, trials, seed) is identical for every value of jobs. The trials
     are split, on _CHUNK boundaries, into min(jobs, ceil(trials / _CHUNK))
-    contiguous tasks, one per worker, so the code's flat table, where it
-    builds within its caps, is built once here and sent once to each
-    worker. With a single trial the standard error is reported as 0.0.
+    contiguous tasks, one per process (this one runs the first), so the
+    code's flat table, where it builds within its caps, is built once here
+    and sent once to each worker. With a single trial the standard error is
+    reported as 0.0.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

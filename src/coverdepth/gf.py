@@ -334,14 +334,20 @@ class FieldSpec:
 
     def _logtables(self):
         if self._exp is None:
-            g = self._find_generator()
-            exp = [0] * (self.q - 1)
-            log = [-1] * self.q
-            cur, p, prime = 1, self.p, self.m == 1
-            for i in range(self.q - 1):
+            g, p, q = self._find_generator(), self.p, self.q
+            # Multiplication by g as one q-entry table, summed from the images
+            # g * c * x^i of the basis monomials: by XOR in characteristic 2.
+            a, times_g = np.arange(q, dtype=np.intp), np.zeros(q, dtype=np.intp)
+            for i in range(self.m if self.m > 1 else 0):
+                images = np.array([self._poly_mul_mod(g, c * p**i) for c in range(p)], dtype=np.intp)
+                part = images[a // p**i % p]
+                times_g = times_g ^ part if p == 2 else _digitwise_np(times_g, part, 1, p, self.m)
+            step = times_g.tolist()
+            exp, log, cur = [0] * (q - 1), [-1] * q, 1
+            for i in range(q - 1):
                 exp[i] = cur
                 log[cur] = i
-                cur = cur * g % p if prime else self._poly_mul_mod(cur, g)
+                cur = cur * g % p if self.m == 1 else step[cur]
             if cur != 1:
                 raise RuntimeError("generator order check failed")
             self._exp = exp

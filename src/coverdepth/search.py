@@ -11,25 +11,28 @@ column is never part of a strict optimum.
 
 A candidate is scored from its columns alone; no candidate builds a code.
 One chunk scorer (_scored_chunks) reads projective partitions and the raw
-matrices of full mode and verify_reduction (candidates over all q^k
-vectors), and one helper (_reader) decides for all of them whether the
-subspace lattice of GF(q)^k is kept. If it is, each chunk is read in one
-batch (coverage._PrimalBatch): the chunk's subspace counts are sums of rows of
-the columns' incidence matrix, and its values and admissibility (whether
-the columns span) come from one integer table, so minima and ties are
-decided exactly before any Fraction is made. Otherwise each candidate goes
-through _score (coverage._exact_from_columns), which also rejects it if its
-columns do not span; for n - k <= k it counts on the kernel of the
-candidate's columns.
+matrices of full mode and verify_reduction (n-tuples over all q^k vectors,
+or the nonzero ones), and one helper (_reader) decides for all of them
+whether the subspace lattice of GF(q)^k is kept. If it is, one tail table
+per search (coverage._PrimalBatch) lists every tail of the candidates with
+its subspace counts and its own integer total; a candidate is a prefix,
+enumerated here, plus a run of tails, and each chunk of a run is one
+gather over the subspaces the prefix touches, so minima and ties are
+decided exactly before any Fraction is made and only argmins become
+tuples. Otherwise each candidate goes through _score
+(coverage._exact_from_columns), which also rejects it if its columns do
+not span; for n - k <= k it counts on the kernel of the candidate's
+columns.
 
 Every projective search, at any jobs value, runs one path: the multisets
 are split by their first (smallest) point index, each partition is folded
 into a running minimum, argmins and runner-up, and the partition folds are
-merged in index order with exact comparisons. jobs only decides whether the
-partitions run in this process or in worker processes, so reports do not
-depend on worker count or schedule. Full mode exists to cross-check the
-reduction: it folds every matrix with nonzero columns, runs in-process,
-ignores jobs, and maps only its argmins to multisets of projective points.
+merged in index order with exact comparisons. jobs only decides how many
+processes, this one included, fold the partitions (the tail table is built
+before any worker starts), so reports do not depend on worker count or
+schedule. Full mode exists to cross-check the reduction: it folds every
+matrix with nonzero columns, runs in-process, ignores jobs, and maps only
+its argmins to multisets of projective points.
 """
 
 from __future__ import annotations
@@ -244,82 +247,97 @@ class _Fold:
 _WALK_CHUNK = 1024
 
 
-def _columns(F: FieldSpec, k: int, raw: bool) -> List[Tuple[int, ...]]:
-    """All q^k vectors in product order (vector 0 first) if raw, else the projective points."""
-    return list(product(range(F.q), repeat=k)) if raw else projective_points(F, k)
+def _columns(F: FieldSpec, k: int, kind: str) -> List[Tuple[int, ...]]:
+    """The projective points, or the q^k vectors in product order (vector 0 first), or the nonzero ones."""
+    if kind == "points":
+        return projective_points(F, k)
+    vectors = list(product(range(F.q), repeat=k))
+    return vectors if kind == "vectors" else vectors[1:]
 
 
 @lru_cache(maxsize=8)
-def _batch(F: FieldSpec, k: int, n: int, raw: bool = False) -> _PrimalBatch:
-    """The batched primal reader of n-column candidates over _columns(F, k, raw)."""
-    return _PrimalBatch(F, _columns(F, k, raw), k, n)
+def _batch(F: FieldSpec, k: int, n: int, kind: str) -> _PrimalBatch:
+    """The tail table of n-column candidates over _columns(F, k, kind)."""
+    return _PrimalBatch(F, _columns(F, k, kind), k, n, ordered=kind != "points")
 
 
 def _reader(
-    F: FieldSpec, k: int, n: int, raw: bool = False
+    F: FieldSpec, k: int, n: int, kind: str = "points"
 ) -> Tuple[List[Tuple[int, ...]], Optional[_PrimalBatch], Callable]:
-    """(columns, batch, value) for n-column candidates over _columns(F, k, raw).
+    """(columns, batch, value) for n-column candidates over _columns(F, k, kind).
 
     The one place that decides whether the lattice of GF(q)^k is kept: if
-    so, batch reads whole chunks (_batch) and value turns its integer keys
-    into expectations; if not, batch is None, each candidate goes through
-    _score, and its keys are already the values.
+    so, batch reads whole chunks from its tail table (_batch) and value
+    turns its integer keys into expectations; if not, batch is None, each
+    candidate goes through _score, and its keys are already the values.
     """
-    columns = _columns(F, k, raw)
+    columns = _columns(F, k, kind)
     if not _lattice_kept(F.q, k):
         return columns, None, Fraction
-    batch = _batch(F, k, n, raw)
+    batch = _batch(F, k, n, kind)
     return columns, batch, batch.value
 
 
 def _scored_chunks(
-    F: FieldSpec, cols: Sequence[Tuple[int, ...]], batch: Optional[_PrimalBatch],
-    combos: Iterable[Tuple[int, ...]],
-) -> Iterator[Tuple[list, "np.ndarray", "np.ndarray"]]:
-    """(chunk, rows, keys) for each chunk of combos, tuples of indices into cols.
+    F: FieldSpec, reader, n: int, first: Optional[int] = None
+) -> Iterator[Tuple[Tuple[int, ...], "np.ndarray", "np.ndarray", "np.ndarray"]]:
+    """(prefix, tails, rows, keys) for each chunk of candidates over a _reader's columns.
 
-    rows lists the chunk's spanning candidates and keys[i] orders candidate
-    rows[i]: its integer total from one batched read per chunk where batch
-    is given (batch.value reads it back), otherwise its _score value.
+    The candidates are the sorted n-tuples of column indices whose smallest
+    index is first, or every n-tuple if first is None, in enumeration
+    order. A chunk holds the candidates prefix + tails[i]; rows lists its
+    spanning ones and keys[j] orders candidate rows[j]: its integer total
+    from the tail table where the batch is given (value reads it back),
+    otherwise its _score value.
     """
-    combos = iter(combos)
-    while chunk := list(islice(combos, _WALK_CHUNK if batch is None else batch.chunk)):
-        if batch is None:
-            values = [_score(F, cols, combo) for combo in chunk]
-            rows = np.array([i for i, v in enumerate(values) if v is not None], dtype=np.intp)
-            yield chunk, rows, np.array([values[i] for i in rows], dtype=object)
-        else:
-            spans, totals = batch.totals(np.array(chunk, dtype=np.intp))
-            rows = np.flatnonzero(spans)
-            yield chunk, rows, totals[rows]
+    cols, batch, _ = reader
+    head = n if batch is None else n - batch.tail
+    if first is None:
+        prefixes = product(range(len(cols)), repeat=head)
+    else:
+        rests = combinations_with_replacement(range(first, len(cols)), head - 1)
+        prefixes = ((first,) + rest for rest in rests)
+    if batch is not None:
+        for prefix in prefixes:
+            yield from batch.read(prefix)
+        return
+    while chunk := list(islice(prefixes, _WALK_CHUNK)):
+        values = [_score(F, cols, combo) for combo in chunk]
+        rows = np.array([i for i, v in enumerate(values) if v is not None], dtype=np.intp)
+        yield (), np.array(chunk, dtype=np.intp), rows, np.array([values[i] for i in rows], dtype=object)
 
 
-def _fold_chunks(F: FieldSpec, reader, combos: Iterable[Tuple[int, ...]]) -> _Fold:
-    """Fold of the candidates in combos, chunk by chunk, through a _reader.
+def _fold_chunks(F: FieldSpec, reader, n: int, first: Optional[int] = None) -> _Fold:
+    """Fold of the candidates of _scored_chunks(F, reader, n, first), chunk by chunk.
 
-    Only the minimum and runner-up keys of a chunk become values.
+    The fold runs on keys, and only a chunk that can still change its
+    minimum, argmins or runner-up is looked into; the two extremes become
+    values at the end.
     """
-    cols, batch, value = reader
     fold = _Fold()
-    for chunk, rows, keys in _scored_chunks(F, cols, batch, combos):
+    for prefix, tails, rows, keys in _scored_chunks(F, reader, n, first):
+        fold.examined += len(tails)
+        fold.admissible += rows.size
+        if not rows.size:
+            continue
+        low = keys.min()
+        if fold.second is not None and low >= fold.second:
+            continue
         part = _Fold()
-        part.examined, part.admissible = len(chunk), rows.size
-        if rows.size:
-            low = keys.min()
-            part.best = value(low)
-            part.argmins = [chunk[i] for i in rows[keys == low]]
-            above = keys[keys > low]
-            part.second = value(above.min()) if above.size else None
+        part.best = low
+        part.argmins = [prefix + tuple(tails[i].tolist()) for i in rows[keys == low]]
+        above = keys[keys > low]
+        part.second = above.min() if above.size else None
         fold.merge(part)
+    value = reader[2]
+    fold.best, fold.second = (None if key is None else value(key) for key in (fold.best, fold.second))
     return fold
 
 
 def _search_partition(task) -> _Fold:
-    """Fold every multiset whose smallest point index is `first`, chunk by chunk."""
+    """Fold every multiset whose smallest point index is `first`."""
     F, k, n, first = task
-    pts, _, _ = reader = _reader(F, k, n)
-    tails = combinations_with_replacement(range(first, len(pts)), n - 1)
-    return _fold_chunks(F, reader, ((first,) + tail for tail in tails))
+    return _fold_chunks(F, _reader(F, k, n), n, first)
 
 
 def optimal_coverage(
@@ -335,7 +353,7 @@ def optimal_coverage(
     Returns the exact minimum, every candidate attaining it (sorted, so the
     first entry is the canonical representative), and the smallest strictly
     larger value seen. Projective mode folds one partition per first point,
-    in this process when jobs == 1 and on `jobs` worker processes otherwise.
+    on `jobs` processes, this one included (coverage._fan_out).
     Full mode ignores jobs; it only exists for cross-checking and folds
     every matrix with nonzero columns, each scored on its own columns.
     """
@@ -346,12 +364,13 @@ def optimal_coverage(
     start = time.perf_counter()
     if mode == "projective":
         fold = _Fold()
+        _reader(F, k, n)  # builds the tail table here, before any worker starts
         tasks = [(F, k, n, first) for first in range(_gaussian(k, 1, F.q))]
         for part in _fan_out(_search_partition, tasks, jobs):
             fold.merge(part)
     else:
-        vectors, _, _ = reader = _reader(F, k, n, raw=True)
-        fold = _fold_chunks(F, reader, product(range(1, F.q**k), repeat=n))
+        vectors, _, _ = reader = _reader(F, k, n, "nonzero")
+        fold = _fold_chunks(F, reader, n)
         # Only the argmin matrices map to multisets of projective points.
         # Against an empty basis, eliminate just scales a vector to its class.
         index = {p: i for i, p in enumerate(projective_points(F, k))}
@@ -384,19 +403,20 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     """
     _check_params(k, n)
     _check_budget(repeat((F.q, 1), k * n), guard, "matrices")
-    # Raw matrices are candidates over all q^k vectors in product order, so
-    # vector 0 is the zero column. Keys become values once, as sets.
-    vectors, raw, raw_value = _reader(F, k, n, raw=True)
+    # Raw matrices are every n-tuple over all q^k vectors in product order,
+    # so vector 0 is the zero column. Keys become values once, as sets.
+    reader = _reader(F, k, n, "vectors")
     nonzero, zero_col = set(), set()
-    for chunk, rows, keys in _scored_chunks(F, vectors, raw, product(range(F.q**k), repeat=n)):
-        has_zero = (np.array(chunk, dtype=np.intp)[rows] == 0).any(axis=1)
+    for prefix, tails, rows, keys in _scored_chunks(F, reader, n):
+        has_zero = (tails[rows] == 0).any(axis=1) | (0 in prefix)
         nonzero.update(keys[~has_zero].tolist())
         zero_col.update(keys[has_zero].tolist())
-    pts, batch, value = _reader(F, k, n)
+    pts, _, value = points = _reader(F, k, n)
     projective = set()
-    multisets = combinations_with_replacement(range(len(pts)), n)
-    for _, _, keys in _scored_chunks(F, pts, batch, multisets):
-        projective.update(keys.tolist())
+    for first in range(len(pts)):
+        for _, _, _, keys in _scored_chunks(F, points, n, first):
+            projective.update(keys.tolist())
+    raw_value = reader[2]
     nonzero_values = {raw_value(key) for key in nonzero}
     if nonzero_values != {value(key) for key in projective}:
         return False

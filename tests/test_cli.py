@@ -260,8 +260,8 @@ def test_walk_past_the_recursion_limit_exits_two(argv):
     # has 1,030 kernel rows: over GF(1031) the level count refuses their
     # independent 1-subsets (over 2^25 basis cells) before it reduces any,
     # and over GF(65537), which has no vector arithmetic, the walk of its
-    # independent subsets refuses once it would stack more frames than half
-    # the recursion limit.
+    # independent subsets is refused before it starts, since it would stack
+    # more frames than half the recursion limit.
     proc = run_cli(*argv, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("budget exceeded: ")

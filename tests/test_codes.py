@@ -157,6 +157,16 @@ def test_information_set_profile_refuses_past_the_recursion_limit():
         information_set_profile(simplex_code(field_from_order(4), 6))
 
 
+def test_independent_subset_walk_refuses_past_the_recursion_limit(monkeypatch):
+    # Half a recursion limit of 6 lets the walk stack 3 columns: rank 3
+    # runs, and rank 4 is refused once the walk would stack a fourth.
+    F = field_from_order(2)
+    monkeypatch.setattr(codes.sys, "getrecursionlimit", lambda: 6)
+    assert independent_subset_profile(identity(F, 3)) == [1, 3, 3, 1]
+    with pytest.raises(BudgetExceededError, match="stack 4 columns"):
+        independent_subset_profile(identity(F, 4))
+
+
 def test_counts_error_cases():
     C = simplex_code(field_from_order(2), 2)
     with pytest.raises(ValueError):

@@ -341,6 +341,21 @@ def test_a_lowered_keep_limit_leaves_no_decision_behind():
     assert coverage._KEPT_MEMBERS == 1 << 16 and _lattice_kept(1021, 1)
 
 
+def test_dual_walk_is_refused_from_its_depth(monkeypatch):
+    # The kernel of RS [1032,2] over GF(65537), which has no vector
+    # arithmetic, has full row rank 1,030: past half the recursion limit,
+    # so the dual side is refused before the walk takes a step.
+    def no_walk(H):
+        raise AssertionError("the independent-subset walk ran")
+
+    monkeypatch.setattr(coverage, "independent_subset_profile", no_walk)
+    C = reed_solomon(field_from_order(65537), 1032, 2)
+    with pytest.raises(BudgetExceededError, match="stack 1030 columns"):
+        expectation_exact_dual(C)
+    assert main(["expect", "--field", "65537", "--code", "rs", "--n", "1032", "--k", "2",
+                 "--method", "dual"]) == 2
+
+
 # 257 and 512 run the level count on uint16 elements and q-by-q tables;
 # past 512, products read log tables and sums work modulo p (521, 65521),
 # digit by digit (729) or by XOR (1024).
@@ -1081,12 +1096,22 @@ def test_monte_carlo_single_trial():
     assert est.mean == simulate_trial(C, seed=0, trial=0)
 
 
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 2, 3, 7])
+def test_fan_out_keeps_task_order(jobs, count):
+    # The caller runs share 0 of tasks[i::j] and workers the rest; results
+    # come back in task order whether count is below, equal to or not a
+    # multiple of jobs.
+    tasks = list(range(-count, 0))
+    assert coverage._fan_out(abs, tasks, jobs) == [abs(t) for t in tasks]
+
+
 def test_monte_carlo_is_job_count_invariant():
     # More than one chunk (chunk size 32768), compared across process counts.
     C = simplex_code(field_from_order(2), 3)
     a = expectation_monte_carlo(C, trials=70000, seed=31, jobs=1)
-    b = expectation_monte_carlo(C, trials=70000, seed=31, jobs=3)
-    assert a == b
+    for jobs in (2, 3):  # three chunks: two tasks at jobs 2, three at jobs 3
+        assert expectation_monte_carlo(C, trials=70000, seed=31, jobs=jobs) == a
     assert isinstance(a, McEstimate)
 
 

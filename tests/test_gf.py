@@ -107,6 +107,24 @@ def test_prime_field_log_tables_match_the_digit_list_step(p):
     assert F._logtables() == (exp, log)
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 256, 1024, 2187, 4096, 1 << 16])
+def test_extension_field_log_tables_match_the_polynomial_step(q):
+    # Extension fields step their exp table through one table of
+    # multiplication by the generator; one polynomial product per element
+    # must give the same tables.
+    F = field_from_order(q)
+    g = F._find_generator()
+    exp, cur = [], 1
+    for _ in range(q - 1):
+        exp.append(cur)
+        cur = F._poly_mul_mod(cur, g)
+    assert cur == 1
+    log = [-1] * q
+    for i, a in enumerate(exp):
+        log[a] = i
+    assert F._logtables() == (exp, log)
+
+
 @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (2, 4)])
 def test_frobenius(p, m):
     F = field_new(p, m)

@@ -1,5 +1,8 @@
+import json
 import random
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
 
@@ -390,15 +393,15 @@ def test_verify_reduction_rejects_a_cheap_zero_column(monkeypatch, q, k, n):
     real = search._scored_chunks
     doctored = []
 
-    def cheap_zero_columns(F, cols, batch, combos):
-        raw = not any(cols[0])
-        for chunk, rows, keys in real(F, cols, batch, combos):
+    def cheap_zero_columns(F, reader, n, first=None):
+        raw = not any(reader[0][0])
+        for prefix, tails, rows, keys in real(F, reader, n, first):
             if raw:
-                has_zero = (np.array(chunk, dtype=np.intp)[rows] == 0).any(axis=1)
+                has_zero = (tails[rows] == 0).any(axis=1) | (0 in prefix)
                 keys = keys.copy()
                 keys[has_zero] = -(10**9)
                 doctored.append(int(has_zero.sum()))
-            yield chunk, rows, keys
+            yield prefix, tails, rows, keys
 
     assert verify_reduction(F, k, n)
     monkeypatch.setattr(search, "_scored_chunks", cheap_zero_columns)
@@ -430,21 +433,35 @@ def _counting_score(calls):
 _BATCH_GRID = [(2, 2, 2), (2, 3, 3), (3, 2, 2), (2, 3, 5), (3, 2, 5), (4, 2, 4), (2, 4, 4), (3, 3, 4)]
 
 
+def _table_values(F, reader, n, firsts):
+    # {candidate: value} of the spanning candidates each chunk lists, and
+    # how many candidates the chunks held in all.
+    got, examined = {}, 0
+    for first in firsts:
+        for prefix, tails, rows, keys in search._scored_chunks(F, reader, n, first):
+            examined += len(tails)
+            got.update((prefix + tuple(tails[i].tolist()), reader[2](key)) for i, key in zip(rows, keys))
+    return got, examined
+
+
 @pytest.mark.parametrize("q,k,n", _BATCH_GRID)
 def test_batched_totals_are_score_per_candidate(q, k, n):
-    # Every multiset, not just the fold's extremes: the batch spans exactly
-    # where _score is not None, and its total reads back as _score's value.
+    # Every multiset, not just the fold's extremes: the tail table lists
+    # every candidate once, spans exactly where _score is not None, and its
+    # total reads back as _score's value.
     F = field_from_order(q)
     pts = projective_points(F, k)
     combos = list(combinations_with_replacement(range(len(pts)), n))
-    batch = search._batch(F, k, n)
-    spans, totals = batch.totals(np.array(combos, dtype=np.intp))
-    assert 0 < spans.sum() < len(combos)
-    for combo, ok, total in zip(combos, spans, totals):
+    reader = search._reader(F, k, n)
+    assert reader[1] is not None
+    got, examined = _table_values(F, reader, n, range(len(pts)))
+    assert examined == len(combos)
+    assert 0 < len(got) < len(combos)
+    for combo in combos:
         value = search._score(F, pts, combo)
-        assert (value is not None) == ok, combo
-        if ok:
-            assert batch.value(total) == value, combo
+        assert (value is not None) == (combo in got), combo
+        if value is not None:
+            assert got[combo] == value, combo
 
 
 @pytest.mark.parametrize("q,k,n", _BATCH_GRID)
@@ -461,12 +478,60 @@ def test_batched_fold_matches_per_candidate_fold(monkeypatch, q, k, n):
 @pytest.mark.parametrize("cells", [1, 100])
 @pytest.mark.parametrize("q,k,n", [(2, 3, 7), (3, 2, 5), (2, 4, 5)])
 def test_chunk_size_does_not_change_reports(monkeypatch, cells, q, k, n):
-    # 100 cells make chunks of 7 candidates over GF(2)^3 (14 subspaces in
-    # the table), 25 over GF(3)^2 and 1 over GF(2)^4.
+    # Chunks are counted over the subspaces a prefix touches: 100 cells
+    # make chunks of 25 candidates over GF(2)^3 (4 subspaces through a
+    # point), 100 over GF(3)^2 (1) and 6 over GF(2)^4 (15).
     F = field_from_order(q)
     whole = optimal_coverage(F, k, n).to_json_dict()
     monkeypatch.setattr(coverage, "_BATCH_CELLS", cells)
     assert optimal_coverage(F, k, n).to_json_dict() == whole
+
+
+# The projective shapes of the search-small benchmark workload.
+_SEARCH_SMALL = [(2, 3, 7), (2, 3, 8), (3, 3, 5), (2, 4, 5), (4, 2, 6)]
+
+
+@pytest.mark.parametrize("cells", [100, 1000])
+def test_shorter_tails_give_the_same_reports(monkeypatch, cells):
+    # A lowered table cap shortens the tails, so each candidate's prefix of
+    # 2 or more points is enumerated in Python; the reports stay
+    # byte-identical.
+    shapes = [("projective", q, k, n) for q, k, n in _BATCH_GRID + _SEARCH_SMALL] + [("full", 3, 2, 4)]
+    want = [json.dumps(optimal_coverage(field_from_order(q), k, n, mode=mode).to_json_dict())
+            for mode, q, k, n in shapes]
+    monkeypatch.setattr(coverage, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(search, "_batch", lru_cache(maxsize=8)(search._batch.__wrapped__))
+    heads = set()
+    for (mode, q, k, n), report in zip(shapes, want):
+        F = field_from_order(q)
+        assert json.dumps(optimal_coverage(F, k, n, mode=mode).to_json_dict()) == report
+        heads.add(n - search._batch(F, k, n, "points" if mode == "projective" else "nonzero").tail)
+    assert {2, 3} <= heads
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_reports_do_not_depend_on_jobs(jobs):
+    # 1, 3 and 7 partitions: below jobs, equal to 3 and not a multiple of
+    # 2, and a multiple of neither.
+    for F, k, n in [(F3, 1, 3), (F2, 2, 4), (F2, 3, 5)]:
+        whole = json.dumps(optimal_coverage(F, k, n).to_json_dict())
+        assert json.dumps(optimal_coverage(F, k, n, jobs=jobs).to_json_dict()) == whole
+
+
+def test_tail_table_memory_stays_capped():
+    # (2, 4, 8) keeps tails of 4 of its 8 points: 3,060 tails over the 65
+    # used subspaces, 198,900 int8 counts. Uncapped, the 7-point tails
+    # would take about 40 MB.
+    optimal_coverage(F2, 4, 5)  # builds the field's tables
+    search._batch.cache_clear()
+    tracemalloc.start()
+    try:
+        optimal_coverage(F2, 4, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert search._batch(F2, 4, 8, "points").tail == 4
+    assert peak < 2_000_000, peak
 
 
 @pytest.mark.parametrize("q,k,n", [(2, 3, 7), (3, 3, 4), (2, 4, 5)])
@@ -476,7 +541,8 @@ def test_object_totals_give_the_same_reports(monkeypatch, q, k, n):
     whole = optimal_coverage(F, k, n).to_json_dict()
     monkeypatch.setattr(coverage, "_INT64_LIMIT", 1)
     monkeypatch.setattr(search, "_batch", search._batch.__wrapped__)
-    assert search._batch(F, k, n).weights.dtype == object
+    batch = search._batch(F, k, n, "points")
+    assert batch.weights.dtype == batch.totals.dtype == object
     assert optimal_coverage(F, k, n).to_json_dict() == whole
 
 
@@ -485,7 +551,8 @@ def test_int64_totals_stop_at_their_headroom(n, exact):
     # Over GF(2)^2 the table holds the 3 points, each with |mu| = 1:
     # 3 * lcm(1..42) < 2^63 <= 3 * lcm(1..43), and lcm(1..43) alone
     # already passes 2^63.
-    assert search._batch.__wrapped__(F2, 2, n).weights.dtype == exact
+    batch = search._batch.__wrapped__(F2, 2, n, "points")
+    assert batch.weights.dtype == batch.totals.dtype == exact
     assert optimal_coverage(F2, 2, n).to_json_dict() == _reference_search(F2, 2, n)
 
 
@@ -518,7 +585,7 @@ def _raise_on_score(*args):
 
 def test_kept_lattices_score_nothing_alone(monkeypatch):
     # verify_reduction's raw matrices and projective candidates, and full
-    # mode's raw matrices, are all read in batches where kept.
+    # mode's raw matrices, are all read from tail tables where kept.
     monkeypatch.setattr(search, "_score", _raise_on_score)
     assert verify_reduction(F2, 2, 3)
     assert verify_reduction(F2, 2, 4)
@@ -533,15 +600,13 @@ def test_kept_lattices_score_nothing_alone(monkeypatch):
 @pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 2), (2, 3, 3)])
 def test_batched_raw_matrices_are_exact_from_columns(q, k, n):
     # Every raw matrix over all q^k vectors, zero columns included: the
-    # batch spans exactly where _exact_from_columns has a value, and the
-    # values agree matrix by matrix, so also as a set.
+    # tail table spans exactly where _exact_from_columns has a value, and
+    # the values agree matrix by matrix, so also as a set.
     F = field_from_order(q)
     vectors = list(product(range(q), repeat=k))
-    batch = _PrimalBatch(F, vectors, k, n)
-    got = {}
-    for chunk, rows, keys in search._scored_chunks(F, vectors, batch,
-                                                   product(range(len(vectors)), repeat=n)):
-        got.update((chunk[i], batch.value(key)) for i, key in zip(rows, keys))
+    batch = _PrimalBatch(F, vectors, k, n, ordered=True)
+    got, examined = _table_values(F, (vectors, batch, batch.value), n, [None])
+    assert examined == len(vectors) ** n
     want = {}
     for combo in product(range(len(vectors)), repeat=n):
         value = _exact_from_columns(F, [vectors[i] for i in combo], k)
