@@ -8,12 +8,11 @@ The counters at the bottom answer questions of the form "how many size-s
 subsets of the column positions have a prescribed rank". The exact engine
 in coverage.py reads these counts from a subspace histogram, or counts the
 independent subsets level by level where the lattice is not kept (2^16
-member vectors). It runs the independent-subset walk here only on dual
-columns over fields past 2^16 elements, which have no vector arithmetic,
-and the full-rank walk on bare columns only on primal sides with n - k > k;
-the tests hold the lattice readers and the level count to them. Each walk
-refuses, with BudgetExceededError, to recurse deeper than half the
-recursion limit.
+member vectors), over every field. It runs the full-rank walk here on bare
+columns only on primal sides with n - k > k, and never the
+independent-subset walk, which stays a public function; the tests hold the
+lattice readers and the level count to both walks. Each walk refuses, with
+BudgetExceededError, to recurse deeper than half the recursion limit.
 Two observations keep everything in one place:
 
   * the subcode supported inside a coordinate set T has dimension

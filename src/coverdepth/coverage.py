@@ -23,10 +23,9 @@ computes the expectation of that stopping time:
     each state the table lanes' basis of its columns, refused with
     BudgetExceededError past _LEVEL_CELLS basis cells); the primal side,
     when n - k <= k, reads the kernel's columns the same way (_dual_terms).
-    Only primal sides with n - k > k run the full-rank walk
-    (codes._full_rank_profile), and only dual sides over fields past 2^16
-    elements the independent-subset walk. Each walk guards its own
-    recursion and raises BudgetExceededError past half the recursion limit.
+    Only primal sides with n - k > k run a walk, the full-rank walk
+    (codes._full_rank_profile), which guards its own recursion and raises
+    BudgetExceededError past half the recursion limit.
     The primal side takes bare columns and also decides whether they span
     (_exact_from_columns), so search scores a candidate without a code.
     The simplex (m = k) and Hamming (m = r) closed forms are the primal and
@@ -35,22 +34,21 @@ computes the expectation of that stopping time:
     depends only on (seed, trial index, draw index), so estimates are
     reproducible bit for bit under any process count. Trials run as numpy
     lanes in one of three kernels, one draw per round, so the round number
-    is every live lane's draw count (_run_lanes). Over fields of at most
-    2^16 elements (gf._LOG_LIMIT) expectation_monte_carlo first builds the
-    code's flat table (_flat_table: the row offset of the flat each flat of
-    the column matroid moves to with each column), once per call, and a
-    draw is one take from it. The build sorts once per block of flats and
+    is every live lane's draw count (_run_lanes). expectation_monte_carlo
+    first builds the code's flat table (_flat_table: the row offset of the
+    flat each flat of the column matroid moves to with each column), once
+    per call, and a draw is one take from it. The build sorts once per block of flats and
     once per level, and keeps binary residuals with k <= 64 as one packed
     word per column. It gives up, before a level is reduced, once the flats
     would outnumber the call's trials or a level's flats times n * k would
     pass _FLAT_CELLS; then binary codes with k <= 64 run packed lanes (a
     column is one 64-bit word, a reduction step one XOR) and every other
-    code over at most 2^16 elements table lanes (each lane one (k, k)
-    basis). Larger fields run the scalar reference path.
+    code table lanes (each lane one (k, k) basis). simulate_trial is the
+    scalar reference, trial by trial, that only the checks run.
     Every numpy routine here (membership, the level count, the flat build,
     the table lanes) does its GF(q) arithmetic through the field's one
-    VecOps (FieldSpec.vec_ops), so each serves every field up to 2^16
-    elements (gf._LOG_LIMIT) and no other.
+    VecOps (FieldSpec.vec_ops), which serves every field FieldSpec accepts,
+    so the engine and the simulation have no field-size regime of their own.
     _draw_count_blocks is the one batch entry and the one place that builds
     a kernel's lane state and step, and every kernel matches simulate_trial
     draw for draw. The trials split into at most one task per process, and
@@ -63,7 +61,6 @@ asks for digits.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -76,10 +73,10 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .codes import BudgetExceededError, LinearCode, _full_rank_profile, independent_subset_profile
+from .codes import BudgetExceededError, LinearCode, _full_rank_profile
 from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis,
                      rank_and_kernel, span_basis)
-from .gf import _LOG_LIMIT, FieldSpec, VecOps, is_prime_power
+from .gf import FieldSpec, VecOps, is_prime_power
 
 Rational = Union[int, Fraction]
 
@@ -190,7 +187,7 @@ def _mobius(c: int, q: int) -> int:
 
 # Each call that reads a lattice enumerates every subspace of GF(q)^m, so
 # only lattices whose subspaces together have at most _KEPT_MEMBERS vectors
-# are read ("kept"); past GF(179) that is GF(q)^1 alone, for q < 2^16.
+# are read ("kept"); past GF(179) that is GF(q)^1 alone, up to GF(65521).
 # Unkept, long codes such as the [121, 5] simplex over GF(3) pass the level
 # budget or walk without end, so the limit keeps GF(3)^5 (53,968). Membership reads
 # _BLOCK_CELLS cells at a time, and a search's tail table (_PrimalBatch) holds at most as many.
@@ -201,8 +198,7 @@ _BLOCK_CELLS = 1 << 18
 @lru_cache(maxsize=1024)
 def _lattice_kept(q: int, m: int) -> bool:
     """Whether the lattice of GF(q)^m is small enough to enumerate on every call that reads it."""
-    # Membership reads VecOps (q <= 2^16), and the sum runs only for small q^m.
-    if q > _LOG_LIMIT or q**m > _KEPT_MEMBERS:
+    if q**m > _KEPT_MEMBERS:  # the sum runs only for small q^m
         return False
     return sum(_gaussian(m, d, q) * q**d for d in range(m + 1)) <= _KEPT_MEMBERS
 
@@ -391,19 +387,15 @@ def _dual_terms(H: MatrixGF) -> List[Tuple[int, int]]:
     """(t, I(t)) for t = 1..m over the columns of the m x n matrix H.
 
     The dual reader where the lattice of GF(q)^m is kept, else the level
-    count over fields with vector arithmetic (q <= 2^16), else the
-    independent-subset walk. H is a kernel basis of full row rank m, so the
-    walk would stack m columns: past half the recursion limit it is refused
-    before it starts (BudgetExceededError).
+    count (_level_counts), which refuses past _LEVEL_CELLS basis cells
+    (BudgetExceededError). Both serve every field.
     """
     F, m = H.field, H.rows
     if m == 0:  # a code of length n = k: no dual terms
         return []
     if _lattice_kept(F.q, m):
         return _dual_reader(subspace_histogram(F, columns_of(H), m), m, F.q)
-    if F.q > _LOG_LIMIT and 2 * m > sys.getrecursionlimit():  # H has full row rank: the walk stacks m columns
-        raise BudgetExceededError(f"the independent-subset walk would stack {m} columns")
-    counts = _level_counts(F, columns_of(H), m) if F.q <= _LOG_LIMIT else independent_subset_profile(H)
+    counts = _level_counts(F, columns_of(H), m)
     return [(t, counts[t]) for t in range(1, m + 1)]
 
 
@@ -530,22 +522,17 @@ def _mix64_np(x: "np.ndarray", scratch: Optional["np.ndarray"] = None) -> "np.nd
     return x
 
 
-def _simulate_scalar(
-    F: FieldSpec,
-    cols: Sequence[Tuple[int, ...]],
-    n: int,
-    k: int,
-    key: int,
-    trace: Optional[List[int]] = None,
-) -> int:
-    """Draw columns under the given per-trial key until rank k; count draws.
+def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[List[int]] = None) -> int:
+    """Number of draws one simulated trial needs. Pure in (seed, trial).
 
+    The scalar reference that every lane kernel is held to, draw for draw.
     Grows an echelon basis of the drawn columns; only whether each draw is
     independent matters, so the count is the same whatever basis form is
     kept. Uniformity over column indices comes from 64-bit rejection
     sampling, with the attempt number folded into the counter so retries
-    stay deterministic.
+    stay deterministic. Each drawn index is appended to trace, if given.
     """
+    F, cols, n, k, key = C.field, C.columns, C.n, C.k, _trial_key(seed, trial)
     rem = (1 << 64) % n
     thresh = (1 << 64) - rem
     basis: Basis = []
@@ -566,11 +553,6 @@ def _simulate_scalar(
     return draws
 
 
-def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[List[int]] = None) -> int:
-    """Number of draws one simulated trial needs. Pure in (seed, trial)."""
-    return _simulate_scalar(C.field, C.columns, C.n, C.k, _trial_key(seed, trial), trace)
-
-
 # Vector lanes: a block of trials advances one draw per round, each lane
 # with its own state for the columns drawn so far, so the round number is
 # every live lane's draw count. The driver (_run_lanes) owns the keys, the
@@ -586,6 +568,8 @@ def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[Lis
 # The level count reduces its children with the table lanes' step
 # (_reduce_insert), _LEVEL_BLOCK_CELLS basis cells at a time, and refuses a
 # level whose children would hold more than _LEVEL_CELLS basis cells.
+# A cell is one VecOps.dtype element, 4 bytes past 2^16 elements (8 for a packed
+# lane's word): at most 16 MB of table-lane state a block, 128 MB of bases at the level cap.
 _LANE_CELLS = 1 << 22
 _LEVEL_CELLS = 1 << 25
 _LEVEL_BLOCK_CELLS = 1 << 16
@@ -608,14 +592,14 @@ def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", ops: VecOps) -> "np.nda
             v[sel] = ops.sub(v[sel], ops.mul(v[sel, r, None], basis[sel, r, :]))
         (sel,) = (nz & ~slot).nonzero()
         if sel.size:
-            basis[sel, r, :] = ops.mul(ops.inv[v[sel, r, None]], v[sel])
+            basis[sel, r, :] = ops.mul(ops.inv(v[sel, r, None]), v[sel])
             grew[sel] = True
             v[sel] = 0
     return grew
 
 
 def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> List[int]:
-    """I(0..m): how many t-subsets of the columns, each in GF(q)^m, are independent; q <= 2^16.
+    """I(0..m): how many t-subsets of the columns, each in GF(q)^m, are independent.
 
     Level t holds one state per independent t-subset: the index of its last
     column and the reduced basis of its columns (_reduce_insert's slots).
@@ -738,7 +722,8 @@ def _run_lanes(
 # stops, before a level is reduced, once the flats would outnumber the
 # trials they serve or the level's flats times n * k would pass _FLAT_CELLS.
 # A rank-r flat's residuals hold only n * (k - r) cells (n words when
-# packed), so n * k per flat bounds them at every level.
+# packed), so n * k per flat bounds them at every level: at 4 bytes an
+# element past 2^16 elements, 16 MB of residuals per level.
 _FLAT_CELLS = 1 << 22
 _FLAT_BLOCK_CELLS = 1 << 16
 
@@ -784,7 +769,7 @@ def _normalised(v: "np.ndarray", ops: VecOps) -> Tuple["np.ndarray", "np.ndarray
     lead = (v != 0).argmax(axis=1)
     if ops.q == 2:  # GF(2): every first nonzero entry is already 1
         return v, lead
-    return ops.mul(ops.inv[v[np.arange(len(v)), lead]][:, None], v), lead
+    return ops.mul(ops.inv(v[np.arange(len(v)), lead])[:, None], v), lead
 
 
 def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray", ops: VecOps) -> "np.ndarray":
@@ -821,7 +806,7 @@ def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray",
 
 
 def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: int) -> Optional["np.ndarray"]:
-    """T[f, j] * n: the row offset of the flat f and column j span; None past a cap or where q > 2^16.
+    """T[f, j] * n: the row offset of the flat f and column j span; None past a cap.
 
     The n columns, each of length k, must span GF(q)^k, as a code's do.
     The table is int32, one row per flat, and holds row offsets, so a lane
@@ -848,7 +833,7 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
     n * k more than _FLAT_CELLS.
     """
     n, q = len(cols), F.q
-    if k < 1 or q > _LOG_LIMIT or n * k > _FLAT_CELLS:
+    if k < 1 or n * k > _FLAT_CELLS:
         return None
     ops, ebits, packed = F.vec_ops(), (q - 1).bit_length(), q == 2 and k <= 64
     words = (n + 63) // 64
@@ -939,23 +924,20 @@ def _draw_count_blocks(
 
     The only batch entry. Given the code's flat table, the flat lanes run:
     expectation_monte_carlo passes one wherever _flat_table builds it, that
-    is over fields of at most _LOG_LIMIT (2^16) elements while the flats
-    number at most the call's trials and no level's flats times n * k pass
-    _FLAT_CELLS. Without one, binary codes with k <= 64 run the packed
-    lanes, every other code over a field of at most _LOG_LIMIT elements the
-    table lanes on the field's VecOps, and the rest (larger fields, and
-    k < 1) the scalar reference path, trial by trial. The chosen branch
-    builds its lane state and its step once per call, and _run_lanes runs
-    them on blocks of at most _LANE_CELLS state cells, reusing one set of
-    lane arrays: a yielded array is overwritten by the next block. Trial t
-    draws what simulate_trial(C, seed, t) draws whichever kernel runs (the
-    tests hold them equal).
+    is while the flats number at most the call's trials and no level's
+    flats times n * k pass _FLAT_CELLS. Without one, binary codes with
+    k <= 64 run the packed lanes and every other code the table lanes on
+    the field's VecOps. A code with k < 1 needs no draws and yields zeros.
+    The chosen branch builds its lane state and its step once per call, and
+    _run_lanes runs them on blocks of at most _LANE_CELLS state cells,
+    reusing one set of lane arrays: a yielded array is overwritten by the
+    next block. Trial t draws what simulate_trial(C, seed, t) draws
+    whichever kernel runs (the tests hold them equal).
     """
     n, k = len(cols), len(cols[0])
-    if k < 1 or F.q > _LOG_LIMIT:
+    if k < 1:  # the empty set spans GF(q)^0: no trial draws
         for t in range(t0, t0 + count, block):
-            yield np.array([_simulate_scalar(F, cols, n, k, _trial_key(seed, j))
-                            for j in range(t, min(t + block, t0 + count))], dtype=np.int64)
+            yield np.zeros(min(block, t0 + count - t), dtype=np.int64)
         return
 
     def lanes(*shape: int, dtype) -> "np.ndarray":

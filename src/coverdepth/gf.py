@@ -14,13 +14,14 @@ is deterministic: two fields built from the same (p, m) anywhere, on any
 machine, produce identical arithmetic.
 
 Scope bounds: q <= 2^31 and m <= 16. Dense numpy operation tables exist
-for q <= 512 (_TABLE_LIMIT, read only in this module). The one vector
-arithmetic (FieldSpec.vec_ops), which every numpy routine of the exact
-engine and the simulation reads, serves every q <= 2^16 (_LOG_LIMIT): on
-those tables up to 512 elements, on exp/log tables past that. Scalar
-multiplication uses exp/log tables for q <= 2^16 and falls back to direct
-polynomial arithmetic above that. Primality, prime-power detection and the
-prime factors of q - 1 (for the generator search) all read one
+for q <= 512 (_TABLE_LIMIT), exp/log tables for q <= 2^16 (_LOG_LIMIT),
+and only this module reads either limit. The one vector arithmetic
+(FieldSpec.vec_ops), which every numpy routine of the exact engine and the
+simulation reads, serves every field in scope: on the operation tables,
+then on exp/log tables, then by int64 arithmetic. Scalar multiplication
+likewise uses exp/log tables for q <= 2^16 and direct polynomial
+arithmetic above that. Primality, prime-power detection and the prime
+factors of q - 1 (for the generator search) all read one
 smallest-prime-factor trial division.
 """
 
@@ -34,6 +35,7 @@ _MAX_ORDER = 2**31
 _MAX_DEGREE = 16
 _TABLE_LIMIT = 512
 _LOG_LIMIT = 1 << 16
+_DIGIT_BLOCK = 1 << 12  # elements per digit convolution, so its rows stay a few MB
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -379,63 +381,86 @@ class FieldSpec:
         return self._np_tables
 
     def vec_ops(self) -> "VecOps":
-        """The field's one VecOps, built on first use and kept; q <= 2^16."""
+        """The field's one VecOps, built on first use and kept; every field has one."""
         if self._vec_ops is None:
             self._vec_ops = VecOps(self)
         return self._vec_ops
 
 
 class VecOps:
-    """GF(q) arithmetic on numpy arrays of elements (dtype uint8 up to 256 elements, else uint16).
+    """GF(q) arithmetic on numpy arrays of elements, for every field in scope.
 
-    add, sub and mul(a, b, out=None) broadcast a against b; inv[a] is the
-    inverse of a nonzero a. In characteristic 2 add and sub are one XOR.
-    Up to 512 elements (_TABLE_LIMIT) every other op is one take from a
-    raveled q-by-q table of op_tables at a * q + b. Past that, up to 2^16
-    elements (_LOG_LIMIT), mul adds two logarithms and takes from an exp
-    table doubled so the sum needs no reduction, where log 0 points into a
-    tail of zeros; add and sub in other characteristics work modulo p,
-    digit by digit in extension fields. An element out of range raises
-    IndexError from a q-by-q table take without out (with out, that take
-    clips) and from every log take.
+    dtype is the narrowest unsigned type that holds q - 1 (uint8, uint16 or
+    uint32). add, sub and mul(a, b, out=None) broadcast a against b, and
+    inv(a) inverts each nonzero entry. In characteristic 2 add and sub are
+    one XOR. Up to 512 elements (_TABLE_LIMIT) every other op is one take
+    from a raveled q-by-q table at a * q + b; past that add and sub work
+    modulo p, digit by digit in extension fields. Up to 2^16 (_LOG_LIMIT)
+    inv takes from a q-entry table, and past 512 mul adds two logarithms
+    and takes from a doubled exp table (log 0 points into a zero tail).
+    Past 2^16, the direct branch (odd characteristic only), mul is a * b % p
+    on int64 in prime fields and a base-p digit convolution reduced by the
+    monic modulus in extension fields, and inv the Fermat power a^(q - 2).
+    A take without out raises IndexError on an element out of range (with
+    out it clips). The direct branch does not range-check: its inputs come
+    from validated MatrixGF entries.
     """
 
-    __slots__ = ("q", "p", "m", "dtype", "inv", "_add", "_sub", "_mul", "_log", "_exp")
+    __slots__ = ("q", "p", "m", "dtype", "_inv", "_add", "_sub", "_mul", "_log", "_exp", "_reduce")
 
     def __init__(self, F: FieldSpec):
         q, self.p, self.m = F.q, F.p, F.m
-        if q > _LOG_LIMIT:
-            raise ValueError(f"vector arithmetic is limited to q <= {_LOG_LIMIT}")
         self.q, self.dtype = q, np.min_scalar_type(q - 1)
-        self._add = self._sub = self._mul = self._log = self._exp = None
+        self._add = self._sub = self._mul = self._log = self._exp = self._inv = self._reduce = None
         if q <= _TABLE_LIMIT:
-            add, sub, mul, self.inv = (t.astype(self.dtype, copy=False) for t in F.op_tables())
+            add, sub, mul, self._inv = (t.astype(self.dtype, copy=False) for t in F.op_tables())
             if F.p != 2:
                 self._add, self._sub = add.reshape(-1), sub.reshape(-1)
             self._mul = mul.reshape(-1)
-            return
-        exp, log = F._logtables()
-        e = np.asarray(exp, dtype=self.dtype)
-        self._log = np.asarray(log, dtype=np.intp)
-        self._log[0] = 2 * (q - 1)  # any sum with log 0 lands in the zero tail
-        self._exp = np.concatenate([e, e, np.zeros(2 * q - 1, dtype=self.dtype)])
-        self.inv = np.zeros(q, dtype=self.dtype)
-        self.inv[1:] = e[-self._log[1:] % (q - 1)]
+        elif q > _LOG_LIMIT:  # row s - m: the digits of x^s mod the modulus, s = m .. 2m - 2
+            self._reduce = np.array([F.element_coeffs(F.pow(F.p, s)) for s in range(F.m, 2 * F.m - 1)])
+        else:
+            exp, log = F._logtables()
+            e = np.asarray(exp, dtype=self.dtype)
+            self._log = np.asarray(log, dtype=np.intp)
+            self._log[0] = 2 * (q - 1)  # any sum with log 0 lands in the zero tail
+            self._exp = np.concatenate([e, e, np.zeros(2 * q - 1, dtype=self.dtype)])
+            self._inv = np.zeros(q, dtype=self.dtype)
+            self._inv[1:] = e[-self._log[1:] % (q - 1)]
 
     def _take(self, table, a, b, out):
         index = np.multiply(a, self.q, dtype=np.intp) + b
         return table.take(index) if out is None else table.take(index, out=out, mode="clip")
+
+    def _cast(self, values: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        if out is None:
+            return values.astype(self.dtype)
+        np.copyto(out, values, casting="unsafe")
+        return out
 
     def _sum(self, table, a, b, sign, out):
         if self.p == 2:
             return np.bitwise_xor(a, b, out=out)
         if table is not None:
             return self._take(table, a, b, out)
-        digits = _digitwise_np(a, b, sign, self.p, self.m)
-        if out is None:
-            return digits.astype(self.dtype)
-        np.copyto(out, digits, casting="unsafe")
-        return out
+        return self._cast(_digitwise_np(a, b, sign, self.p, self.m), out)
+
+    def _product(self, a, b) -> np.ndarray:
+        """a * b as int64 values, in the direct branch (q > 2^16): no intermediate reaches 2^36."""
+        p, m = self.p, self.m
+        if m == 1:
+            return np.multiply(a, b, dtype=np.int64) % p
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        a, b = (np.broadcast_to(x, shape).reshape(-1) for x in (a, b))
+        out, powers = np.empty(a.size, dtype=np.int64), p ** np.arange(m, dtype=np.int64)
+        for s in range(0, a.size, _DIGIT_BLOCK):
+            da, db = (x[s:s + _DIGIT_BLOCK] // powers[:, None] % p for x in (a, b))
+            conv = np.zeros((2 * m - 1, da.shape[1]), dtype=np.int64)
+            for i in range(m):
+                conv[i:i + m] += da[i] * db
+            conv %= p
+            out[s:s + _DIGIT_BLOCK] = powers @ ((conv[:m] + self._reduce.T @ conv[m:]) % p)
+        return out.reshape(shape)
 
     def add(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         return self._sum(self._add, a, b, 1, out)
@@ -446,8 +471,21 @@ class VecOps:
     def mul(self, a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         if self._mul is not None:
             return self._take(self._mul, a, b, out)
+        if self._exp is None:
+            return self._cast(self._product(a, b), out)
         index = self._log.take(a) + self._log.take(b)
         return self._exp.take(index, out=out, mode="clip")
+
+    def inv(self, a: np.ndarray) -> np.ndarray:
+        """The inverse of each entry of a, which must be nonzero (0 gives 0)."""
+        if self._inv is not None:
+            return self._inv.take(a)
+        out, base, e = np.ones(np.shape(a), dtype=np.int64), a, self.q - 2
+        while e:
+            if e & 1:
+                out = self._product(out, base)
+            base, e = self._product(base, base), e >> 1
+        return out.astype(self.dtype)
 
 
 def field_new(p: int, m: int = 1, modulus: Optional[Sequence[int]] = None) -> FieldSpec:

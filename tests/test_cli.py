@@ -257,15 +257,31 @@ def test_walk_past_the_recursion_limit_exits_two(argv):
     # Neither primal lattice is kept (GF(4)^7, GF(65537)^1) and n - k > k, so
     # the full-rank walk, which recurses once per column, would run out of
     # stack on the 5,461 and 2,000 columns. The dual side of RS [1032,2]
-    # has 1,030 kernel rows: over GF(1031) the level count refuses their
-    # independent 1-subsets (over 2^25 basis cells) before it reduces any,
-    # and over GF(65537), which has no vector arithmetic, the walk of its
-    # independent subsets is refused before it starts, since it would stack
-    # more frames than half the recursion limit.
+    # has 1,030 kernel rows: over GF(1031) and over GF(65537) alike the
+    # level count refuses their independent 1-subsets (over 2^25 basis
+    # cells) before it reduces any.
     proc = run_cli(*argv, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr.startswith("budget exceeded: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_rs_past_two_to_the_sixteen_is_bounded():
+    # GF(65537) is one element past 2^16. Its exact value exits 2 from the
+    # level budget (the independent 5-subsets of the kernel's 40 columns),
+    # and its simulation runs on the vector lanes, not trial by trial.
+    code = ("--field", "65537", "--code", "rs", "--n", "40", "--k", "30")
+    start = time.perf_counter()
+    proc = run_cli("expect", *code, timeout=60)
+    assert proc.returncode == 2 and proc.stderr.startswith("budget exceeded: ")
+    assert "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 10
+    start = time.perf_counter()
+    proc = run_cli("simulate", *code, "--trials", "2000", "--format", "json", timeout=60)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 10
+    report = json.loads(proc.stdout)
+    assert abs(report["mean"] - float(mds_bound(40, 30))) < 5 * report["std_error"]
 
 
 def test_walk_below_the_recursion_limit_still_runs(capsys):
@@ -380,15 +396,19 @@ def test_out_to_missing_directory_is_an_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_nonpositive_budget_is_a_usage_error():
+def _usage_error(capsys, *argv):
+    """main(argv) in this process: exit code 1, nothing on stdout, a usage error on stderr."""
+    assert main(list(argv)) == 1, argv
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: "), (argv, err)
+
+
+def test_nonpositive_budget_is_a_usage_error(capsys):
     for budget in ("-5", "0"):
-        proc = run_cli("search", "--field", "2", "--k", "2", "--n", "3", "--budget", budget)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("usage error: ")
-        assert proc.stdout == ""
+        _usage_error(capsys, "search", "--field", "2", "--k", "2", "--n", "3", "--budget", budget)
 
 
-def test_nonpositive_counts_are_usage_errors():
+def test_nonpositive_counts_are_usage_errors(capsys):
     simplex = ("--field", "2", "--code", "simplex", "--k", "3")
     for argv in (
         ("expect", *simplex, "--trials", "0"),
@@ -396,13 +416,10 @@ def test_nonpositive_counts_are_usage_errors():
         ("simulate", *simplex, "--trials", "0"),
         ("search", "--field", "2", "--k", "2", "--n", "3", "--jobs", "0"),
     ):
-        proc = run_cli(*argv)
-        assert proc.returncode == 1, argv
-        assert proc.stderr.startswith("usage error: ")
-        assert proc.stdout == ""
+        _usage_error(capsys, *argv)
 
 
-def test_flags_a_command_does_not_read_are_usage_errors():
+def test_flags_a_command_does_not_read_are_usage_errors(capsys):
     for argv in (
         ("bound", "--n", "7", "--k", "4", "--jobs", "2"),
         ("figure1", "--field", "7"),
@@ -411,19 +428,20 @@ def test_flags_a_command_does_not_read_are_usage_errors():
         ("expect", "--field", "2", "--code", "simplex", "--k", "3", "--format", "csv"),
         ("asymptotics", "--family", "simplex", "--k", "3", "--q-grid", "2", "--format", "plain"),
     ):
-        proc = run_cli(*argv)
-        assert proc.returncode == 1, argv
-        assert proc.stderr.startswith("usage error: ")
-        assert proc.stdout == ""
+        _usage_error(capsys, *argv)
 
 
-def test_usage_errors_exit_one():
-    assert run_cli("expect", "--field", "2").returncode == 1  # no --code
-    assert run_cli("expect", "--field", "6", "--code", "simplex", "--k", "3").returncode == 1
-    assert run_cli("nonsense").returncode == 1
-    assert run_cli("bound", "--n", "7", "--k", "4", "--digits", "0").returncode == 1
-    assert run_cli("expect", "--field", "2", "--code", "simplex").returncode == 1  # no --k
-    assert run_cli("search", "--k", "2", "--n", "3").returncode == 1  # no --field
+def test_usage_errors_exit_one(capsys):
+    for argv in (
+        ("expect", "--field", "2"),  # no --code
+        ("expect", "--field", "6", "--code", "simplex", "--k", "3"),
+        ("nonsense",),
+        ("bound", "--n", "7", "--k", "4", "--digits", "0"),
+        ("expect", "--field", "2", "--code", "simplex"),  # no --k
+        ("search", "--k", "2", "--n", "3"),  # no --field
+    ):
+        assert main(list(argv)) == 1, argv
+        assert capsys.readouterr().out == ""
 
 
 def test_verify_command_passes():

@@ -255,11 +255,11 @@ def test_repeated_columns_past_q_to_the_m_are_counted_once():
 
 
 def _forbid_walks(monkeypatch):
+    # The full-rank walk is the only walk the exact engine calls.
     def no_walk(*args):
-        raise AssertionError("walked a code over a field with vector arithmetic (at most 2^16 elements)")
+        raise AssertionError("walked a side that the level count or a lattice reader serves")
 
     monkeypatch.setattr(coverage, "_full_rank_profile", no_walk)
-    monkeypatch.setattr(coverage, "independent_subset_profile", no_walk)
 
 
 def test_codes_past_the_lattice_bound_count_levels(monkeypatch, capsys):
@@ -296,17 +296,18 @@ def test_large_field_primal_side_reads_the_kernel(monkeypatch):
     assert expectation_exact(reed_solomon(field_from_order(1021), 6, 4)) == mds_bound(6, 4)
 
 
-@pytest.mark.parametrize("q,route", [(512, "levels"), (1031, "levels"), (65521, "levels"),
-                                     (65537, "walk")])
+@pytest.mark.parametrize("q,route", [(179, "reader"), (512, "levels"), (1031, "levels"),
+                                     (65521, "levels"), (65537, "levels"), (3**11, "levels")])
 def test_one_field_boundary_for_unkept_dual_sides(monkeypatch, q, route):
-    # GF(q)^2 is not kept past GF(179); its dual side is counted by level
-    # on every field with vector arithmetic (q <= 2^16) and walked past it.
+    # GF(q)^2 is kept up to GF(179), and its dual side is read from the
+    # histogram; past it the dual side is counted by level on every field,
+    # GF(65537) and GF(3^11) past 2^16 elements included.
     # Four columns, one zero and one repeated, in GF(q)^2.
     F = field_from_order(q)
     H = from_columns(F, [(1, 0), (0, 0), (1, q - 1), (1, q - 1)])
-    assert not _lattice_kept(q, 2)
+    assert _lattice_kept(q, 2) == (route == "reader")
     ran = []
-    for name, label in (("_level_counts", "levels"), ("independent_subset_profile", "walk")):
+    for name, label in (("_dual_reader", "reader"), ("_level_counts", "levels")):
         real = getattr(coverage, name)
         monkeypatch.setattr(coverage, name,
                             lambda *args, real=real, label=label: ran.append(label) or real(*args))
@@ -341,25 +342,27 @@ def test_a_lowered_keep_limit_leaves_no_decision_behind():
     assert coverage._KEPT_MEMBERS == 1 << 16 and _lattice_kept(1021, 1)
 
 
-def test_dual_walk_is_refused_from_its_depth(monkeypatch):
-    # The kernel of RS [1032,2] over GF(65537), which has no vector
-    # arithmetic, has full row rank 1,030: past half the recursion limit,
-    # so the dual side is refused before the walk takes a step.
-    def no_walk(H):
-        raise AssertionError("the independent-subset walk ran")
-
-    monkeypatch.setattr(coverage, "independent_subset_profile", no_walk)
+def test_deep_dual_side_is_refused_before_a_level_is_reduced(monkeypatch):
+    # The kernel of RS [1032,2] over GF(65537) has full row rank 1,030, so
+    # its 1,032 independent 1-subsets alone would hold 1032 * 1030^2 basis
+    # cells: the level budget refuses the dual side before it reduces a
+    # column. The engine has no independent-subset walk to fall back on.
+    assert not hasattr(coverage, "independent_subset_profile")
+    reduced = []
+    monkeypatch.setattr(coverage, "_reduce_insert", lambda *args: reduced.append(args))
     C = reed_solomon(field_from_order(65537), 1032, 2)
-    with pytest.raises(BudgetExceededError, match="stack 1030 columns"):
+    with pytest.raises(BudgetExceededError, match="independent 1-subsets of 1032 columns"):
         expectation_exact_dual(C)
+    assert not reduced
     assert main(["expect", "--field", "65537", "--code", "rs", "--n", "1032", "--k", "2",
                  "--method", "dual"]) == 2
 
 
 # 257 and 512 run the level count on uint16 elements and q-by-q tables;
 # past 512, products read log tables and sums work modulo p (521, 65521),
-# digit by digit (729) or by XOR (1024).
-_LEVEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 257, 512, 521, 729, 1024, 65521)
+# digit by digit (729) or by XOR (1024); past 2^16, on uint32 elements,
+# products work modulo p (65537) or by digit convolution (3^11).
+_LEVEL_FIELDS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 32, 257, 512, 521, 729, 1024, 65521, 65537, 3**11)
 
 
 @pytest.mark.parametrize("q", _LEVEL_FIELDS)
@@ -491,6 +494,8 @@ def test_zero_dimensional_code_needs_no_draws():
     C = LinearCode(F, 3, 0, zeros(F, 0, 3))
     assert expectation_exact(C) == 0
     assert simulate_trial(C, seed=1) == 0
+    est = expectation_monte_carlo(C, 10, 1)
+    assert (est.mean, est.min_draws, est.max_draws) == (0.0, 0, 0)
 
 
 def test_zero_column_costs_draws():
@@ -617,6 +622,9 @@ def _random_code(q, k, n, seed):
         lambda: reed_solomon(field_from_order(1021), 8, 3),
         lambda: reed_solomon(field_from_order(1024), 12, 4),
         lambda: reed_solomon(field_from_order(729), 9, 3),
+        # Past 2^16 elements products work modulo p or by digit convolution.
+        lambda: reed_solomon(field_from_order(65537), 12, 4),
+        lambda: reed_solomon(field_from_order(3**11), 10, 3),
     ],
 )
 def test_vector_and_scalar_draws_agree(maker):
@@ -682,8 +690,7 @@ def test_rejected_draws_retry_alike_in_every_kernel(monkeypatch, maker):
     assert reference != plain
     assert _draws(C, 21, 0, 200) == reference
     assert _flat_draws(C, 21, 0, 200) == reference
-    # An empty batch is an empty int64 array on every kernel, the scalar
-    # path (k = 0) included.
+    # An empty batch is an empty int64 array on every kernel and for k = 0.
     F = C.field
     for table in (None, coverage._flat_table(F, C.columns, C.k, 1 << 20)):
         empty = _draw_count_array(F, C.columns, 21, 0, 0, table)
@@ -1070,11 +1077,13 @@ def test_draws_follow_the_exact_distribution(C):
     assert chi2.sf(stat, len(observed) - 1) > 1e-4
 
 
-def test_large_field_falls_back_to_scalar():
-    # Past 2^16 elements there is no vector arithmetic, so no flat table.
+def test_large_field_runs_the_vector_lanes():
+    # Past 2^16 elements the field's vector arithmetic builds the flat table
+    # (1 + 5 + 1 flats) and runs the table lanes, each equal to the reference.
     C = reed_solomon(field_from_order(65537), 5, 2)
-    assert coverage._flat_table(C.field, C.columns, C.k, 1 << 20) is None
+    assert len(coverage._flat_table(C.field, C.columns, C.k, 1 << 20)) == 7
     assert _draws(C, seed=1, t0=0, count=20) == _reference_draws(C, seed=1, t0=0, count=20)
+    assert _flat_draws(C, seed=1, t0=0, count=20) == _reference_draws(C, seed=1, t0=0, count=20)
 
 
 def test_monte_carlo_summary_statistics():
@@ -1126,8 +1135,8 @@ def test_monte_carlo_extension_field_is_job_count_invariant():
 
 
 def test_monte_carlo_scalar_path_above_table_limit():
-    # GF(1024) is past the 512-element operation tables, so every trial runs
-    # the scalar engine.
+    # GF(1024) is past the 512-element operation tables: its lanes read log
+    # tables.
     C = reed_solomon(field_from_order(1024), 12, 4)
     counts = _draws(C, seed=4, t0=0, count=12)
     assert counts == _reference_draws(C, seed=4, t0=0, count=12)

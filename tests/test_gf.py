@@ -57,23 +57,29 @@ def test_tables_match_scalar_ops(q):
         assert getattr(ops, name)(a, b, out=out) is out and out.tolist() == scalar, name
     inverses = [F.inv(x) for x in range(1, q)]
     assert F.op_tables()[3][1:].tolist() == inverses
-    assert ops.inv[1:].tolist() == inverses
+    assert ops.inv(np.arange(1, q)).tolist() == inverses
     # Without out, an element out of range raises instead of clipping.
     with pytest.raises(IndexError):
         ops.mul(np.array([q - 1]), np.array([q]))
 
 
-@pytest.mark.parametrize("q", [521, 729, 1024, 4096, 65521])
+@pytest.mark.parametrize("q", [521, 729, 1024, 4096, 65521, 65537, 2**31 - 1, 3**11, 257**2])
 def test_vector_ops_past_the_table_limit_match_scalar_ops(q):
-    # Past 512 elements there are no q-by-q tables: mul and inv read log
-    # tables, add and sub work by XOR (GF(1024), GF(4096)), modulo p
-    # (GF(521), GF(65521)) or digit by digit (GF(729) = GF(3^6)). Checked on
-    # 20,000 random pairs plus every pair with a 0 or a 1 on either side.
+    # Past 512 elements there are no q-by-q tables. Up to 2^16 elements mul
+    # and inv read log tables; past that (uint32 elements) mul works on
+    # int64 modulo p (GF(65537), GF(2^31 - 1)) or by a base-p digit
+    # convolution reduced by the modulus (GF(3^11), GF(257^2)), and inv is a
+    # Fermat power. add and sub work by XOR (GF(1024), GF(4096)), modulo p
+    # (GF(521), GF(65521) and the primes past 2^16) or digit by digit
+    # (GF(729) = GF(3^6), GF(3^11), GF(257^2)). Checked on 20,000 random
+    # pairs plus every pair with a 0 or a 1 on either side, where "every"
+    # past 2^16 elements is 500 random ones with 0, 1 and q - 1.
     F = field_from_order(q)
     ops = F.vec_ops()
-    assert ops is F.vec_ops() and ops.dtype == np.uint16
+    assert ops is F.vec_ops() and ops.dtype == (np.uint16 if q <= 1 << 16 else np.uint32)
     rng = random.Random(q)
-    every, zeros, ones = np.arange(q), np.zeros(q, np.int64), np.ones(q, np.int64)
+    every = np.arange(q) if q <= 1 << 16 else np.array([rng.randrange(q) for _ in range(500)] + [0, 1, q - 1])
+    zeros, ones = np.zeros(len(every), np.int64), np.ones(len(every), np.int64)
     a = np.concatenate([[rng.randrange(q) for _ in range(20_000)], zeros, ones, every, every])
     b = np.concatenate([[rng.randrange(q) for _ in range(20_000)], every, every, zeros, ones])
     a, b = a.astype(ops.dtype), b.astype(ops.dtype)
@@ -83,9 +89,12 @@ def test_vector_ops_past_the_table_limit_match_scalar_ops(q):
         assert result.dtype == ops.dtype and result.tolist() == scalar, name
         out = np.empty(len(a), dtype=ops.dtype)
         assert getattr(ops, name)(a, b, out=out) is out and out.tolist() == scalar, name
-    assert ops.inv.dtype == ops.dtype and ops.inv[1:].tolist() == list(map(F.inv, range(1, q)))
-    with pytest.raises(IndexError):
-        ops.mul(np.array([q - 1]), np.array([q]))
+    nonzero = every[every != 0].astype(ops.dtype)
+    inverses = ops.inv(nonzero)
+    assert inverses.dtype == ops.dtype and inverses.tolist() == list(map(F.inv, nonzero.tolist()))
+    if q <= 1 << 16:  # the direct branch does not range-check
+        with pytest.raises(IndexError):
+            ops.mul(np.array([q - 1]), np.array([q]))
     # A pickled field, as a worker receives it, builds its own arithmetic.
     G = pickle.loads(pickle.dumps(F))
     assert G.vec_ops() is not ops and G.vec_ops().mul(a, b).tolist() == ops.mul(a, b).tolist()
