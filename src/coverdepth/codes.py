@@ -8,11 +8,12 @@ The counters at the bottom answer questions of the form "how many size-s
 subsets of the column positions have a prescribed rank". The exact engine
 in coverage.py reads these counts from a subspace histogram, or counts the
 independent subsets level by level where the lattice is not kept (2^16
-member vectors), over every field. It runs the full-rank walk here on bare
-columns only on primal sides with n - k > k, and never the
-independent-subset walk, which stays a public function; the tests hold the
-lattice readers and the level count to both walks. Each walk refuses, with
-BudgetExceededError, to recurse deeper than half the recursion limit.
+member vectors), over every field. It runs the full-rank walk here
+(information_set_profile) only on unkept primal sides with n - k > k, and
+never the independent-subset walk, which stays a public function; the
+tests hold the lattice readers and the level count to both walks. Each
+walk refuses, with BudgetExceededError, to recurse deeper than half the
+recursion limit.
 Two observations keep everything in one place:
 
   * the subcode supported inside a coordinate set T has dimension
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import comb
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .gf import FieldSpec
 from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis, rank,
@@ -213,12 +214,7 @@ def information_set_profile(C: LinearCode) -> List[int]:
     in the tests. Past half the recursion limit in columns it raises
     BudgetExceededError, as it recurses once per column.
     """
-    return _full_rank_profile(C.field, C.columns, C.k)
-
-
-def _full_rank_profile(F: FieldSpec, cols: Sequence[Sequence[int]], k: int) -> List[int]:
-    """information_set_profile of bare columns that span GF(q)^k."""
-    n = len(cols)
+    F, cols, n, k = C.field, C.columns, C.n, C.k
     if 2 * n > sys.getrecursionlimit():
         raise BudgetExceededError(f"the full-rank walk over {n} columns would recurse too deep")
     counts = [0] * (n + 1)

@@ -24,10 +24,11 @@ computes the expectation of that stopping time:
     BudgetExceededError past _LEVEL_CELLS basis cells); the primal side,
     when n - k <= k, reads the kernel's columns the same way (_dual_terms).
     Only primal sides with n - k > k run a walk, the full-rank walk
-    (codes._full_rank_profile), which guards its own recursion and raises
-    BudgetExceededError past half the recursion limit.
-    The primal side takes bare columns and also decides whether they span
-    (_exact_from_columns), so search scores a candidate without a code.
+    (codes.information_set_profile), which guards its own recursion and
+    raises BudgetExceededError past half the recursion limit.
+    A search reads the primal side of all its candidates, on every lattice,
+    from one tail table (_PrimalBatch), which also decides which of them
+    span, so search scores a candidate without a code.
     The simplex (m = k) and Hamming (m = r) closed forms are the primal and
     dual readers on the projective histogram (_projective_histogram);
   * by Monte Carlo simulation with a counter-based generator whose output
@@ -73,9 +74,8 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from .codes import BudgetExceededError, LinearCode, _full_rank_profile
-from .matrix import (Basis, MatrixGF, columns_of, eliminate, from_columns, kernel_basis,
-                     rank_and_kernel, span_basis)
+from .codes import BudgetExceededError, LinearCode, information_set_profile
+from .matrix import Basis, MatrixGF, columns_of, eliminate, kernel_basis
 from .gf import FieldSpec, VecOps, is_prime_power
 
 Rational = Union[int, Fraction]
@@ -185,9 +185,10 @@ def _mobius(c: int, q: int) -> int:
     return (-1) ** c * q ** (c * (c - 1) // 2)
 
 
-# Each call that reads a lattice enumerates every subspace of GF(q)^m, so
-# only lattices whose subspaces together have at most _KEPT_MEMBERS vectors
-# are read ("kept"); past GF(179) that is GF(q)^1 alone, up to GF(65521).
+# Each exact call that reads a lattice enumerates every subspace of GF(q)^m,
+# so only lattices whose subspaces together have at most _KEPT_MEMBERS vectors
+# are read there ("kept"); past GF(179) that is GF(q)^1 alone, up to GF(65521).
+# A search reads its lattice once, kept or not (_PrimalBatch).
 # Unkept, long codes such as the [121, 5] simplex over GF(3) pass the level
 # budget or walk without end, so the limit keeps GF(3)^5 (53,968). Membership reads
 # _BLOCK_CELLS cells at a time, and a search's tail table (_PrimalBatch) holds at most as many.
@@ -241,13 +242,12 @@ def _incidence(
 ) -> Tuple[Tuple[int, ...], "np.ndarray"]:
     """(dims, inc) over the lattice of GF(q)^m: inc[u, j] is True iff column j lies in subspace u.
 
-    dims[u] is the dimension of subspace u; GF(q)^m itself comes last. Only
-    for lattices small enough to keep (_lattice_kept); ValueError otherwise.
+    dims[u] is the dimension of subspace u; GF(q)^m itself comes last. The
+    callers bound subspaces x columns: subspace_histogram reads only kept
+    lattices, and a search's tail table (_PrimalBatch) is bounded by the
+    search's candidate budget.
     """
-    q = F.q
-    if not _lattice_kept(q, m):
-        raise ValueError(f"the subspace lattice of GF({q})^{m} is too large to keep")
-    X = np.array(columns, dtype=np.min_scalar_type(q - 1)).reshape(len(columns), m)  # VecOps' dtype
+    X = np.array(columns, dtype=np.min_scalar_type(F.q - 1)).reshape(len(columns), m)  # VecOps' dtype
     blocks = list(_membership(F, m, X))
     dims = tuple(d for d, member in blocks for _ in range(len(member)))
     return dims, np.concatenate([member for _, member in blocks])
@@ -264,20 +264,23 @@ def subspace_histogram(
     the q^m vectors of GF(q)^m whatever the number of columns. Only for
     lattices small enough to keep (_lattice_kept); ValueError otherwise.
     """
+    if not _lattice_kept(F.q, m):
+        raise ValueError(f"the subspace lattice of GF({F.q})^{m} is too large to keep")
     times = Counter(map(tuple, columns))
     dims, inc = _incidence(F, list(times), m)
     inside = inc.astype(np.int64) @ np.array(list(times.values()), dtype=np.int64)
     return dict(Counter(zip(dims, inside.tolist())))
 
 
-def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> Optional[Fraction]:
-    """E = -sum_{d<k} h[(d, n_U)] * mu * n/(n - n_U), with c = k - d, from the m = k histogram."""
+def _primal_reader(hist: Dict[Tuple[int, int], int], n: int, k: int, q: int) -> Fraction:
+    """E = -sum_{d<k} h[(d, n_U)] * mu * n/(n - n_U), with c = k - d, from the m = k histogram.
+
+    The columns must span GF(q)^k, so that no proper subspace holds all n.
+    """
     by_den: Dict[int, int] = Counter()
     for (d, inside), count in hist.items():
         if d < k:
             by_den[n - inside] -= count * _mobius(k - d, q) * n
-    if 0 in by_den:  # a proper subspace holds all n columns: they do not span
-        return None
     return sum((Fraction(num, den) for den, num in by_den.items()), Fraction(0))
 
 
@@ -305,6 +308,10 @@ class _PrimalBatch:
     columns): one gather over the touched subspaces. The totals are int64
     while sum |mu| * L < 2^63 bounds them, and Python ints otherwise, so
     minima and ties are decided exactly.
+    The lattice is read kept or not: for n >= k its subspaces x columns
+    cells number at most 3 times the candidates (2.5 at q = k = n = 2, the
+    most over q < 4000 and k <= 6; the ratio falls as n grows), so the
+    search's candidate budget bounds the table.
     """
 
     def __init__(self, F: FieldSpec, columns: Sequence[Sequence[int]], k: int, n: int, ordered: bool):
@@ -399,34 +406,20 @@ def _dual_terms(H: MatrixGF) -> List[Tuple[int, int]]:
     return [(t, counts[t]) for t in range(1, m + 1)]
 
 
-def _exact_from_columns(F: FieldSpec, columns: Sequence[Sequence[int]], k: int) -> Optional[Fraction]:
-    """Exact expectation of the code the columns generate; None unless they span GF(q)^k.
-
-    The primal reader decides both from one histogram when the lattice of
-    GF(q)^k is kept. Otherwise, when n - k <= k, one reduction gives the
-    rank and the kernel, whose columns the dual side counts (_dual_terms).
-    Past that, a rank check precedes the full-rank walk, which refuses
-    sides too long for its recursion (BudgetExceededError).
-    """
-    n, q = len(columns), F.q
-    if _lattice_kept(q, k):
-        return _primal_reader(subspace_histogram(F, columns, k), n, k, q)
-    if n - k <= k:
-        rank, H = rank_and_kernel(from_columns(F, columns))
-        return _defect_sum(n, _dual_terms(H)) if rank == k else None
-    if len(span_basis(F, columns, k)) < k:
-        return None
-    counts = _full_rank_profile(F, columns, k)
-    return _defect_sum(n, ((n - s, counts[s]) for s in range(k, n)))
-
-
 def expectation_exact(C: LinearCode) -> Fraction:
-    """Exact expectation read from the generator's columns (_exact_from_columns).
+    """Exact expectation from the primal side (m = k).
 
-    The m = k lattice where it is kept, else the kernel's columns on the
-    dual side when n - k <= k, else the full-rank walk.
+    The primal reader where the lattice of GF(q)^k is kept, else the
+    kernel's columns (_dual_terms) when n - k <= k, else the full-rank walk
+    (information_set_profile), which may refuse (BudgetExceededError).
     """
-    return _exact_from_columns(C.field, C.columns, C.k)
+    n, k, q = C.n, C.k, C.field.q
+    if _lattice_kept(q, k):
+        return _primal_reader(subspace_histogram(C.field, C.columns, k), n, k, q)
+    if n - k <= k:
+        return _defect_sum(n, _dual_terms(kernel_basis(C.generator)))
+    counts = information_set_profile(C)
+    return _defect_sum(n, ((n - s, counts[s]) for s in range(k, n)))
 
 
 def expectation_exact_dual(C: LinearCode) -> Fraction:
@@ -566,13 +559,14 @@ def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[Lis
 # and block after block: a round writes its keys, draws and moves into them
 # instead of into new arrays.
 # The level count reduces its children with the table lanes' step
-# (_reduce_insert), _LEVEL_BLOCK_CELLS basis cells at a time, and refuses a
-# level whose children would hold more than _LEVEL_CELLS basis cells.
+# (_reduce_insert), _REDUCE_BLOCK_CELLS basis cells at a time, and refuses a
+# level whose children would hold more than _LEVEL_CELLS basis cells. The
+# flat build (_flat_table) reduces its flats in blocks of the same cells.
 # A cell is one VecOps.dtype element, 4 bytes past 2^16 elements (8 for a packed
 # lane's word): at most 16 MB of table-lane state a block, 128 MB of bases at the level cap.
 _LANE_CELLS = 1 << 22
 _LEVEL_CELLS = 1 << 25
-_LEVEL_BLOCK_CELLS = 1 << 16
+_REDUCE_BLOCK_CELLS = 1 << 16
 
 
 def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", ops: VecOps) -> "np.ndarray":
@@ -612,7 +606,7 @@ def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> Lis
     cols = np.array(columns, dtype=ops.dtype).reshape(n, m)
     last = np.full(1, -1, dtype=np.int32)
     basis = np.zeros((1, m, m), dtype=ops.dtype)
-    block = max(1, _LEVEL_BLOCK_CELLS // max(1, m * m))
+    block = max(1, _REDUCE_BLOCK_CELLS // max(1, m * m))
     counts = [1]
     for t in range(1, m + 1):
         ends = np.cumsum(n - 1 - last, dtype=np.int64)  # state s's children end at ends[s]
@@ -718,14 +712,13 @@ def _run_lanes(
 # matroid, so a draw only moves the lane from its flat to the flat the drawn
 # column closes it to. _flat_table numbers the flats level by level (rank 0
 # first, the top flat last) and tabulates that move as row offsets; its
-# build reads each level's flats _FLAT_BLOCK_CELLS // (n * k) at a time and
+# build reads each level's flats _REDUCE_BLOCK_CELLS // (n * k) at a time and
 # stops, before a level is reduced, once the flats would outnumber the
 # trials they serve or the level's flats times n * k would pass _FLAT_CELLS.
 # A rank-r flat's residuals hold only n * (k - r) cells (n words when
 # packed), so n * k per flat bounds them at every level: at 4 bytes an
 # element past 2^16 elements, 16 MB of residuals per level.
 _FLAT_CELLS = 1 << 22
-_FLAT_BLOCK_CELLS = 1 << 16
 
 
 def _packed_keys(parts: Sequence["np.ndarray"], bits: Sequence[int]) -> "np.ndarray":
@@ -785,7 +778,7 @@ def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray",
     """
     count, n = len(parent), resid.shape[1]
     out = np.empty((count, n) if resid.ndim == 2 else (count, n, resid.shape[2] - 1), dtype=resid.dtype)
-    block = max(1, _FLAT_BLOCK_CELLS // resid[0].size)
+    block = max(1, _REDUCE_BLOCK_CELLS // resid[0].size)
     for c0 in range(0, count, block):
         r = resid[parent[c0:c0 + block]]
         each = np.arange(len(r))
@@ -850,7 +843,7 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
     # f's own local number where column j lies in f, count plus the class of
     # (f, j) where it does not.
     table, size = np.empty((0, n), dtype=np.int32), 1
-    block = max(1, _FLAT_BLOCK_CELLS // (n * k))
+    block = max(1, _REDUCE_BLOCK_CELLS // (n * k))
     pbits = max(1, (block - 1).bit_length())
     for r in range(k - 1):
         count = len(masks)

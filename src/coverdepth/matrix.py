@@ -176,11 +176,6 @@ def kernel_basis(M: MatrixGF) -> MatrixGF:
     The result has cols - rank(M) rows; solving from the RREF with one free
     variable set to 1 per basis vector keeps the output deterministic.
     """
-    return rank_and_kernel(M)[1]
-
-
-def rank_and_kernel(M: MatrixGF) -> Tuple[int, MatrixGF]:
-    """(rank(M), kernel_basis(M)), both from one reduction to RREF."""
     R, pivots = rref(M)
     F = M.field
     pivot_set = set(pivots)
@@ -192,7 +187,7 @@ def rank_and_kernel(M: MatrixGF) -> Tuple[int, MatrixGF]:
         for r, c in enumerate(pivots):
             v[c] = F.neg(R.entries[r][f]) if R.entries[r][f] else 0
         rows.append(v)
-    return len(pivots), MatrixGF(F, len(rows), M.cols, rows)
+    return MatrixGF(F, len(rows), M.cols, rows)
 
 
 def in_span(field: FieldSpec, vectors: Sequence[Sequence[int]], v: Sequence[int]) -> bool:

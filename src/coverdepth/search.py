@@ -12,17 +12,14 @@ column is never part of a strict optimum.
 A candidate is scored from its columns alone; no candidate builds a code.
 One chunk scorer (_scored_chunks) reads projective partitions and the raw
 matrices of full mode and verify_reduction (n-tuples over all q^k vectors,
-or the nonzero ones), and one helper (_reader) decides for all of them
-whether the subspace lattice of GF(q)^k is kept. If it is, one tail table
-per search (coverage._PrimalBatch) lists every tail of the candidates with
-its subspace counts and its own integer total; a candidate is a prefix,
-enumerated here, plus a run of tails, and each chunk of a run is one
-gather over the subspaces the prefix touches, so minima and ties are
-decided exactly before any Fraction is made and only argmins become
-tuples. Otherwise each candidate goes through _score
-(coverage._exact_from_columns), which also rejects it if its columns do
-not span; for n - k <= k it counts on the kernel of the candidate's
-columns.
+or the nonzero ones), on every lattice, from one tail table per search
+(coverage._PrimalBatch, built by _batch). The table lists every tail of
+the candidates with its subspace counts and its own integer total; a
+candidate is a prefix, enumerated here, plus a run of tails, and each
+chunk of a run is one gather over the subspaces the prefix touches, so
+admissibility, minima and ties are decided exactly before any Fraction is
+made and only argmins become tuples. _score, which builds the candidate's
+code, is the per-candidate reference the tests hold the table to.
 
 Every projective search, at any jobs value, runs one path: the multisets
 are split by their first (smallest) point index, each partition is folded
@@ -41,21 +38,18 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, islice, product, repeat
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from itertools import chain, combinations_with_replacement, product, repeat
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .codes import LinearCode, linear_code, projective_points
 from .coverage import (
     BudgetExceededError,
     InvariantViolation,
     _PrimalBatch,
-    _exact_from_columns,
     _fan_out,
     _gaussian,
-    _lattice_kept,
     _rational_str,
+    expectation_exact,
     mds_bound,
 )
 from .matrix import _dense, eliminate, from_columns, span_basis
@@ -198,8 +192,12 @@ def enumerate_candidates(
 
 
 def _score(F: FieldSpec, pts: Sequence[Tuple[int, ...]], combo: Sequence[int]) -> Optional[Fraction]:
-    """Exact expectation of the candidate, or None when its points do not span."""
-    return _exact_from_columns(F, [pts[i] for i in combo], len(pts[0]))
+    """Exact expectation of the candidate's code, or None unless its points span (the tests' reference)."""
+    cols = [pts[i] for i in combo]
+    k = len(cols[0])
+    if len(span_basis(F, cols, cap=k)) < k:
+        return None
+    return expectation_exact(linear_code(from_columns(F, cols)))
 
 
 class _Fold:
@@ -243,10 +241,6 @@ class _Fold:
         self.second = min((v for v in values if v > best), default=None)
 
 
-# Candidates per chunk when the lattice is not kept and each one is scored alone.
-_WALK_CHUNK = 1024
-
-
 def _columns(F: FieldSpec, k: int, kind: str) -> List[Tuple[int, ...]]:
     """The projective points, or the q^k vectors in product order (vector 0 first), or the nonzero ones."""
     if kind == "points":
@@ -261,61 +255,34 @@ def _batch(F: FieldSpec, k: int, n: int, kind: str) -> _PrimalBatch:
     return _PrimalBatch(F, _columns(F, k, kind), k, n, ordered=kind != "points")
 
 
-def _reader(
-    F: FieldSpec, k: int, n: int, kind: str = "points"
-) -> Tuple[List[Tuple[int, ...]], Optional[_PrimalBatch], Callable]:
-    """(columns, batch, value) for n-column candidates over _columns(F, k, kind).
-
-    The one place that decides whether the lattice of GF(q)^k is kept: if
-    so, batch reads whole chunks from its tail table (_batch) and value
-    turns its integer keys into expectations; if not, batch is None, each
-    candidate goes through _score, and its keys are already the values.
-    """
-    columns = _columns(F, k, kind)
-    if not _lattice_kept(F.q, k):
-        return columns, None, Fraction
-    batch = _batch(F, k, n, kind)
-    return columns, batch, batch.value
-
-
-def _scored_chunks(
-    F: FieldSpec, reader, n: int, first: Optional[int] = None
-) -> Iterator[Tuple[Tuple[int, ...], "np.ndarray", "np.ndarray", "np.ndarray"]]:
-    """(prefix, tails, rows, keys) for each chunk of candidates over a _reader's columns.
+def _scored_chunks(batch: _PrimalBatch, first: Optional[int] = None) -> Iterator[tuple]:
+    """(prefix, tails, rows, keys) for each chunk of candidates over a tail table's columns.
 
     The candidates are the sorted n-tuples of column indices whose smallest
     index is first, or every n-tuple if first is None, in enumeration
     order. A chunk holds the candidates prefix + tails[i]; rows lists its
-    spanning ones and keys[j] orders candidate rows[j]: its integer total
-    from the tail table where the batch is given (value reads it back),
-    otherwise its _score value.
+    spanning ones and keys[j] is candidate rows[j]'s integer total, which
+    batch.value turns into its expectation.
     """
-    cols, batch, _ = reader
-    head = n if batch is None else n - batch.tail
+    head = batch.n - batch.tail
     if first is None:
-        prefixes = product(range(len(cols)), repeat=head)
+        prefixes = product(range(batch.width), repeat=head)
     else:
-        rests = combinations_with_replacement(range(first, len(cols)), head - 1)
+        rests = combinations_with_replacement(range(first, batch.width), head - 1)
         prefixes = ((first,) + rest for rest in rests)
-    if batch is not None:
-        for prefix in prefixes:
-            yield from batch.read(prefix)
-        return
-    while chunk := list(islice(prefixes, _WALK_CHUNK)):
-        values = [_score(F, cols, combo) for combo in chunk]
-        rows = np.array([i for i, v in enumerate(values) if v is not None], dtype=np.intp)
-        yield (), np.array(chunk, dtype=np.intp), rows, np.array([values[i] for i in rows], dtype=object)
+    for prefix in prefixes:
+        yield from batch.read(prefix)
 
 
-def _fold_chunks(F: FieldSpec, reader, n: int, first: Optional[int] = None) -> _Fold:
-    """Fold of the candidates of _scored_chunks(F, reader, n, first), chunk by chunk.
+def _fold_chunks(batch: _PrimalBatch, first: Optional[int] = None) -> _Fold:
+    """Fold of the candidates of _scored_chunks(batch, first), chunk by chunk.
 
     The fold runs on keys, and only a chunk that can still change its
     minimum, argmins or runner-up is looked into; the two extremes become
     values at the end.
     """
     fold = _Fold()
-    for prefix, tails, rows, keys in _scored_chunks(F, reader, n, first):
+    for prefix, tails, rows, keys in _scored_chunks(batch, first):
         fold.examined += len(tails)
         fold.admissible += rows.size
         if not rows.size:
@@ -329,15 +296,14 @@ def _fold_chunks(F: FieldSpec, reader, n: int, first: Optional[int] = None) -> _
         above = keys[keys > low]
         part.second = above.min() if above.size else None
         fold.merge(part)
-    value = reader[2]
-    fold.best, fold.second = (None if key is None else value(key) for key in (fold.best, fold.second))
+    fold.best, fold.second = (None if key is None else batch.value(key) for key in (fold.best, fold.second))
     return fold
 
 
 def _search_partition(task) -> _Fold:
     """Fold every multiset whose smallest point index is `first`."""
     F, k, n, first = task
-    return _fold_chunks(F, _reader(F, k, n), n, first)
+    return _fold_chunks(_batch(F, k, n, "points"), first)
 
 
 def optimal_coverage(
@@ -355,7 +321,7 @@ def optimal_coverage(
     larger value seen. Projective mode folds one partition per first point,
     on `jobs` processes, this one included (coverage._fan_out).
     Full mode ignores jobs; it only exists for cross-checking and folds
-    every matrix with nonzero columns, each scored on its own columns.
+    every matrix with nonzero columns from its own tail table.
     """
     _check_params(k, n)
     if jobs < 1:
@@ -364,13 +330,13 @@ def optimal_coverage(
     start = time.perf_counter()
     if mode == "projective":
         fold = _Fold()
-        _reader(F, k, n)  # builds the tail table here, before any worker starts
+        _batch(F, k, n, "points")  # builds the tail table here, before any worker starts
         tasks = [(F, k, n, first) for first in range(_gaussian(k, 1, F.q))]
         for part in _fan_out(_search_partition, tasks, jobs):
             fold.merge(part)
     else:
-        vectors, _, _ = reader = _reader(F, k, n, "nonzero")
-        fold = _fold_chunks(F, reader, n)
+        fold = _fold_chunks(_batch(F, k, n, "nonzero"))
+        vectors = _columns(F, k, "nonzero")
         # Only the argmin matrices map to multisets of projective points.
         # Against an empty basis, eliminate just scales a vector to its class.
         index = {p: i for i, p in enumerate(projective_points(F, k))}
@@ -405,19 +371,18 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     _check_budget(repeat((F.q, 1), k * n), guard, "matrices")
     # Raw matrices are every n-tuple over all q^k vectors in product order,
     # so vector 0 is the zero column. Keys become values once, as sets.
-    reader = _reader(F, k, n, "vectors")
+    raw = _batch(F, k, n, "vectors")
     nonzero, zero_col = set(), set()
-    for prefix, tails, rows, keys in _scored_chunks(F, reader, n):
+    for prefix, tails, rows, keys in _scored_chunks(raw):
         has_zero = (tails[rows] == 0).any(axis=1) | (0 in prefix)
         nonzero.update(keys[~has_zero].tolist())
         zero_col.update(keys[has_zero].tolist())
-    pts, _, value = points = _reader(F, k, n)
+    points = _batch(F, k, n, "points")
     projective = set()
-    for first in range(len(pts)):
-        for _, _, _, keys in _scored_chunks(F, points, n, first):
+    for first in range(points.width):
+        for _, _, _, keys in _scored_chunks(points, first):
             projective.update(keys.tolist())
-    raw_value = reader[2]
-    nonzero_values = {raw_value(key) for key in nonzero}
-    if nonzero_values != {value(key) for key in projective}:
+    nonzero_values = {raw.value(key) for key in nonzero}
+    if nonzero_values != {points.value(key) for key in projective}:
         return False
-    return not zero_col or raw_value(min(zero_col)) > min(nonzero_values)
+    return not zero_col or raw.value(min(zero_col)) > min(nonzero_values)

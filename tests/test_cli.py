@@ -247,16 +247,15 @@ def test_expect_past_the_level_budget_exits_two(argv):
     "argv",
     [
         ("expect", "--field", "4", "--code", "simplex", "--k", "7"),
-        ("search", "--field", "65537", "--k", "1", "--n", "2000"),
         ("expect", "--field", "1031", "--code", "rs", "--n", "1032", "--k", "2", "--method", "dual"),
         ("expect", "--field", "65537", "--code", "rs", "--n", "1032", "--k", "2", "--method", "dual"),
     ],
-    ids=["simplex-4-7", "search-65537-2000", "rs-1031-dual", "rs-65537-dual"],
+    ids=["simplex-4-7", "rs-1031-dual", "rs-65537-dual"],
 )
 def test_walk_past_the_recursion_limit_exits_two(argv):
-    # Neither primal lattice is kept (GF(4)^7, GF(65537)^1) and n - k > k, so
-    # the full-rank walk, which recurses once per column, would run out of
-    # stack on the 5,461 and 2,000 columns. The dual side of RS [1032,2]
+    # The primal lattice GF(4)^7 is not kept and n - k > k, so the
+    # full-rank walk, which recurses once per column, would run out of
+    # stack on the 5,461 columns. The dual side of RS [1032,2]
     # has 1,030 kernel rows: over GF(1031) and over GF(65537) alike the
     # level count refuses their independent 1-subsets (over 2^25 basis
     # cells) before it reduces any.
@@ -282,6 +281,17 @@ def test_rs_past_two_to_the_sixteen_is_bounded():
     assert time.perf_counter() - start < 10
     report = json.loads(proc.stdout)
     assert abs(report["mean"] - float(mds_bound(40, 30))) < 5 * report["std_error"]
+
+
+def test_search_past_the_recursion_limit_reads_the_tail_table():
+    # GF(65537)^1 is not kept, yet the search reads its one candidate of
+    # 2,000 columns from the tail table, with no walk to run out of stack.
+    start = time.perf_counter()
+    proc = run_cli("search", "--field", "65537", "--k", "1", "--n", "2000", timeout=60)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert time.perf_counter() - start < 10
+    assert json.loads(proc.stdout)["minimum"] == "1/1"
 
 
 def test_walk_below_the_recursion_limit_still_runs(capsys):

@@ -259,7 +259,7 @@ def _forbid_walks(monkeypatch):
     def no_walk(*args):
         raise AssertionError("walked a side that the level count or a lattice reader serves")
 
-    monkeypatch.setattr(coverage, "_full_rank_profile", no_walk)
+    monkeypatch.setattr(coverage, "information_set_profile", no_walk)
 
 
 def test_codes_past_the_lattice_bound_count_levels(monkeypatch, capsys):
@@ -292,7 +292,7 @@ def test_large_field_primal_side_reads_the_kernel(monkeypatch):
     def no_walk(*args):
         raise AssertionError("ran the full-rank walk with n - k <= k")
 
-    monkeypatch.setattr(coverage, "_full_rank_profile", no_walk)
+    monkeypatch.setattr(coverage, "information_set_profile", no_walk)
     assert expectation_exact(reed_solomon(field_from_order(1021), 6, 4)) == mds_bound(6, 4)
 
 
@@ -398,7 +398,7 @@ def test_level_blocks_do_not_change_counts(monkeypatch, maker):
     C = maker()
     cols = columns_of(kernel_basis(C.generator))
     whole = coverage._level_counts(C.field, cols, C.n - C.k)
-    monkeypatch.setattr(coverage, "_LEVEL_BLOCK_CELLS", 30)
+    monkeypatch.setattr(coverage, "_REDUCE_BLOCK_CELLS", 30)
     assert coverage._level_counts(C.field, cols, C.n - C.k) == whole
 
 
@@ -654,7 +654,7 @@ def test_lane_blocks_do_not_change_counts(monkeypatch, maker):
     monkeypatch.setattr(coverage, "_LANE_CELLS", 200)
     assert _draws(C, seed=8, t0=3, count=400) == whole
     assert _flat_draws(C, seed=8, t0=3, count=400) == whole
-    monkeypatch.setattr(coverage, "_FLAT_BLOCK_CELLS", 3 * C.n * C.k)
+    monkeypatch.setattr(coverage, "_REDUCE_BLOCK_CELLS", 3 * C.n * C.k)
     assert np.array_equal(coverage._flat_table(C.field, C.columns, C.k, 1 << 20), table)
 
 
@@ -900,7 +900,7 @@ def test_flat_table_matches_brute_force_closures(monkeypatch, q, k, n, seed):
     words = [[sum(1 << (j - w) for j in flat if w <= j < w + 64) for w in range(0, n, 64)]
              for flat in members]
     assert all(words[f] < words[f + 1] for f in range(len(members) - 1) if ranks[f] == ranks[f + 1])
-    monkeypatch.setattr(coverage, "_FLAT_BLOCK_CELLS", 30)
+    monkeypatch.setattr(coverage, "_REDUCE_BLOCK_CELLS", 30)
     assert np.array_equal(coverage._flat_table(F, cols, k, 1 << 20), table)
 
 
@@ -1009,12 +1009,12 @@ def test_the_subset_counters_read_the_columns_once_per_code(monkeypatch):
 
 def test_unkept_primal_side_with_n_minus_k_above_k_runs_the_walk(monkeypatch):
     # The subspaces of GF(16)^3 hold 78,353 member vectors, past the keep
-    # limit, and n - k > k on both codes: _exact_from_columns walks.
+    # limit, and n - k > k on both codes: expectation_exact walks.
     F = field_from_order(16)
     assert not _lattice_kept(16, 3)
     calls = []
-    real = coverage._full_rank_profile
-    monkeypatch.setattr(coverage, "_full_rank_profile", lambda *args: calls.append(args) or real(*args))
+    real = coverage.information_set_profile
+    monkeypatch.setattr(coverage, "information_set_profile", lambda *args: calls.append(args) or real(*args))
     assert expectation_exact(reed_solomon(F, 8, 3)) == mds_bound(8, 3)
     rng = random.Random(16)
     cols = [tuple(rng.randrange(16) for _ in range(3)) for _ in range(8)]

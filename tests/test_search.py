@@ -8,18 +8,19 @@ from math import comb
 
 import numpy as np
 import pytest
+from conftest import lowered_keep_limit
 
 from coverdepth import coverage
 from coverdepth.coverage import (
     InvariantViolation,
     _PrimalBatch,
-    _exact_from_columns,
+    _gaussian,
     _lattice_kept,
     expectation_exact,
     expectation_exact_dual,
     mds_bound,
 )
-from coverdepth.gf import field_from_order
+from coverdepth.gf import field_from_order, is_prime_power
 from coverdepth.codes import linear_code, projective_points
 from coverdepth.matrix import from_columns
 from coverdepth import search
@@ -180,10 +181,10 @@ def test_search_matches_reference_fold(q, k, n, jobs):
 
 @pytest.mark.parametrize("q,k", [(2, 3), (3, 3), (4, 2), (16, 3), (256, 2)])
 def test_score_is_the_dual_route_and_none_off_the_span(q, k):
-    # The search takes admissibility and value from _score alone; hold both
-    # to the independent references: _spans for admissibility and the dual
-    # route for the value. The first three spaces read their kept lattice,
-    # the last two walk.
+    # _score is the per-candidate reference the tail table is held to; hold
+    # it in turn to the independent references: _spans for admissibility and
+    # the dual route for the value. The first three spaces read their kept
+    # lattice, the last two the kernel or the full-rank walk.
     F = field_from_order(q)
     assert _lattice_kept(q, k) == (q <= 4)
     pts = projective_points(F, k)
@@ -207,7 +208,9 @@ def test_score_is_the_dual_route_and_none_off_the_span(q, k):
 @pytest.mark.parametrize("q,k,n", [(2, 4, 5), (3, 3, 5)])
 def test_search_builds_no_code_matrix_or_kernel(monkeypatch, q, k, n):
     # n - k < k in both cases, so scoring through expectation_exact_auto
-    # would build each candidate's kernel.
+    # would build each candidate's kernel. Under a 100-member keep limit
+    # neither lattice (307 and 184 member vectors) is kept, and the search
+    # reads a tail table built there just the same.
     F = field_from_order(q)
     reference = _reference_search(F, k, n)
 
@@ -217,8 +220,13 @@ def test_search_builds_no_code_matrix_or_kernel(monkeypatch, q, k, n):
     monkeypatch.setattr(search, "linear_code", forbidden)
     monkeypatch.setattr(search, "from_columns", forbidden)
     monkeypatch.setattr(search, "_spans", forbidden)
+    monkeypatch.setattr(search, "_score", forbidden)
     monkeypatch.setattr(coverage, "kernel_basis", forbidden)
     assert optimal_coverage(F, k, n).to_json_dict() == reference
+    monkeypatch.setattr(search, "_batch", lru_cache(maxsize=8)(search._batch.__wrapped__))
+    with lowered_keep_limit(100):
+        assert not _lattice_kept(q, k)
+        assert optimal_coverage(F, k, n).to_json_dict() == reference
 
 
 def _fold_of(items):
@@ -299,10 +307,10 @@ def _brute_full_search(F, k, n):
 
     nonzero = [v for v in product(range(F.q), repeat=k) if any(v)]
     scored = []
-    for cols in product(nonzero, repeat=n):
-        value = _exact_from_columns(F, list(cols), k)
+    for combo in product(range(len(nonzero)), repeat=n):
+        value = search._score(F, nonzero, combo)
         if value is not None:
-            scored.append((value, tuple(sorted(point(v) for v in cols))))
+            scored.append((value, tuple(sorted(point(nonzero[i]) for i in combo))))
     values = sorted({value for value, _ in scored})
     return {
         "examined": len(nonzero) ** n,
@@ -393,10 +401,9 @@ def test_verify_reduction_rejects_a_cheap_zero_column(monkeypatch, q, k, n):
     real = search._scored_chunks
     doctored = []
 
-    def cheap_zero_columns(F, reader, n, first=None):
-        raw = not any(reader[0][0])
-        for prefix, tails, rows, keys in real(F, reader, n, first):
-            if raw:
+    def cheap_zero_columns(batch, first=None):
+        for prefix, tails, rows, keys in real(batch, first):
+            if batch.ordered:  # the raw side; the projective one is sorted
                 has_zero = (tails[rows] == 0).any(axis=1) | (0 in prefix)
                 keys = keys.copy()
                 keys[has_zero] = -(10**9)
@@ -417,30 +424,19 @@ def test_verify_reduction_guard():
         verify_reduction(F2, 40, 10**6, guard=100)
 
 
-_real_score = search._score
-
-
-def _counting_score(calls):
-    def score(*args):
-        calls.append(args[2])
-        return _real_score(*args)
-
-    return score
-
-
 # Small spaces where many multisets repeat points or miss the span; n = k
 # leaves a single spanning shape.
 _BATCH_GRID = [(2, 2, 2), (2, 3, 3), (3, 2, 2), (2, 3, 5), (3, 2, 5), (4, 2, 4), (2, 4, 4), (3, 3, 4)]
 
 
-def _table_values(F, reader, n, firsts):
+def _table_values(batch, firsts):
     # {candidate: value} of the spanning candidates each chunk lists, and
     # how many candidates the chunks held in all.
     got, examined = {}, 0
     for first in firsts:
-        for prefix, tails, rows, keys in search._scored_chunks(F, reader, n, first):
+        for prefix, tails, rows, keys in search._scored_chunks(batch, first):
             examined += len(tails)
-            got.update((prefix + tuple(tails[i].tolist()), reader[2](key)) for i, key in zip(rows, keys))
+            got.update((prefix + tuple(tails[i].tolist()), batch.value(key)) for i, key in zip(rows, keys))
     return got, examined
 
 
@@ -452,9 +448,7 @@ def test_batched_totals_are_score_per_candidate(q, k, n):
     F = field_from_order(q)
     pts = projective_points(F, k)
     combos = list(combinations_with_replacement(range(len(pts)), n))
-    reader = search._reader(F, k, n)
-    assert reader[1] is not None
-    got, examined = _table_values(F, reader, n, range(len(pts)))
+    got, examined = _table_values(search._batch(F, k, n, "points"), range(len(pts)))
     assert examined == len(combos)
     assert 0 < len(got) < len(combos)
     for combo in combos:
@@ -466,13 +460,22 @@ def test_batched_totals_are_score_per_candidate(q, k, n):
 
 @pytest.mark.parametrize("q,k,n", _BATCH_GRID)
 def test_batched_fold_matches_per_candidate_fold(monkeypatch, q, k, n):
+    # The search's fold runs on integer keys and skips chunks that cannot
+    # change it; it must equal the fold of every candidate's _score value.
     F = field_from_order(q)
-    batched = optimal_coverage(F, k, n).to_json_dict()
-    calls = []
-    monkeypatch.setattr(search, "_score", _counting_score(calls))
-    monkeypatch.setattr(search, "_lattice_kept", lambda q, m: False)
-    assert optimal_coverage(F, k, n).to_json_dict() == batched
-    assert len(calls) == batched["candidates_examined"]
+    pts = projective_points(F, k)
+    want = _Fold()
+    for combo in combinations_with_replacement(range(len(pts)), n):
+        want.examined += 1
+        value = search._score(F, pts, combo)
+        if value is not None:
+            want.admissible += 1
+            want.add(value, combo)
+    monkeypatch.setattr(search, "_score", _raise_on_score)
+    got = _Fold()
+    for part in map(search._search_partition, [(F, k, n, first) for first in range(len(pts))]):
+        got.merge(part)
+    assert _state(got) == _state(want)
 
 
 @pytest.mark.parametrize("cells", [1, 100])
@@ -534,6 +537,24 @@ def test_tail_table_memory_stays_capped():
     assert peak < 2_000_000, peak
 
 
+def test_tail_table_incidence_is_bounded_by_the_candidate_count():
+    # A tail table reads the whole lattice of GF(q)^k, kept or not. For
+    # n >= k its incidence (subspaces x columns) stays within 3 times the
+    # candidates, for the projective points, all q^k vectors and the
+    # nonzero ones alike, so the search's candidate budget bounds it. The
+    # largest ratio, 2.5, is at q = k = n = 2; it falls as n grows.
+    worst = Fraction(0)
+    for q in filter(is_prime_power, range(2, 4000)):
+        for k in range(1, 7):
+            subspaces = sum(_gaussian(k, d, q) for d in range(k + 1))
+            points, vectors = _gaussian(k, 1, q), q**k
+            for n in range(k, k + 3):
+                for columns, candidates in ((points, comb(points + n - 1, n)),
+                                            (vectors, vectors**n), (vectors - 1, (vectors - 1) ** n)):
+                    worst = max(worst, Fraction(subspaces * columns, candidates))
+    assert worst == Fraction(5 * 3, comb(3 + 1, 2)) == Fraction(5, 2)
+
+
 @pytest.mark.parametrize("q,k,n", [(2, 3, 7), (3, 3, 4), (2, 4, 5)])
 def test_object_totals_give_the_same_reports(monkeypatch, q, k, n):
     # With no int64 headroom the batch sums Python ints instead.
@@ -557,14 +578,14 @@ def test_int64_totals_stop_at_their_headroom(n, exact):
 
 
 def test_unkept_side_scores_each_candidate(monkeypatch):
-    # The lattice of GF(16)^3 is not kept, so its candidates go one by one
-    # through _score. The whole n = 3 search has 3.4M multisets; the last
-    # partitions hold a few hundred of them, each held to the dual route.
+    # The lattice of GF(16)^3 is not kept, yet its candidates are read from
+    # the tail table as on a kept one. The whole n = 3 search has 3.4M
+    # multisets; the last partitions hold a few hundred of them, each held
+    # to the dual route.
     F = field_from_order(16)
     assert not _lattice_kept(16, 3)
     pts = projective_points(F, 3)
-    calls = []
-    monkeypatch.setattr(search, "_score", _counting_score(calls))
+    monkeypatch.setattr(search, "_score", _raise_on_score)
     for first in range(len(pts) - 12, len(pts)):
         want = _Fold()
         for tail in combinations_with_replacement(range(first, len(pts)), 2):
@@ -573,14 +594,11 @@ def test_unkept_side_scores_each_candidate(monkeypatch):
             if search._spans(F, pts, combo, 3):
                 want.admissible += 1
                 want.add(expectation_exact_dual(CandidateMultiset(F, 3, combo).as_code()), combo)
-        calls.clear()
-        got = search._search_partition((F, 3, 3, first))
-        assert _state(got) == _state(want)
-        assert len(calls) == got.examined
+        assert _state(search._search_partition((F, 3, 3, first))) == _state(want)
 
 
 def _raise_on_score(*args):
-    raise AssertionError("a candidate was scored alone on a kept lattice")
+    raise AssertionError("the search scored a candidate alone")
 
 
 def test_kept_lattices_score_nothing_alone(monkeypatch):
@@ -600,16 +618,15 @@ def test_kept_lattices_score_nothing_alone(monkeypatch):
 @pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 2), (2, 3, 3)])
 def test_batched_raw_matrices_are_exact_from_columns(q, k, n):
     # Every raw matrix over all q^k vectors, zero columns included: the
-    # tail table spans exactly where _exact_from_columns has a value, and
-    # the values agree matrix by matrix, so also as a set.
+    # tail table spans exactly where _score has a value, and the values
+    # agree matrix by matrix, so also as a set.
     F = field_from_order(q)
     vectors = list(product(range(q), repeat=k))
-    batch = _PrimalBatch(F, vectors, k, n, ordered=True)
-    got, examined = _table_values(F, (vectors, batch, batch.value), n, [None])
+    got, examined = _table_values(_PrimalBatch(F, vectors, k, n, ordered=True), [None])
     assert examined == len(vectors) ** n
     want = {}
     for combo in product(range(len(vectors)), repeat=n):
-        value = _exact_from_columns(F, [vectors[i] for i in combo], k)
+        value = search._score(F, vectors, combo)
         if value is not None:
             want[combo] = value
     assert got == want
@@ -619,25 +636,24 @@ def test_batched_raw_matrices_are_exact_from_columns(q, k, n):
 def test_verify_reduction_scores_each_matrix_on_an_unkept_lattice(monkeypatch, gf1021_line_unkept):
     # Below the default keep limit, GF(1021)^1 is an unkept lattice small
     # enough to enumerate: its 1021 raw matrices and its one projective
-    # candidate are each scored alone.
+    # candidate are read from tail tables built here, none scored alone.
     F = field_from_order(1021)
     assert not _lattice_kept(1021, 1)
-    calls = []
-    monkeypatch.setattr(search, "_score", _counting_score(calls))
+    monkeypatch.setattr(search, "_score", _raise_on_score)
+    monkeypatch.setattr(search, "_batch", lru_cache(maxsize=8)(search._batch.__wrapped__))
     assert verify_reduction(F, 1, 1)
-    assert len(calls) == 1021 + 1
+    assert search._batch.cache_info().currsize == 2
 
 
 def test_full_mode_scores_each_matrix_on_an_unkept_lattice(monkeypatch, gf1021_line_unkept):
-    # Below the default keep limit, each of the 1020 raw matrices of the
-    # unkept GF(1021)^1 goes through _score once; every one spans and they
-    # all share the single projective point.
+    # Below the default keep limit, the 1020 raw matrices of the unkept
+    # GF(1021)^1 are read from the tail table, none scored alone; every one
+    # spans and they all share the single projective point.
     F = field_from_order(1021)
     assert not _lattice_kept(1021, 1)
+    monkeypatch.setattr(search, "_score", _raise_on_score)
     proj = optimal_coverage(F, 1, 1)
-    calls = []
-    monkeypatch.setattr(search, "_score", _counting_score(calls))
     full = optimal_coverage(F, 1, 1, mode="full")
-    assert len(calls) == full.candidates_examined == full.candidates_admissible == 1020
+    assert full.candidates_examined == full.candidates_admissible == 1020
     assert full.minimum == proj.minimum
     assert full.optimal_candidates == proj.optimal_candidates
