@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -361,7 +362,13 @@ def _add_command(subs, name: str, handler, summary: str, flags: Tuple[str, ...],
     return p
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The CLI's parser, built on the first call and shared by every later one.
+
+    parse_args fills a fresh Namespace on each call, so no value carries
+    over from one main call to the next.
+    """
     parser = _Parser(prog="coverdepth", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
     code_flags = ("--field", "--code", "--k", "--r", "--n", "--out", "--jobs", "--trials", "--seed")
@@ -395,9 +402,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         text = args.handler(args)
         if args.out is not None:
             Path(args.out).write_text(text)

@@ -53,7 +53,9 @@ computes the expectation of that stopping time:
     _draw_count_blocks is the one batch entry and the one place that builds
     a kernel's lane state and step, and every kernel matches simulate_trial
     draw for draw. The trials split into at most one task per process, and
-    each task reduces its counts block by block.
+    each task reduces its counts block by block. Worker processes are forked
+    (_fan_out), so they read the code and its flat table from the caller's
+    memory and only their sums come back by pickle.
 
 All exact values are fractions.Fraction; nothing is rounded until a caller
 asks for digits.
@@ -62,15 +64,18 @@ asks for digits.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product
 from math import comb
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -1004,20 +1009,69 @@ def _fan_out(fn: Callable, tasks: Sequence, jobs: int) -> list:
     """fn over tasks, results in task order.
 
     The tasks split into j = min(jobs, len(tasks)) shares tasks[i::j]: this
-    process runs share 0 while a pool of j - 1 worker processes runs the
-    others, so jobs counts the caller. Tasks and results cross the process
-    boundary by pickle; a FieldSpec travels as (p, m, modulus).
+    process runs share 0 while j - 1 forked children run the others, so
+    jobs counts the caller. Tasks reach a child through fork, so it reads
+    the caller's memory (tables and caches included) and nothing is
+    pickled on the way in; each child pickles (ok, result or exception)
+    into its own pipe and leaves by os._exit, running no atexit hook and
+    flushing no stdio buffer it inherited. Every child is reaped before
+    this returns or raises: a child's exception is raised here with its
+    type, a child that leaves no result raises RuntimeError with its exit
+    status, and if this process's own share raises, the children are
+    killed first.
     """
     j = min(jobs, len(tasks))
     if j <= 1:
         return _share(fn, tasks)
-    out = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=j - 1) as pool:
-        shares = [pool.submit(_share, fn, tasks[i::j]) for i in range(1, j)]
+    children = []  # (pid, read end of its pipe)
+    results = []
+    try:
+        for i in range(1, j):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _run_child(fn, tasks[i::j], w)
+            os.close(w)
+            children.append((pid, r))
+        out = [None] * len(tasks)
         out[0::j] = _share(fn, tasks[0::j])
-        for i, share in enumerate(shares, 1):
-            out[i::j] = share.result()
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in children:
+            with os.fdopen(r, "rb") as pipe:
+                data = pipe.read()
+            results.append((pid, data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+    for i, (pid, data, status) in enumerate(results, 1):
+        if status or not data:
+            raise RuntimeError(f"worker process {pid} left no result (exit status {status})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        out[i::j] = value
     return out
+
+
+def _run_child(fn: Callable, tasks: Sequence, w: int) -> NoReturn:
+    """A forked child's whole life: run its share, write it to fd w, _exit."""
+    status = 1
+    try:
+        try:
+            data = pickle.dumps((True, _share(fn, tasks)))
+        except BaseException as exc:
+            data = pickle.dumps((False, exc))
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _mc_task(task) -> Tuple[int, int, int, int]:
@@ -1066,8 +1120,8 @@ def expectation_monte_carlo(C: LinearCode, trials: int, seed: int, jobs: int = 1
     are split, on _CHUNK boundaries, into min(jobs, ceil(trials / _CHUNK))
     contiguous tasks, one per process (this one runs the first), so the
     code's flat table, where it builds within its caps, is built once here
-    and sent once to each worker. With a single trial the standard error is
-    reported as 0.0.
+    and each forked worker reads it from this process's memory, unpickled.
+    With a single trial the standard error is reported as 0.0.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -9,23 +9,28 @@ from pathlib import Path
 
 import pytest
 
-from coverdepth.cli import main
+from coverdepth.cli import build_parser, main
 from coverdepth.coverage import expectation_hamming, expectation_simplex, mds_bound
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, **kwargs):
-    """Run this checkout's CLI (src/ first on PYTHONPATH) in a fresh interpreter."""
+def run_python(*args, **kwargs):
+    """Run a fresh interpreter on this checkout (src/ first on PYTHONPATH)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "coverdepth", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
         **kwargs,
     )
+
+
+def run_cli(*args, **kwargs):
+    """Run this checkout's CLI in a fresh interpreter."""
+    return run_python("-m", "coverdepth", *args, **kwargs)
 
 
 def test_expect_plain_simplex():
@@ -452,6 +457,47 @@ def test_usage_errors_exit_one(capsys):
     ):
         assert main(list(argv)) == 1, argv
         assert capsys.readouterr().out == ""
+
+
+def test_one_parser_serves_every_call(capsys):
+    # main reuses one parser per process; each call's exit code and stdout
+    # equal those of the same call on a freshly built parser, so no default,
+    # --format or handler carries over from one call to the next.
+    simplex = ("--field", "2", "--code", "simplex", "--k", "3")
+    calls = [
+        ("expect", *simplex, "--format", "json"),
+        ("expect", *simplex),
+        ("search", "--field", "2", "--k", "2", "--n", "3", "--format", "plain"),
+        ("bound", "--n", "7", "--k", "4", "--format", "json"),
+        ("expect", "--field", "2"),  # no --code
+        ("expect", *simplex, "--method", "dual"),
+    ]
+
+    def run(argv):
+        code = main(list(argv))
+        return code, capsys.readouterr().out
+
+    build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 0, 0, 1, 0]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # The fan-out forks by hand, so no interpreter pays for importing
+    # multiprocessing or concurrent.futures, and the parser is built on the
+    # first main call, not at import.
+    probe = ("import sys, coverdepth.cli as cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+             "('multiprocessing', 'concurrent')), cli.build_parser.cache_info().currsize)")
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n"
 
 
 def test_verify_command_passes():

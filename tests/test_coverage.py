@@ -1,9 +1,13 @@
 import math
+import os
 import pickle
 import random
+import signal
 import statistics
+import time
 import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from itertools import product
@@ -833,7 +837,8 @@ def _vector_results(F, C):
 def test_every_vector_routine_reads_the_fields_one_arithmetic(monkeypatch, q):
     # Once F.vec_ops() is built, no routine reads the op tables again: with
     # op_tables raising, each gives what an equal fresh field gives. A
-    # pickled field, as _fan_out sends it to a worker, builds its own.
+    # pickled field builds its own (_fan_out's workers are forked and read
+    # the caller's field, but a FieldSpec still round-trips through pickle).
     C = reed_solomon(field_from_order(q), q, 3)
     expected = _vector_results(field_from_order(q), C)
     assert expected[3] == expected[4] == [simulate_trial(C, 7, t) for t in range(200)]
@@ -936,10 +941,10 @@ def test_one_chunk_of_trials_starts_no_pool(monkeypatch):
     C = simplex_code(field_from_order(2), 3)
     expected = [expectation_monte_carlo(C, trials=t, seed=9) for t in (1, coverage._CHUNK)]
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
+    def no_fork():
+        raise AssertionError("a worker process was started")
 
-    monkeypatch.setattr(coverage, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(coverage.os, "fork", no_fork)
     assert [expectation_monte_carlo(C, trials=t, seed=9, jobs=2) for t in (1, coverage._CHUNK)] == expected
 
 
@@ -964,7 +969,8 @@ def test_monte_carlo_memory_stays_within_a_few_lane_blocks():
 @pytest.mark.parametrize("spec,trials", [(("--field", "16", "--code", "rs", "--n", "16", "--k", "8"), 40_000),
                                          (("--field", "3", "--code", "simplex", "--k", "4"), 70_000)])
 def test_simulate_bytes_do_not_depend_on_jobs_or_kernel(monkeypatch, capsys, spec, trials):
-    # Two or three chunks, so --jobs 2 sends the flat table to two workers.
+    # Two or three chunks, so at --jobs 2 the caller and one forked worker
+    # each draw from the caller's flat table.
     argv = ["simulate", *spec, "--trials", str(trials), "--seed", "3"]
     outs = []
     for jobs in ("1", "2"):
@@ -1115,6 +1121,70 @@ def test_fan_out_keeps_task_order(jobs, count):
     assert coverage._fan_out(abs, tasks, jobs) == [abs(t) for t in tasks]
 
 
+@contextmanager
+def _no_child_left(seconds=30):
+    """Fail the block if it runs past `seconds` (a hung fan-out), and check
+    on exit that this process has no child left, running or unreaped."""
+
+    def too_long(signum, frame):
+        raise TimeoutError(f"the fan-out ran past {seconds} s")
+
+    saved = signal.signal(signal.SIGALRM, too_long)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, saved)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fails_on_task_one(t):
+    if t == 1:
+        raise BudgetExceededError(f"task {t} is over budget")
+    return t
+
+
+def test_fan_out_raises_a_workers_exception_with_its_type():
+    # Task 1 runs in the worker of share 1; its exception crosses the pipe
+    # and is raised in the caller, after the worker is reaped.
+    with _no_child_left(), pytest.raises(BudgetExceededError, match="task 1 is over budget"):
+        coverage._fan_out(_fails_on_task_one, [0, 1, 2], 2)
+
+
+@pytest.mark.parametrize("leave,status", [(lambda: os._exit(7), 7),
+                                          (lambda: os.kill(os.getpid(), signal.SIGKILL), -9)],
+                         ids=["exit", "killed"])
+def test_fan_out_worker_without_a_result_raises(leave, status):
+    # Both workers end without writing a result: by os._exit, or killed.
+    # Tasks reach them by fork, so fn may be a closure over this pid.
+    caller = os.getpid()
+
+    def fn(t):
+        if os.getpid() != caller:
+            leave()
+        return t
+
+    with _no_child_left(), pytest.raises(RuntimeError, match=rf"left no result \(exit status {status}\)"):
+        coverage._fan_out(fn, [0, 1, 2], 3)
+
+
+def _caller_fails_workers_sleep(t):
+    if t == 0:
+        raise ValueError("the caller's share failed")
+    time.sleep(60)
+    return t
+
+
+def test_fan_out_kills_its_workers_when_the_callers_share_raises():
+    # The caller runs task 0 and raises at once; the two workers would sleep
+    # for a minute, so the fan-out ends inside the guard's 30 s only if it
+    # kills them.
+    with _no_child_left(), pytest.raises(ValueError, match="caller's share failed"):
+        coverage._fan_out(_caller_fails_workers_sleep, [0, 1, 2], 3)
+
+
 def test_monte_carlo_is_job_count_invariant():
     # More than one chunk (chunk size 32768), compared across process counts.
     C = simplex_code(field_from_order(2), 3)
@@ -1125,8 +1195,8 @@ def test_monte_carlo_is_job_count_invariant():
 
 
 def test_monte_carlo_extension_field_is_job_count_invariant():
-    # Two chunks over GF(16): the worker processes must rebuild the same
-    # field, modulus included, from the pickled FieldSpec.
+    # Two chunks over GF(16): the forked worker draws over the caller's
+    # field, modulus included, and sums exactly as the caller would.
     C = reed_solomon(field_from_order(16), 16, 8)
     a = expectation_monte_carlo(C, trials=33000, seed=9, jobs=1)
     b = expectation_monte_carlo(C, trials=33000, seed=9, jobs=2)

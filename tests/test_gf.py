@@ -95,7 +95,7 @@ def test_vector_ops_past_the_table_limit_match_scalar_ops(q):
     if q <= 1 << 16:  # the direct branch does not range-check
         with pytest.raises(IndexError):
             ops.mul(np.array([q - 1]), np.array([q]))
-    # A pickled field, as a worker receives it, builds its own arithmetic.
+    # A pickled field builds its own arithmetic.
     G = pickle.loads(pickle.dumps(F))
     assert G.vec_ops() is not ops and G.vec_ops().mul(a, b).tolist() == ops.mul(a, b).tolist()
 
