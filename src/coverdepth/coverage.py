@@ -71,8 +71,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product
+from functools import lru_cache, partial
+from itertools import chain, combinations, combinations_with_replacement
 from math import comb
 from typing import (Callable, Dict, Iterable, Iterator, List, NoReturn, Optional, Sequence, Tuple,
                     Union)
@@ -249,8 +249,9 @@ def _incidence(
 
     dims[u] is the dimension of subspace u; GF(q)^m itself comes last. The
     callers bound subspaces x columns: subspace_histogram reads only kept
-    lattices, and a search's tail table (_PrimalBatch) is bounded by the
-    search's candidate budget.
+    lattices, and a tail table (_PrimalBatch) is bounded by its search's
+    budget: the multisets of projective mode, the (q^k - 1)^n matrices of
+    full mode or the q^(kn) guard of verify_reduction.
     """
     X = np.array(columns, dtype=np.min_scalar_type(F.q - 1)).reshape(len(columns), m)  # VecOps' dtype
     blocks = list(_membership(F, m, X))
@@ -304,27 +305,29 @@ class _PrimalBatch:
     term over one denominator. A subspace holding none of the columns has
     n_U = 0 in every candidate and adds its -mu to base instead of a row.
     A candidate is a prefix p of n - tail column indices plus a tail t, so
-    n_U = c_U(p) + s_U(t). The table lists every tail in enumeration order
-    (every tuple if ordered, else every sorted one) with its counts s_U(t)
-    and total A(t) = sum_U W[U, s_U(t)]; tail is the longest below n whose
-    counts fit in _BLOCK_CELLS cells. A candidate's total is A(t) plus
-    W[U, s_U(t) + c_U(p)] - W[U, s_U(t)] over the U that p touches, and it
-    spans iff none of those reaches n (an untouched U holds at most tail < n
-    columns): one gather over the touched subspaces. The totals are int64
-    while sum |mu| * L < 2^63 bounds them, and Python ints otherwise, so
-    minima and ties are decided exactly.
+    n_U = c_U(p) + s_U(t); every candidate is a sorted multiset of column
+    indices. The table lists every sorted tail in enumeration order with
+    its counts s_U(t) and total A(t) = sum_U W[U, s_U(t)]; tail is the
+    longest below n whose counts fit in _BLOCK_CELLS cells. A candidate's
+    total is A(t) plus W[U, s_U(t) + c_U(p)] - W[U, s_U(t)] over the U that
+    p touches, and it spans iff none of those reaches n (an untouched U
+    holds at most tail < n columns): one gather over the touched subspaces.
+    The totals are int64 while sum |mu| * L < 2^63 bounds them, and Python
+    ints otherwise, so minima and ties are decided exactly.
     The lattice is read kept or not: for n >= k its subspaces x columns
     cells number at most 3 times the candidates (2.5 at q = k = n = 2, the
     most over q < 4000 and k <= 6; the ratio falls as n grows), so the
-    search's candidate budget bounds the table.
+    budget bounds the table: the multisets of projective mode, the q^(kn)
+    matrices of verify_reduction or the (q^k - 1)^n of full mode (4 times
+    over GF(2)^1).
     """
 
-    def __init__(self, F: FieldSpec, columns: Sequence[Sequence[int]], k: int, n: int, ordered: bool):
+    def __init__(self, F: FieldSpec, columns: Sequence[Sequence[int]], k: int, n: int):
         dims, inc = _incidence(F, columns, k)
         dims, inc = dims[:-1], inc[:-1]  # the proper subspaces: GF(q)^k itself comes last
         used = np.flatnonzero(inc.any(axis=1))
         mu = [-_mobius(k - d, F.q) for d in dims]
-        self.n, self.ordered, self.width = n, ordered, len(columns)
+        self.n, self.width = n, len(columns)
         self.base = sum(mu) - sum(mu[u] for u in used)
         self.lcm = math.lcm(*range(1, n + 1)) if used.size else 1
         exact = np.int64 if sum(abs(mu[u]) for u in used) * self.lcm < _INT64_LIMIT else object
@@ -334,8 +337,7 @@ class _PrimalBatch:
         self.tail = next((t for t in range(n - 1, 0, -1)
                           if self._run(0, t) * max(1, used.size) <= _BLOCK_CELLS), 0)
         count, t = self._run(0, self.tail), self.tail
-        tuples = (product(range(self.width), repeat=t) if ordered
-                  else combinations_with_replacement(range(self.width), t))
+        tuples = combinations_with_replacement(range(self.width), t)
         self.tails = np.fromiter(chain.from_iterable(tuples), dtype=np.min_scalar_type(self.width),
                                  count=count * t).reshape(count, t)
         self.counts = np.zeros((used.size, count), dtype=self.incidence.dtype)
@@ -349,16 +351,15 @@ class _PrimalBatch:
         self.delta_rows = np.arange(used.size)[:, None] * (t + 1)
 
     def _run(self, first: int, t: int) -> int:
-        """How many t-point tails hold only indices >= first (first 0 if ordered)."""
-        size = self.width - first
-        return size**t if self.ordered else comb(size + t - 1, t)
+        """How many sorted t-point tails hold only indices >= first."""
+        return comb(self.width - first + t - 1, t)
 
     def read(self, prefix: Tuple[int, ...]) -> Iterator[tuple]:
         """(prefix, tails, rows, keys) chunks of the candidates prefix + tails[i], in enumeration order.
 
-        The tails are every tail if ordered, else the sorted ones from
-        prefix[-1] on, a contiguous run of the table. rows lists a chunk's
-        spanning candidates and keys their totals, which value reads back.
+        The tails are the sorted ones from prefix[-1] on, a contiguous run
+        of the table. rows lists a chunk's spanning candidates and keys
+        their totals, which value reads back.
         """
         touched = self.incidence[:, prefix].sum(axis=1)
         hit = touched.nonzero()[0]
@@ -371,8 +372,7 @@ class _PrimalBatch:
             full = (self.n - inside).astype(self.counts.dtype)
         step = max(1, _BATCH_CELLS // max(1, hit.size))
         end = len(self.tails)
-        start = 0 if self.ordered else end - self._run(prefix[-1], self.tail)
-        for lo in range(start, end, step):
+        for lo in range(end - self._run(prefix[-1], self.tail), end, step):
             counts = self.counts[hit, lo:lo + step]
             keys = self.totals[lo:lo + step] + delta.take(counts + at).sum(axis=0)
             rows = np.arange(len(keys)) if full is None else (~(counts == full).any(axis=0)).nonzero()[0]
@@ -1074,13 +1074,14 @@ def _run_child(fn: Callable, tasks: Sequence, w: int) -> NoReturn:
         os._exit(status)
 
 
-def _mc_task(task) -> Tuple[int, int, int, int]:
-    """(sum, sum of squares, min, max) of the draw counts of one task's trials.
+def _mc_task(F: FieldSpec, cols: Sequence[Tuple[int, ...]], seed: int, table: Optional["np.ndarray"],
+             task: Tuple[int, int]) -> Tuple[int, int, int, int]:
+    """(sum, sum of squares, min, max) of the draw counts of the trials task = (t0, count).
 
     The trials run in blocks of at most _CHUNK lanes, each reduced before
     the next is drawn.
     """
-    F, cols, seed, t0, count, table = task
+    t0, count = task
     total = total_sq = 0
     low, high = math.inf, 0
     for counts in _draw_count_blocks(F, cols, seed, t0, count, table, _CHUNK):
@@ -1132,8 +1133,8 @@ def expectation_monte_carlo(C: LinearCode, trials: int, seed: int, jobs: int = 1
     chunks = -(-trials // _CHUNK)
     split = min(jobs, chunks)
     ends = [min(trials, chunks * i // split * _CHUNK) for i in range(split + 1)]
-    tasks = [(F, cols, seed, t0, t1 - t0, table) for t0, t1 in zip(ends, ends[1:])]
-    parts = _fan_out(_mc_task, tasks, jobs)
+    tasks = [(t0, t1 - t0) for t0, t1 in zip(ends, ends[1:])]
+    parts = _fan_out(partial(_mc_task, F, cols, seed, table), tasks, jobs)
     total = sum(p[0] for p in parts)
     total_sq = sum(p[1] for p in parts)
     if trials > 1:

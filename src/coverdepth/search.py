@@ -10,26 +10,30 @@ plain matrix enumeration at tiny sizes, including the fact that a zero
 column is never part of a strict optimum.
 
 A candidate is scored from its columns alone; no candidate builds a code.
-One chunk scorer (_scored_chunks) reads projective partitions and the raw
-matrices of full mode and verify_reduction (n-tuples over all q^k vectors,
-or the nonzero ones), on every lattice, from one tail table per search
-(coverage._PrimalBatch, built by _batch). The table lists every tail of
-the candidates with its subspace counts and its own integer total; a
-candidate is a prefix, enumerated here, plus a run of tails, and each
-chunk of a run is one gather over the subspaces the prefix touches, so
-admissibility, minima and ties are decided exactly before any Fraction is
-made and only argmins become tuples. _score, which builds the candidate's
-code, is the per-candidate reference the tests hold the table to.
+Draws are uniform with repetition, so the value of a candidate depends only
+on the multiset of its columns: every search reads sorted multisets of
+column indices, over the projective points or, for full mode and
+verify_reduction, over all q^k vectors in product order (vector 0, the zero
+column, first). One chunk scorer (_scored_chunks) reads them, on every
+lattice, from one tail table per column list (coverage._PrimalBatch, built
+by _batch). The table lists every sorted tail of the candidates with its
+subspace counts and its own integer total; a candidate is a prefix,
+enumerated here, plus a run of tails, and each chunk of a run is one gather
+over the subspaces the prefix touches, so admissibility, minima and ties
+are decided exactly before any Fraction is made and only argmins become
+tuples. _score, which builds the candidate's code, is the per-candidate
+reference the tests hold the table to.
 
-Every projective search, at any jobs value, runs one path: the multisets
-are split by their first (smallest) point index, each partition is folded
-into a running minimum, argmins and runner-up, and the partition folds are
-merged in index order with exact comparisons. jobs only decides how many
+Both modes, at any jobs value, run one path: the multisets are split by
+their first (smallest) column index, each partition is folded into a
+running minimum, argmins and runner-up, and the partition folds are merged
+in index order with exact comparisons. jobs only decides how many
 processes, this one included, fold the partitions (the tail table is built
 before any worker starts), so reports do not depend on worker count or
-schedule. Full mode exists to cross-check the reduction: it folds every
-matrix with nonzero columns, runs in-process, ignores jobs, and maps only
-its argmins to multisets of projective points.
+schedule. Full mode exists to cross-check the reduction: it folds the
+multisets of nonzero vectors (partitions 1 on), reports the counts of the
+ordered matrices they stand for, and maps only its argmins to multisets of
+projective points.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations_with_replacement, product, repeat
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,6 +52,7 @@ from .coverage import (
     _PrimalBatch,
     _fan_out,
     _gaussian,
+    _mobius,
     _rational_str,
     expectation_exact,
     mds_bound,
@@ -242,39 +247,31 @@ class _Fold:
 
 
 def _columns(F: FieldSpec, k: int, kind: str) -> List[Tuple[int, ...]]:
-    """The projective points, or the q^k vectors in product order (vector 0 first), or the nonzero ones."""
+    """The projective points, or the q^k vectors in product order (vector 0 first)."""
     if kind == "points":
         return projective_points(F, k)
-    vectors = list(product(range(F.q), repeat=k))
-    return vectors if kind == "vectors" else vectors[1:]
+    return list(product(range(F.q), repeat=k))
 
 
 @lru_cache(maxsize=8)
 def _batch(F: FieldSpec, k: int, n: int, kind: str) -> _PrimalBatch:
     """The tail table of n-column candidates over _columns(F, k, kind)."""
-    return _PrimalBatch(F, _columns(F, k, kind), k, n, ordered=kind != "points")
+    return _PrimalBatch(F, _columns(F, k, kind), k, n)
 
 
-def _scored_chunks(batch: _PrimalBatch, first: Optional[int] = None) -> Iterator[tuple]:
+def _scored_chunks(batch: _PrimalBatch, first: int) -> Iterator[tuple]:
     """(prefix, tails, rows, keys) for each chunk of candidates over a tail table's columns.
 
     The candidates are the sorted n-tuples of column indices whose smallest
-    index is first, or every n-tuple if first is None, in enumeration
-    order. A chunk holds the candidates prefix + tails[i]; rows lists its
-    spanning ones and keys[j] is candidate rows[j]'s integer total, which
-    batch.value turns into its expectation.
+    index is first, in enumeration order. A chunk holds the candidates
+    prefix + tails[i]; rows lists its spanning ones and keys[j] is candidate
+    rows[j]'s integer total, which batch.value turns into its expectation.
     """
-    head = batch.n - batch.tail
-    if first is None:
-        prefixes = product(range(batch.width), repeat=head)
-    else:
-        rests = combinations_with_replacement(range(first, batch.width), head - 1)
-        prefixes = ((first,) + rest for rest in rests)
-    for prefix in prefixes:
-        yield from batch.read(prefix)
+    for rest in combinations_with_replacement(range(first, batch.width), batch.n - batch.tail - 1):
+        yield from batch.read((first,) + rest)
 
 
-def _fold_chunks(batch: _PrimalBatch, first: Optional[int] = None) -> _Fold:
+def _fold_chunks(batch: _PrimalBatch, first: int) -> _Fold:
     """Fold of the candidates of _scored_chunks(batch, first), chunk by chunk.
 
     The fold runs on keys, and only a chunk that can still change its
@@ -300,12 +297,6 @@ def _fold_chunks(batch: _PrimalBatch, first: Optional[int] = None) -> _Fold:
     return fold
 
 
-def _search_partition(task) -> _Fold:
-    """Fold every multiset whose smallest point index is `first`."""
-    F, k, n, first = task
-    return _fold_chunks(_batch(F, k, n, "points"), first)
-
-
 def optimal_coverage(
     F: FieldSpec,
     k: int,
@@ -318,27 +309,30 @@ def optimal_coverage(
 
     Returns the exact minimum, every candidate attaining it (sorted, so the
     first entry is the canonical representative), and the smallest strictly
-    larger value seen. Projective mode folds one partition per first point,
-    on `jobs` processes, this one included (coverage._fan_out).
-    Full mode ignores jobs; it only exists for cross-checking and folds
-    every matrix with nonzero columns from its own tail table.
+    larger value seen. Both modes fold one partition per first column, on
+    `jobs` processes, this one included (coverage._fan_out): projective mode
+    over the points, full mode over the nonzero vectors, reporting the
+    counts of the (q^k - 1)^n matrices whose multisets it folds.
     """
     _check_params(k, n)
     if jobs < 1:
         raise ValueError("jobs must be positive")
     _check_search_budget(F, k, n, mode, budget)
     start = time.perf_counter()
-    if mode == "projective":
-        fold = _Fold()
-        _batch(F, k, n, "points")  # builds the tail table here, before any worker starts
-        tasks = [(F, k, n, first) for first in range(_gaussian(k, 1, F.q))]
-        for part in _fan_out(_search_partition, tasks, jobs):
-            fold.merge(part)
-    else:
-        fold = _fold_chunks(_batch(F, k, n, "nonzero"))
-        vectors = _columns(F, k, "nonzero")
+    projective = mode == "projective"
+    batch = _batch(F, k, n, "points" if projective else "vectors")  # built before any worker starts
+    fold = _Fold()
+    for part in _fan_out(partial(_fold_chunks, batch), range(0 if projective else 1, batch.width), jobs):
+        fold.merge(part)
+    if not projective:
+        # Report the matrices' counts: (q^d - 1)^n matrices of nonzero columns
+        # lie in each d-dimensional subspace; Moebius inversion leaves the spanning ones.
+        q = F.q
+        fold.examined = (q**k - 1) ** n
+        fold.admissible = sum(_mobius(k - d, q) * _gaussian(k, d, q) * (q**d - 1) ** n for d in range(k + 1))
         # Only the argmin matrices map to multisets of projective points.
         # Against an empty basis, eliminate just scales a vector to its class.
+        vectors = _columns(F, k, "vectors")
         index = {p: i for i, p in enumerate(projective_points(F, k))}
         point = {v: index[tuple(_dense(k, eliminate(F, [], vectors[v])[1]))]
                  for v in set(chain.from_iterable(fold.argmins))}
@@ -359,6 +353,11 @@ def optimal_coverage(
     )
 
 
+def _key_set(batch: _PrimalBatch, firsts: Iterable[int]) -> set:
+    """The integer totals of the spanning candidates whose smallest column index is in firsts."""
+    return {key for first in firsts for *_, keys in _scored_chunks(batch, first) for key in keys.tolist()}
+
+
 def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     """Check the projective reduction against raw matrix enumeration.
 
@@ -369,19 +368,13 @@ def verify_reduction(F: FieldSpec, k: int, n: int, guard: int = 10**7) -> bool:
     """
     _check_params(k, n)
     _check_budget(repeat((F.q, 1), k * n), guard, "matrices")
-    # Raw matrices are every n-tuple over all q^k vectors in product order,
-    # so vector 0 is the zero column. Keys become values once, as sets.
-    raw = _batch(F, k, n, "vectors")
-    nonzero, zero_col = set(), set()
-    for prefix, tails, rows, keys in _scored_chunks(raw):
-        has_zero = (tails[rows] == 0).any(axis=1) | (0 in prefix)
-        nonzero.update(keys[~has_zero].tolist())
-        zero_col.update(keys[has_zero].tolist())
-    points = _batch(F, k, n, "points")
-    projective = set()
-    for first in range(points.width):
-        for _, _, _, keys in _scored_chunks(points, first):
-            projective.update(keys.tolist())
+    # Raw matrices are read as multisets over all q^k vectors in product
+    # order, so vector 0 is the zero column and the matrices holding it are
+    # exactly partition 0. Keys become values once, as sets.
+    raw, points = _batch(F, k, n, "vectors"), _batch(F, k, n, "points")
+    zero_col = _key_set(raw, [0])
+    nonzero = _key_set(raw, range(1, raw.width))
+    projective = _key_set(points, range(points.width))
     nonzero_values = {raw.value(key) for key in nonzero}
     if nonzero_values != {points.value(key) for key in projective}:
         return False

@@ -321,7 +321,9 @@ def _brute_full_search(F, k, n):
     }
 
 
-@pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 3), (2, 3, 4), (4, 2, 3)])
+# k = 1, n = k and a second extension field hold the closed-form counts to
+# brute force at the ends of the Moebius sum.
+@pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 3), (2, 3, 4), (4, 2, 3), (3, 1, 3), (2, 2, 2), (4, 2, 2)])
 def test_full_mode_matches_brute_force(q, k, n):
     F = field_from_order(q)
     report = optimal_coverage(F, k, n, mode="full")
@@ -332,6 +334,21 @@ def test_full_mode_matches_brute_force(q, k, n):
         "runner_up": report.runner_up,
         "argmins": [c.points for c in report.optimal_candidates],
     } == _brute_full_search(F, k, n)
+
+
+def test_full_mode_folds_on_forked_workers(monkeypatch):
+    # Full mode splits its multisets by first column like projective mode,
+    # so at jobs = 2 one child is forked for the second share.
+    real, forks = coverage.os.fork, []
+
+    def counted():
+        forks.append(1)
+        return real()
+
+    whole = optimal_coverage(F3, 2, 4, mode="full").to_json_dict()
+    monkeypatch.setattr(coverage.os, "fork", counted)
+    assert optimal_coverage(F3, 2, 4, mode="full", jobs=2).to_json_dict() == whole
+    assert len(forks) == 1
 
 
 def test_search_budget_and_validation():
@@ -394,20 +411,20 @@ def test_verify_reduction_small_cases():
 @pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 3)])
 def test_verify_reduction_rejects_a_cheap_zero_column(monkeypatch, q, k, n):
     # Doctor the raw matrices' keys so that every spanning matrix with a
-    # zero column (vector 0 of the raw side) scores below every other key:
-    # the value sets still agree, so only the zero-column check can fail.
-    # n > k, so some spanning matrix has a zero column.
+    # zero column (partition 0 of the raw side, over all q^k vectors)
+    # scores below every other key: the value sets still agree, so only the
+    # zero-column check can fail. n > k, so some spanning matrix has a
+    # zero column.
     F = field_from_order(q)
     real = search._scored_chunks
+    raw = search._batch(F, k, n, "vectors")
     doctored = []
 
-    def cheap_zero_columns(batch, first=None):
+    def cheap_zero_columns(batch, first):
         for prefix, tails, rows, keys in real(batch, first):
-            if batch.ordered:  # the raw side; the projective one is sorted
-                has_zero = (tails[rows] == 0).any(axis=1) | (0 in prefix)
-                keys = keys.copy()
-                keys[has_zero] = -(10**9)
-                doctored.append(int(has_zero.sum()))
+            if batch is raw and first == 0:
+                keys = np.full_like(keys, -(10**9))
+                doctored.append(keys.size)
             yield prefix, tails, rows, keys
 
     assert verify_reduction(F, k, n)
@@ -473,8 +490,8 @@ def test_batched_fold_matches_per_candidate_fold(monkeypatch, q, k, n):
             want.add(value, combo)
     monkeypatch.setattr(search, "_score", _raise_on_score)
     got = _Fold()
-    for part in map(search._search_partition, [(F, k, n, first) for first in range(len(pts))]):
-        got.merge(part)
+    for first in range(len(pts)):
+        got.merge(search._fold_chunks(search._batch(F, k, n, "points"), first))
     assert _state(got) == _state(want)
 
 
@@ -498,8 +515,10 @@ _SEARCH_SMALL = [(2, 3, 7), (2, 3, 8), (3, 3, 5), (2, 4, 5), (4, 2, 6)]
 def test_shorter_tails_give_the_same_reports(monkeypatch, cells):
     # A lowered table cap shortens the tails, so each candidate's prefix of
     # 2 or more points is enumerated in Python; the reports stay
-    # byte-identical.
-    shapes = [("projective", q, k, n) for q, k, n in _BATCH_GRID + _SEARCH_SMALL] + [("full", 3, 2, 4)]
+    # byte-identical. At 1000 cells full mode's (2, 3, 4) has 2-point
+    # prefixes.
+    shapes = [("projective", q, k, n) for q, k, n in _BATCH_GRID + _SEARCH_SMALL]
+    shapes += [("full", 3, 2, 4), ("full", 2, 3, 4)]
     want = [json.dumps(optimal_coverage(field_from_order(q), k, n, mode=mode).to_json_dict())
             for mode, q, k, n in shapes]
     monkeypatch.setattr(coverage, "_BLOCK_CELLS", cells)
@@ -508,17 +527,19 @@ def test_shorter_tails_give_the_same_reports(monkeypatch, cells):
     for (mode, q, k, n), report in zip(shapes, want):
         F = field_from_order(q)
         assert json.dumps(optimal_coverage(F, k, n, mode=mode).to_json_dict()) == report
-        heads.add(n - search._batch(F, k, n, "points" if mode == "projective" else "nonzero").tail)
+        heads.add(n - search._batch(F, k, n, "points" if mode == "projective" else "vectors").tail)
     assert {2, 3} <= heads
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_reports_do_not_depend_on_jobs(jobs):
-    # 1, 3 and 7 partitions: below jobs, equal to 3 and not a multiple of
-    # 2, and a multiple of neither.
-    for F, k, n in [(F3, 1, 3), (F2, 2, 4), (F2, 3, 5)]:
-        whole = json.dumps(optimal_coverage(F, k, n).to_json_dict())
-        assert json.dumps(optimal_coverage(F, k, n, jobs=jobs).to_json_dict()) == whole
+    # 1, 3 and 7 partitions in projective mode: below jobs, equal to 3 and
+    # not a multiple of 2, and a multiple of neither. Full mode has one per
+    # nonzero vector: 2, 3 and 7.
+    for mode in ("projective", "full"):
+        for F, k, n in [(F3, 1, 3), (F2, 2, 4), (F2, 3, 5)]:
+            whole = json.dumps(optimal_coverage(F, k, n, mode=mode).to_json_dict())
+            assert json.dumps(optimal_coverage(F, k, n, mode=mode, jobs=jobs).to_json_dict()) == whole
 
 
 def test_tail_table_memory_stays_capped():
@@ -540,19 +561,26 @@ def test_tail_table_memory_stays_capped():
 def test_tail_table_incidence_is_bounded_by_the_candidate_count():
     # A tail table reads the whole lattice of GF(q)^k, kept or not. For
     # n >= k its incidence (subspaces x columns) stays within 3 times the
-    # candidates, for the projective points, all q^k vectors and the
-    # nonzero ones alike, so the search's candidate budget bounds it. The
-    # largest ratio, 2.5, is at q = k = n = 2; it falls as n grows.
-    worst = Fraction(0)
+    # candidates, for the projective points and all q^k vectors alike, so
+    # the search's candidate budget bounds it. The budget counts candidates
+    # as the search reports them: multisets of points, and n-tuples of
+    # vectors. The largest ratio, 2.5, is at q = k = n = 2; it falls as n
+    # grows. Full mode reads the table of all q^k vectors but its budget
+    # counts the (q^k - 1)^n matrices of nonzero columns: within 4 times,
+    # reached only over GF(2)^1, a table of 2 x 2 cells.
+    worst = worst_full = Fraction(0)
     for q in filter(is_prime_power, range(2, 4000)):
         for k in range(1, 7):
             subspaces = sum(_gaussian(k, d, q) for d in range(k + 1))
             points, vectors = _gaussian(k, 1, q), q**k
             for n in range(k, k + 3):
-                for columns, candidates in ((points, comb(points + n - 1, n)),
-                                            (vectors, vectors**n), (vectors - 1, (vectors - 1) ** n)):
+                for columns, candidates in ((points, comb(points + n - 1, n)), (vectors, vectors**n)):
                     worst = max(worst, Fraction(subspaces * columns, candidates))
+                ratio = Fraction(subspaces * vectors, (vectors - 1) ** n)
+                worst_full = max(worst_full, ratio)
+                assert k == 1 or ratio <= 3, (q, k, n)
     assert worst == Fraction(5 * 3, comb(3 + 1, 2)) == Fraction(5, 2)
+    assert worst_full == Fraction(2 * 2, 1)
 
 
 @pytest.mark.parametrize("q,k,n", [(2, 3, 7), (3, 3, 4), (2, 4, 5)])
@@ -594,7 +622,7 @@ def test_unkept_side_scores_each_candidate(monkeypatch):
             if search._spans(F, pts, combo, 3):
                 want.admissible += 1
                 want.add(expectation_exact_dual(CandidateMultiset(F, 3, combo).as_code()), combo)
-        assert _state(search._search_partition((F, 3, 3, first))) == _state(want)
+        assert _state(search._fold_chunks(search._batch(F, 3, 3, "points"), first)) == _state(want)
 
 
 def _raise_on_score(*args):
@@ -617,20 +645,21 @@ def test_kept_lattices_score_nothing_alone(monkeypatch):
 
 @pytest.mark.parametrize("q,k,n", [(2, 2, 3), (3, 2, 2), (2, 3, 3)])
 def test_batched_raw_matrices_are_exact_from_columns(q, k, n):
-    # Every raw matrix over all q^k vectors, zero columns included: the
-    # tail table spans exactly where _score has a value, and the values
-    # agree matrix by matrix, so also as a set.
+    # Every raw matrix over all q^k vectors, zero columns included, as a
+    # sorted multiset: the tail table spans exactly where _score has a
+    # value, and the values agree multiset by multiset, so also as a set.
     F = field_from_order(q)
     vectors = list(product(range(q), repeat=k))
-    got, examined = _table_values(_PrimalBatch(F, vectors, k, n, ordered=True), [None])
-    assert examined == len(vectors) ** n
+    combos = list(combinations_with_replacement(range(len(vectors)), n))
+    got, examined = _table_values(_PrimalBatch(F, vectors, k, n), range(len(vectors)))
+    assert examined == len(combos)
     want = {}
-    for combo in product(range(len(vectors)), repeat=n):
+    for combo in combos:
         value = search._score(F, vectors, combo)
         if value is not None:
             want[combo] = value
     assert got == want
-    assert 0 < len(want) < len(vectors) ** n
+    assert 0 < len(want) < len(combos)
 
 
 def test_verify_reduction_scores_each_matrix_on_an_unkept_lattice(monkeypatch, gf1021_line_unkept):
