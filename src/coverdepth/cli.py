@@ -296,9 +296,9 @@ def cmd_verify(args: argparse.Namespace) -> str:
         C = cd.hamming_code(F, 3)
         D = cd.dual(C)
         for s in range(C.n + 1):
+            left, right = cd.shortened_dim_tally(C, s), cd.shortened_dim_tally(D, C.n - s)
             for l in range(C.k + 1):
-                lhs = cd.shortened_dim_count(C, l, s).value
-                rhs = cd.shortened_dim_count(D, l + s - C.k, C.n - s).value
+                lhs, rhs = left[l], right[l + s - C.k]
                 if lhs != rhs:
                     raise AssertionError(f"mismatch at l={l}, s={s}: {lhs} != {rhs}")
 

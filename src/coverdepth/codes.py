@@ -31,6 +31,7 @@ against the brute force in the tests (up to n = 16).
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -170,23 +171,35 @@ def information_set_count(C: LinearCode, s: int) -> SubsetCounter:
     return shortened_dim_count(C, 0, s)
 
 
+def shortened_dim_tally(C: LinearCode, s: int) -> Counter:
+    """tally[l]: how many size-s position sets have a complement supporting
+    an l-dimensional subcode, for every l at once.
+
+    The brute force behind shortened_dim_count: the rank k - l of every
+    size-s column subset, computed once. Dimensions that no subset has
+    read 0, inside 0..k or not.
+    """
+    if not 0 <= s <= C.n:
+        raise ValueError(f"subset size {s} not in 0..{C.n}")
+    F, cols = C.field, C.columns
+    return Counter(C.k - len(span_basis(F, (cols[j] for j in sub), cap=C.k))
+                   for sub in combinations(range(C.n), s))
+
+
 def shortened_dim_count(C: LinearCode, dimension: int, s: int) -> SubsetCounter:
     """Number of size-s position sets whose complement supports a subcode of
     the given dimension.
 
-    Equivalently: size-s column subsets of rank k - dimension, enumerated
-    unless that rank exceeds s. Dimensions outside 0..k yield 0 rather than
-    an error, which makes the duality identity total at its boundary indices.
+    Equivalently: size-s column subsets of rank k - dimension, read from
+    shortened_dim_tally unless that rank exceeds s, when nothing is
+    enumerated. Dimensions outside 0..k yield 0 rather than an error, which
+    makes the duality identity total at its boundary indices.
     """
     if not 0 <= s <= C.n:
         raise ValueError(f"subset size {s} not in 0..{C.n}")
-    target = C.k - dimension
-    if not 0 <= dimension <= C.k or target > s:
+    if not 0 <= dimension <= C.k or C.k - dimension > s:
         return SubsetCounter(C, s, 0)
-    F, cols, cap = C.field, C.columns, min(target + 1, C.k)
-    count = sum(len(span_basis(F, (cols[j] for j in sub), cap=cap)) == target
-                for sub in combinations(range(C.n), s))
-    return SubsetCounter(C, s, count)
+    return SubsetCounter(C, s, shortened_dim_tally(C, s)[dimension])
 
 
 def information_set_count_via_dual(C: LinearCode, s: int) -> SubsetCounter:

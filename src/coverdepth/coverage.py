@@ -19,10 +19,13 @@ computes the expectation of that stopping time:
     vectors). Nothing is cached between calls: each read tests its distinct
     columns against every subspace (_incidence).
     Where a lattice is not kept, the dual side counts I(t) level by level
-    in numpy (_level_counts: one level of independent t-subsets at a time,
-    each state the table lanes' basis of its columns, refused with
-    BudgetExceededError past _LEVEL_CELLS basis cells); the primal side,
-    when n - k <= k, reads the kernel's columns the same way (_dual_terms).
+    in numpy (_level_counts: level t holds one row per independent t-subset
+    S and later column j, the residual of j modulo span(S), so I(t + 1) is
+    the number of nonzero rows and the work follows the pairs counted; the
+    rows are reduced by the flat build's step (_residual_step), and a level
+    of more than _LEVEL_CELLS / m^2 rows is refused with
+    BudgetExceededError); the primal side, when n - k <= k, reads the
+    kernel's columns the same way (_dual_terms).
     Only primal sides with n - k > k run a walk, the full-rank walk
     (codes.information_set_profile), which guards its own recursion and
     raises BudgetExceededError past half the recursion limit.
@@ -399,8 +402,8 @@ def _dual_terms(H: MatrixGF) -> List[Tuple[int, int]]:
     """(t, I(t)) for t = 1..m over the columns of the m x n matrix H.
 
     The dual reader where the lattice of GF(q)^m is kept, else the level
-    count (_level_counts), which refuses past _LEVEL_CELLS basis cells
-    (BudgetExceededError). Both serve every field.
+    count (_level_counts), which refuses a level of more than
+    _LEVEL_CELLS / m^2 rows (BudgetExceededError). Both serve every field.
     """
     F, m = H.field, H.rows
     if m == 0:  # a code of length n = k: no dual terms
@@ -562,82 +565,108 @@ def simulate_trial(C: LinearCode, seed: int, trial: int = 0, trace: Optional[Lis
 # is; trials are keyed by index, so blocking changes no count. The driver
 # allocates its lane arrays once per call and reuses them round after round
 # and block after block: a round writes its keys, draws and moves into them
-# instead of into new arrays.
-# The level count reduces its children with the table lanes' step
-# (_reduce_insert), _REDUCE_BLOCK_CELLS basis cells at a time, and refuses a
-# level whose children would hold more than _LEVEL_CELLS basis cells. The
-# flat build (_flat_table) reduces its flats in blocks of the same cells.
-# A cell is one VecOps.dtype element, 4 bytes past 2^16 elements (8 for a packed
-# lane's word): at most 16 MB of table-lane state a block, 128 MB of bases at the level cap.
+# instead of into new arrays. A cell is one VecOps.dtype element, 4 bytes
+# past 2^16 elements (8 for a packed lane's word): at most 16 MB of
+# table-lane state a block.
 _LANE_CELLS = 1 << 22
+
+# The level count (_level_counts) and the flat build (_flat_table) reduce
+# residuals with one step (_residual_step), _REDUCE_BLOCK_CELLS residual cells
+# at a time. The level count refuses a level whose rows number more than
+# _LEVEL_CELLS / m^2, the bound it kept when each of those rows was an (m, m)
+# basis, so every refusal stays where it was. A row holds m - t < m cells,
+# so a level's rows hold fewer than _LEVEL_CELLS / m cells.
 _LEVEL_CELLS = 1 << 25
 _REDUCE_BLOCK_CELLS = 1 << 16
 
 
-def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", ops: VecOps) -> "np.ndarray":
-    """Reduce row i of v against basis i, insert it where it is independent; say which grew.
+def _normalised(v: "np.ndarray", ops: VecOps) -> Tuple["np.ndarray", "np.ndarray"]:
+    """(w, lead): each nonzero row of the 2-D v over its first nonzero entry, whose index is lead."""
+    lead = (v != 0).argmax(axis=1)
+    if ops.q == 2:  # GF(2): every first nonzero entry is already 1
+        return v, lead
+    return ops.mul(ops.inv(v[np.arange(len(v)), lead])[:, None], v), lead
 
-    Slot r of a (k, k) basis is filled iff its diagonal entry is nonzero:
-    a filled slot holds a row with a 1 at r and zeros before it, an empty
-    one zeros. v and basis hold elements of the field of ops and change in
-    place.
+
+def _packed_words(columns: Sequence[Sequence[int]], m: int) -> "np.ndarray":
+    """Binary columns of length m <= 64 as the narrowest unsigned words that hold m bits, entry i at bit i."""
+    return np.array([sum(x << i for i, x in enumerate(col)) for col in columns],
+                    dtype=np.min_scalar_type((1 << m) - 1))
+
+
+def _residual_step(r: "np.ndarray", v: "np.ndarray", lead: Optional["np.ndarray"], ops: VecOps,
+                   out: "np.ndarray") -> None:
+    """Reduce group c of the residuals r at the pivot of v[c] and drop that coordinate, into out.
+
+    r holds count groups of residuals and v one nonzero residual per group,
+    the one whose column joins the span. Each residual in group c loses its
+    entry at v[c]'s pivot times v[c], so that entry becomes zero in every
+    residual and is dropped: out holds the residuals modulo the grown span,
+    one coordinate shorter. Field elements: r is (count, L, w) and v,
+    (count, w), is normalised with pivot lead (_normalised); the last
+    coordinate moves into the pivot's place. Packed binary words: r is
+    (count, L) and v (count,), coordinate i at bit i, the pivot the lowest
+    set bit of v (lead is unused); the bits above it shift down by one.
+    r and v are overwritten.
     """
-    grew = np.zeros(len(v), dtype=bool)
-    for r in range(v.shape[1]):
-        nz = v[:, r] != 0
-        slot = basis[:, r, r] != 0
-        (sel,) = (nz & slot).nonzero()
-        if sel.size:
-            v[sel] = ops.sub(v[sel], ops.mul(v[sel, r, None], basis[sel, r, :]))
-        (sel,) = (nz & ~slot).nonzero()
-        if sel.size:
-            basis[sel, r, :] = ops.mul(ops.inv(v[sel, r, None]), v[sel])
-            grew[sel] = True
-            v[sel] = 0
-    return grew
+    if r.ndim == 2:
+        v = v[:, None]
+        pivot = v & (~v + 1)
+        r ^= v * ((r & pivot) != 0)
+        below = pivot - 1
+        np.bitwise_or(r & below, (r >> 1) & ~below, out=out)
+        return
+    each = np.arange(len(r))
+    coef = r[each, :, lead]
+    r[each, :, lead] = r[:, :, -1]
+    v[each, lead] = v[:, -1]
+    ops.sub(r[:, :, :-1], ops.mul(coef[:, :, None], v[:, None, :-1]), out=out)
 
 
 def _level_counts(F: FieldSpec, columns: Sequence[Sequence[int]], m: int) -> List[int]:
     """I(0..m): how many t-subsets of the columns, each in GF(q)^m, are independent.
 
-    Level t holds one state per independent t-subset: the index of its last
-    column and the reduced basis of its columns (_reduce_insert's slots).
-    Level t + 1 reduces every later column against a copy of each state's
-    basis, block by block, and keeps the children that grew; the last level
-    is only counted. Before a level is reduced its children are counted,
-    and past _LEVEL_CELLS basis cells the count raises BudgetExceededError.
+    Level t holds one row per pair (S, j) of an independent t-subset S and a
+    column j after max S: the residual of column j modulo span(S), m - t
+    coordinates (over GF(2) with m <= 64, one packed word, coordinate i at
+    bit i). The rows of one S lie together in column order, so I(t + 1) is
+    the number of nonzero rows, and a nonzero row (S, j) is the independent
+    subset S + {j}, whose rows are S's rows after j reduced at j's
+    residual (_residual_step), _REDUCE_BLOCK_CELLS cells at a time. The
+    work follows the pairs counted, and the last level is only counted.
+    Before a level's rows are built they are counted, and past
+    _LEVEL_CELLS / m^2 rows the count raises BudgetExceededError.
     """
-    n, ops = len(columns), F.vec_ops()
-    cols = np.array(columns, dtype=ops.dtype).reshape(n, m)
-    last = np.full(1, -1, dtype=np.int32)
-    basis = np.zeros((1, m, m), dtype=ops.dtype)
-    block = max(1, _REDUCE_BLOCK_CELLS // max(1, m * m))
-    counts = [1]
-    for t in range(1, m + 1):
-        ends = np.cumsum(n - 1 - last, dtype=np.int64)  # state s's children end at ends[s]
-        total = int(ends[-1]) if ends.size else 0
-        if total * m * m > _LEVEL_CELLS:
+    n, ops, packed = len(columns), F.vec_ops(), F.q == 2 and m <= 64
+
+    def check(rows: int, t: int) -> None:
+        if rows * m * m > _LEVEL_CELLS:
             raise BudgetExceededError(f"more than {_LEVEL_CELLS} basis cells in the "
                                       f"independent {t}-subsets of {n} columns")
-        keep = t < m
-        if keep:  # untouched rows of np.empty take no memory
-            next_last = np.empty(total, dtype=np.int32)
-            next_basis = np.empty((total, m, m), dtype=ops.dtype)
-        size = 0
-        for start in range(0, total, block):
-            child = np.arange(start, min(total, start + block), dtype=np.int64)
-            parent = np.searchsorted(ends, child, side="right")
-            col = child - ends[parent] + n
-            b = basis[parent]
-            grew = _reduce_insert(b, cols[col], ops)
-            c = int(np.count_nonzero(grew))
-            if keep and c:
-                next_last[size:size + c] = col[grew]
-                next_basis[size:size + c] = b[grew]
-            size += c
-        counts.append(size)
-        if keep:
-            last, basis = next_last[:size], next_basis[:size]
+
+    check(n, 1)
+    rows = _packed_words(columns, m) if packed else np.array(columns, dtype=ops.dtype).reshape(n, m)
+    ends = np.full(1, n, dtype=np.int64)  # the rows of level t's i-th subset end at ends[i]
+    counts = [1]
+    for t in range(m):
+        (nz,) = (rows if packed else rows.any(axis=1)).nonzero()
+        counts.append(len(nz))
+        if t + 1 == m:
+            break
+        stop = ends[np.searchsorted(ends, nz, side="right")]  # the end of the rows of each nonzero row's S
+        ends = np.cumsum(stop - nz - 1)
+        total = int(ends[-1]) if ends.size else 0
+        check(total, t + 2)
+        piv, lead = (rows[nz], None) if packed else _normalised(rows[nz], ops)
+        shift = stop - ends  # row p of child c is parent row p + shift[c]
+        child = np.empty((total,) if packed else (total, m - t - 1), dtype=rows.dtype)
+        block = max(1, _REDUCE_BLOCK_CELLS // (1 if packed else m - t))
+        for p0 in range(0, total, block):
+            p = np.arange(p0, min(total, p0 + block))
+            c = np.searchsorted(ends, p, side="right")
+            _residual_step(rows[p + shift[c]][:, None], piv[c], None if packed else lead[c], ops,
+                           child[p0:p0 + block, None])
+        rows = child
     return counts
 
 
@@ -762,44 +791,22 @@ def _runs(keys: "np.ndarray") -> Tuple["np.ndarray", "np.ndarray"]:
     return order, new
 
 
-def _normalised(v: "np.ndarray", ops: VecOps) -> Tuple["np.ndarray", "np.ndarray"]:
-    """(w, lead): each nonzero row of the 2-D v over its first nonzero entry, whose index is lead."""
-    lead = (v != 0).argmax(axis=1)
-    if ops.q == 2:  # GF(2): every first nonzero entry is already 1
-        return v, lead
-    return ops.mul(ops.inv(v[np.arange(len(v)), lead])[:, None], v), lead
-
-
 def _flat_children(resid: "np.ndarray", parent: "np.ndarray", col: "np.ndarray", ops: VecOps) -> "np.ndarray":
     """Residuals of the flats spanned by each parent flat and one column outside it, one coordinate shorter.
 
-    Child c takes parent[c]'s residuals and eliminates, from each, its entry
-    at the pivot of column col[c]'s residual (its first nonzero entry), so
-    the projection's kernel grows by that column. That entry is then zero
-    in every column, so the child drops it. Residuals of field elements,
-    (count, n, w), move their last coordinate into its place; packed binary
-    residuals, (count, n) unsigned words with coordinate i at bit i, shift
-    the bits above it down by one.
+    Child c takes parent[c]'s residuals, (count, n, w) field elements or
+    (count, n) packed binary words, and reduces them at column col[c]'s
+    residual (_residual_step), so the projection's kernel grows by that
+    column, _REDUCE_BLOCK_CELLS cells at a time.
     """
     count, n = len(parent), resid.shape[1]
     out = np.empty((count, n) if resid.ndim == 2 else (count, n, resid.shape[2] - 1), dtype=resid.dtype)
     block = max(1, _REDUCE_BLOCK_CELLS // resid[0].size)
     for c0 in range(0, count, block):
         r = resid[parent[c0:c0 + block]]
-        each = np.arange(len(r))
-        v = r[each, col[c0:c0 + block]]
-        if resid.ndim == 2:
-            v = v[:, None]
-            pivot = v & (~v + 1)
-            r ^= v * ((r & pivot) != 0)
-            below = pivot - 1
-            np.bitwise_or(r & below, (r >> 1) & ~below, out=out[c0:c0 + block])
-            continue
-        v, lead = _normalised(v, ops)
-        coef = r[each, :, lead]
-        r[each, :, lead] = r[:, :, -1]
-        v[each, lead] = v[:, -1]
-        ops.sub(r[:, :, :-1], ops.mul(coef[:, :, None], v[:, None, :-1]), out=out[c0:c0 + block])
+        v = r[np.arange(len(r)), col[c0:c0 + block]]
+        v, lead = (v, None) if resid.ndim == 2 else _normalised(v, ops)
+        _residual_step(r, v, lead, ops, out[c0:c0 + block])
     return out
 
 
@@ -837,9 +844,8 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
     words = (n + 63) // 64
     bit = np.zeros((n, words), dtype=np.uint64)
     bit[np.arange(n), np.arange(n) // 64] = np.uint64(1) << (np.arange(n, dtype=np.uint64) % np.uint64(64))
-    if packed:  # the narrowest unsigned words that hold k bits
-        resid = np.array([[sum(x << i for i, x in enumerate(col)) for col in cols]],
-                         dtype=np.min_scalar_type((1 << k) - 1))
+    if packed:
+        resid = _packed_words(cols, k)[None]
     else:
         resid = np.array(cols, dtype=ops.dtype).reshape(1, n, k)
     masks = np.bitwise_or.reduce(bit[~resid[0].reshape(n, -1).any(axis=1)], axis=0)[None]
@@ -907,6 +913,29 @@ def _flat_table(F: FieldSpec, cols: Sequence[Tuple[int, ...]], k: int, limit: in
     own = np.arange(size - count, size, dtype=np.int32) * n
     np.copyto(rows[:-1], own[:, None], where=inside.view(bool))
     return table
+
+
+def _reduce_insert(basis: "np.ndarray", v: "np.ndarray", ops: VecOps) -> "np.ndarray":
+    """The table lanes' step: reduce row i of v against basis i, insert it where it is independent; say which grew.
+
+    Slot r of a (k, k) basis is filled iff its diagonal entry is nonzero:
+    a filled slot holds a row with a 1 at r and zeros before it, an empty
+    one zeros. v and basis hold elements of the field of ops and change in
+    place.
+    """
+    grew = np.zeros(len(v), dtype=bool)
+    for r in range(v.shape[1]):
+        nz = v[:, r] != 0
+        slot = basis[:, r, r] != 0
+        (sel,) = (nz & slot).nonzero()
+        if sel.size:
+            v[sel] = ops.sub(v[sel], ops.mul(v[sel, r, None], basis[sel, r, :]))
+        (sel,) = (nz & ~slot).nonzero()
+        if sel.size:
+            basis[sel, r, :] = ops.mul(ops.inv(v[sel, r, None]), v[sel])
+            grew[sel] = True
+            v[sel] = 0
+    return grew
 
 
 def _draw_count_blocks(

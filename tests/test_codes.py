@@ -19,6 +19,7 @@ from coverdepth.codes import (
     projective_points,
     reed_solomon,
     shortened_dim_count,
+    shortened_dim_tally,
     shortened_subcode_dim,
     simplex_code,
 )
@@ -205,6 +206,26 @@ def test_shortened_dim_count_past_the_subset_size_enumerates_nothing(monkeypatch
     assert calls == []
     assert shortened_dim_count(C, 0, C.k).value > 0
     assert calls
+
+
+@pytest.mark.parametrize(
+    "C",
+    [hamming_code(field_from_order(2), 3),
+     linear_code(matrix(field_from_order(3), [[1, 0, 0, 1, 2, 0, 1], [0, 1, 0, 1, 1, 0, 0],
+                                              [0, 0, 1, 0, 1, 0, 0]]))],
+    ids=["hamming-2-3", "gf3-7-3"],
+)
+def test_shortened_dim_tally_is_the_count_at_every_dimension(C):
+    # One tally per s answers every l: it equals shortened_dim_count and a
+    # direct count of the size-s subsets of rank k - l, on [7,4]/GF(2) and
+    # on a [7,3]/GF(3) code with a zero and a repeated column.
+    F, cols = C.field, C.columns
+    for s in range(C.n + 1):
+        tally = shortened_dim_tally(C, s)
+        for l in range(-1, C.k + 2):
+            direct = sum(len(span_basis(F, [cols[j] for j in sub])) == C.k - l
+                         for sub in combinations(range(C.n), s))
+            assert tally[l] == shortened_dim_count(C, l, s).value == direct, (l, s)
 
 
 def test_shortened_dim_counts_partition_all_subsets():

@@ -351,15 +351,21 @@ def test_deep_dual_side_is_refused_before_a_level_is_reduced(monkeypatch):
     # its 1,032 independent 1-subsets alone would hold 1032 * 1030^2 basis
     # cells: the level budget refuses the dual side before it reduces a
     # column. The engine has no independent-subset walk to fall back on.
+    # The same hook sees the reductions of a dual side the budget admits.
     assert not hasattr(coverage, "independent_subset_profile")
     reduced = []
-    monkeypatch.setattr(coverage, "_reduce_insert", lambda *args: reduced.append(args))
-    C = reed_solomon(field_from_order(65537), 1032, 2)
+    real = coverage._residual_step
+    monkeypatch.setattr(coverage, "_residual_step", lambda r, *args: reduced.append(len(r)) or real(r, *args))
+    F = field_from_order(65537)
+    C = reed_solomon(F, 1032, 2)
     with pytest.raises(BudgetExceededError, match="independent 1-subsets of 1032 columns"):
         expectation_exact_dual(C)
     assert not reduced
     assert main(["expect", "--field", "65537", "--code", "rs", "--n", "1032", "--k", "2",
                  "--method", "dual"]) == 2
+    assert not reduced
+    assert expectation_exact_dual(reed_solomon(F, 8, 2)) == mds_bound(8, 2)
+    assert sum(reduced) == sum(comb(8, t + 1) for t in range(1, 6))  # the rows of levels 1 to 5 (m = 6)
 
 
 # 257 and 512 run the level count on uint16 elements and q-by-q tables;
@@ -407,25 +413,70 @@ def test_level_blocks_do_not_change_counts(monkeypatch, maker):
 
 
 def test_level_budget_is_checked_before_a_level_is_reduced(monkeypatch):
-    # The 15 points of GF(2)^4: level 1 reduces 15 children of 16 cells
-    # each, level 2 would reduce C(15, 2) = 105 (1,680 cells).
+    # The 15 points of GF(2)^4: level 0's rows are the 15 columns (240
+    # cells at m^2 = 16 a row), level 1 would hold C(15, 2) = 105 rows
+    # (1,680 cells) and level 2 C(15, 3) = 455, as every 2-subset of
+    # distinct points is independent. At 1,000 cells no row is reduced
+    # before the 2-subsets are refused; at 1,680 the 105 rows of level 1
+    # are, and the 3-subsets are refused.
     F = field_from_order(2)
     reduced = []
-    real = coverage._reduce_insert
+    real = coverage._residual_step
 
-    def counted(basis, v, *tables):
-        reduced.append(len(v))
-        return real(basis, v, *tables)
+    def counted(r, *args):
+        reduced.append(len(r))
+        return real(r, *args)
 
-    monkeypatch.setattr(coverage, "_reduce_insert", counted)
+    monkeypatch.setattr(coverage, "_residual_step", counted)
     monkeypatch.setattr(coverage, "_LEVEL_CELLS", 1000)
     with pytest.raises(BudgetExceededError, match="2-subsets of 15 columns"):
         coverage._level_counts(F, projective_points(F, 4), 4)
-    assert sum(reduced) == 15
+    assert sum(reduced) == 0
+    monkeypatch.setattr(coverage, "_LEVEL_CELLS", 1680)
+    with pytest.raises(BudgetExceededError, match="3-subsets of 15 columns"):
+        coverage._level_counts(F, projective_points(F, 4), 4)
+    assert sum(reduced) == 105
+
+
+@pytest.mark.parametrize("q,m,n", [(2, 8, 18), (2, 70, 7), (16, 8, 14), (16, 3, 18), (1031, 8, 12),
+                                   (1031, 4, 18), (65537, 8, 12), (65537, 6, 14), (3**11, 8, 9),
+                                   (3**11, 3, 14)])
+def test_level_counts_match_the_walk_on_wide_shapes(monkeypatch, q, m, n):
+    # Random columns with a zero and a repeated one: GF(2) on packed words
+    # (m <= 64) and on field elements (m = 70), and fields whose arithmetic
+    # works by table, log table, modulo p and digit convolution. Blocks of
+    # 30 cells hold a few rows each, or one row at m = 70.
+    F = field_from_order(q)
+    rng = random.Random(f"pairs-{q}-{m}-{n}")
+    cols = [tuple(rng.randrange(q) for _ in range(m)) for _ in range(n)]
+    cols[rng.randrange(n)] = (0,) * m
+    cols[rng.randrange(n)] = cols[rng.randrange(n)]
+    walk = (independent_subset_profile(from_columns(F, cols)) + [0] * m)[: m + 1]
+    assert coverage._level_counts(F, cols, m) == walk
+    monkeypatch.setattr(coverage, "_REDUCE_BLOCK_CELLS", 30)
+    assert coverage._level_counts(F, cols, m) == walk
+
+
+@pytest.mark.parametrize(
+    "maker,t,n",
+    [(lambda: reed_solomon(field_from_order(65537), 1032, 2), 1, 1032),
+     (lambda: reed_solomon(field_from_order(65537), 40, 30), 5, 40),
+     (lambda: hamming_code(field_from_order(2), 7), 4, 127)],
+    ids=["rs-65537-1032-2", "rs-65537-40-30", "hamming-2-7"],
+)
+def test_level_refusals_keep_their_level_and_message(maker, t, n):
+    # The budget counts a level's candidates at m^2 cells each, as when each
+    # candidate held an (m, m) basis, so each dual side is refused at the
+    # same level, with the same message, as by that rule.
+    C = maker()
+    with pytest.raises(BudgetExceededError) as refused:
+        coverage._dual_terms(kernel_basis(C.generator))
+    assert str(refused.value) == (f"more than {1 << 25} basis cells in the "
+                                  f"independent {t}-subsets of {n} columns")
 
 
 def test_widest_level_fits_the_budget():
-    # RS [20,10]/GF(32): the last level reduces C(20, 10) = 184,756 children.
+    # RS [20,10]/GF(32): level 9 holds C(20, 10) = 184,756 rows (18.5M of the 2^25 cells at m^2 a row).
     C = reed_solomon(field_from_order(32), 20, 10)
     assert expectation_exact_auto(C) == mds_bound(20, 10)
 
